@@ -14,7 +14,6 @@ exercised only when such a file is supplied.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -10,14 +10,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 from .acceptance import check_world_reproduction, run_all_checks
 from .errors import GeneratorError, HypergrowthError, ParseError, RegionError
-from .fit import FitWindow, fit_hyperbolic, goodness, scan_windows
+from .fit import FitWindow, best_fit, goodness
 from .ingest import (
-    RegionDefinition,
     build_region_series,
     parse_long_csv,
     parse_region_config,
@@ -118,12 +118,8 @@ def _fit_summary(fit) -> dict:
 
 
 def _fit_series(series, args):
-    if args.window:
-        return fit_hyperbolic(series, _parse_window(args.window), args.weighting)
-    ranked = scan_windows(series, weighting=args.weighting)
-    if not ranked:
-        raise RegionError(f"no hyperbolic window found for {series.label!r}")
-    return ranked[0]
+    window = _parse_window(args.window) if args.window else None
+    return best_fit(series, window, args.weighting)
 
 
 def cmd_fit(args) -> int:
@@ -139,9 +135,8 @@ def cmd_fit(args) -> int:
 def cmd_segment(args) -> int:
     series = _load_series(args)
     if args.window:
-        series = series.slice_window(
-            _parse_window(args.window).start_year, _parse_window(args.window).end_year
-        )
+        window = _parse_window(args.window)
+        series = series.slice_window(window.start_year, window.end_year)
     seg = segment_two_hyperbolic(series, weighting=args.weighting)
     doc = {
         "breakpoint_year": seg.breakpoint_year,
@@ -277,6 +272,8 @@ def cmd_synth(args) -> int:
             step = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError:
             raise CliError(f"bad --years {args.years!r}") from None
+        if not (math.isfinite(start) and math.isfinite(end) and math.isfinite(step) and step > 0):
+            raise CliError(f"--years needs finite START, END and STEP > 0, got {args.years!r}")
         years = []
         y = start
         while y <= end + 1e-9:

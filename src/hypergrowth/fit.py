@@ -16,16 +16,17 @@ over-weights the early, small-value points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    FitError,
     NonHyperbolicError,
     SingularityInWindowError,
     TooFewPointsError,
 )
-from .model import HyperbolicModel, ReciprocalResidual, evaluate, reciprocal_line
+from .model import HyperbolicModel, evaluate, reciprocal_line
 from .series import YearValueSeries
 
 WEIGHTINGS = ("uniform", "direct")
@@ -54,11 +55,14 @@ class FitWindow:
 
 @dataclass(frozen=True)
 class HyperbolicFit:
-    """A fitted model plus in-window diagnostics."""
+    """A fitted model plus in-window diagnostics; ``years``, ``reciprocals`` and
+    ``deltas`` (observed minus fitted reciprocal) are read-only per-point arrays."""
 
     model: HyperbolicModel
     window: FitWindow
-    residuals: tuple[ReciprocalResidual, ...]
+    years: np.ndarray
+    reciprocals: np.ndarray
+    deltas: np.ndarray
     rmse_reciprocal: float
     r2_reciprocal: float
     max_abs_relative_deviation: float
@@ -66,16 +70,25 @@ class HyperbolicFit:
 
     @property
     def n_points(self) -> int:
-        return len(self.residuals)
+        return len(self.years)
 
     @property
     def rmse_per_dof(self) -> float:
         """sqrt(SSE / (n - 2)); the scan_windows ranking score."""
-        sse = sum(r.delta**2 for r in self.residuals)
+        # A Python sum in observation order: which of two near-tied windows
+        # ranks first, and so the automatic window, rests on the last bits.
+        sse = sum((self.deltas**2).tolist())
         return float(np.sqrt(sse / (self.n_points - 2))) if self.n_points > 2 else 0.0
 
-    def residual_deltas(self) -> np.ndarray:
-        return np.array([r.delta for r in self.residuals])
+
+def _centred_line(t: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """Weighted least-squares line y ~ ybar + slope * (t - tc): (slope, tc, ybar)."""
+    wsum = w.sum()
+    tc = (w * t).sum() / wsum
+    ybar = (w * y).sum() / wsum
+    dt = t - tc
+    slope = (w * dt * (y - ybar)).sum() / (w * dt**2).sum()
+    return slope, tc, ybar
 
 
 def fit_hyperbolic(
@@ -102,15 +115,9 @@ def fit_hyperbolic(
     y = 1.0 / s
     w = s**2 if weighting == "direct" else np.ones_like(s)
 
-    wsum = w.sum()
-    tc = (w * t).sum() / wsum
-    ybar = (w * y).sum() / wsum
-    dt = t - tc
-    slope = (w * dt * (y - ybar)).sum() / (w * dt**2).sum()
-    intercept0 = ybar  # at centered year tc
-
+    slope, tc, ybar = _centred_line(t, y, w)
     k = -slope
-    a = intercept0 + k * tc
+    a = ybar + k * tc
     if k <= 0:
         raise NonHyperbolicError(
             f"fitted reciprocal slope {slope:.3e} is not decreasing"
@@ -125,20 +132,20 @@ def fit_hyperbolic(
         )
 
     fitted = reciprocal_line(model, t)
-    residuals = tuple(
-        ReciprocalResidual(float(ti), float(yi), float(fi))
-        for ti, yi, fi in zip(t, y, fitted)
-    )
     deltas = y - fitted
     rmse = float(np.sqrt(np.mean(deltas**2)))
     ss_tot = float((w * (y - ybar) ** 2).sum())
     ss_res = float((w * deltas**2).sum())
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     rel_dev = 100.0 * np.abs(s - 1.0 / fitted) / (1.0 / fitted)
+    for arr in (t, y, deltas):
+        arr.setflags(write=False)
     return HyperbolicFit(
         model=model,
         window=window,
-        residuals=residuals,
+        years=t,
+        reciprocals=y,
+        deltas=deltas,
         rmse_reciprocal=rmse,
         r2_reciprocal=r2,
         max_abs_relative_deviation=float(rel_dev.max()),
@@ -190,25 +197,20 @@ def goodness(fit: HyperbolicFit, series: YearValueSeries) -> GoodnessReport:
 
 def scan_windows(
     series: YearValueSeries,
-    min_points: int = 3,
     weighting: str = "uniform",
 ) -> list[HyperbolicFit]:
     """Fit every contiguous window with observed-year endpoints.
 
     Candidates are all (start, end) pairs of observed years enclosing at
-    least ``min_points`` observations.  Windows whose fit fails (too few
-    points never happens here; non-hyperbolic or singularity-in-window can)
-    are silently dropped.  Results are ranked by rmse per degree of freedom,
-    ties broken by longer window, then earlier start, so ordering is fully
-    deterministic.
+    least 3 observations.  Windows whose fit fails (non-hyperbolic or
+    singularity-in-window) are silently dropped.  Results are ranked by rmse
+    per degree of freedom, ties broken by longer window, then earlier start,
+    so ordering is fully deterministic.
     """
-    min_points = max(min_points, 3)
-    if len(series) < min_points:
-        return []
     years = series.years
     fits = []
     for i in range(len(years)):
-        for j in range(i + min_points - 1, len(years)):
+        for j in range(i + 2, len(years)):
             window = FitWindow(float(years[i]), float(years[j]))
             try:
                 fits.append(fit_hyperbolic(series, window, weighting))
@@ -218,3 +220,13 @@ def scan_windows(
         key=lambda f: (f.rmse_per_dof, -f.window.span, f.window.start_year)
     )
     return fits
+
+
+def best_fit(series: YearValueSeries, window: FitWindow | None, weighting: str) -> HyperbolicFit:
+    """The fit over ``window``, else the top scan_windows fit; FitError if none."""
+    if window is not None:
+        return fit_hyperbolic(series, window, weighting)
+    ranked = scan_windows(series, weighting=weighting)
+    if not ranked:
+        raise FitError(f"no hyperbolic window found for {series.label!r}")
+    return ranked[0]

@@ -13,7 +13,8 @@ from __future__ import annotations
 import configparser
 import csv
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,11 +59,19 @@ class DatasetTable:
         return YearValueSeries(np.array(years), np.array(values), label or entity)
 
 
-def _parse_number(text: str, what: str, line_no: int) -> float:
+def _parse_number(text: str, what: str, where: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise ParseError(f"line {line_no}: {what} {text!r} is not a number") from None
+        raise ParseError(f"{where}: {what} {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: {what} {text!r} is not finite")
+    return value
+
+
+def _check_positive(value: float, what: str):
+    if not (value > 0 and math.isfinite(value)):
+        raise ParseError(f"{what} {value:g} is not a positive finite number")
 
 
 def _add_cell(table: DatasetTable, entity: str, year: float, value: float, line_no: int):
@@ -86,6 +95,7 @@ def parse_long_csv(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
     Rows with an empty value field are skipped (missing observation); any
     malformed row raises ParseError naming its line number.
     """
+    _check_positive(unit_scale, "unit_scale")
     text = data.decode("utf-8")
     reader = csv.reader(io.StringIO(text))
     try:
@@ -103,8 +113,8 @@ def parse_long_csv(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
         entity, year_s, value_s = (c.strip() for c in row)
         if not value_s:
             continue
-        year = _parse_number(year_s, "year", line_no)
-        value = _parse_number(value_s, "value", line_no) * unit_scale
+        year = _parse_number(year_s, "year", f"line {line_no}")
+        value = _parse_number(value_s, "value", f"line {line_no}") * unit_scale
         _add_cell(table, entity, year, value, line_no)
     table.years.sort()
     return table
@@ -116,6 +126,7 @@ def parse_wide_table(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
     The delimiter (comma or tab) is auto-detected from the header row.
     Blank cells mean missing; every present cell must be numeric.
     """
+    _check_positive(unit_scale, "unit_scale")
     text = data.decode("utf-8")
     first_line = text.splitlines()[0] if text.splitlines() else ""
     delimiter = "\t" if first_line.count("\t") >= first_line.count(",") and "\t" in first_line else ","
@@ -127,7 +138,7 @@ def parse_wide_table(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
     if len(header) < 2:
         raise ParseError("line 1: wide table needs an entity column plus year columns")
     years = [
-        _parse_number(h.strip(), "year header", 1) for h in header[1:]
+        _parse_number(h.strip(), "year header", "line 1") for h in header[1:]
     ]
     table = DatasetTable([], [], {})
     for line_no, row in enumerate(reader, start=2):
@@ -138,7 +149,7 @@ def parse_wide_table(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
             cell = cell.strip()
             if not cell:
                 continue
-            value = _parse_number(cell, "cell", line_no) * unit_scale
+            value = _parse_number(cell, "cell", f"line {line_no}") * unit_scale
             _add_cell(table, entity, year, value, line_no)
     table.years.sort()
     return table
@@ -214,13 +225,21 @@ class AnalysisConfigFile:
     regions: tuple[RegionConfig, ...]
 
 
+def _config_number(parser, section: str, key: str, fallback=None):
+    """The finite number under ``key``, or ``fallback`` when the key is absent."""
+    if not parser.has_option(section, key):
+        return fallback
+    return _parse_number(parser.get(section, key).strip(), key, f"section [{section}]")
+
+
 def parse_region_config(text: str) -> AnalysisConfigFile:
     """Parse the plain key-value region config.
 
     INI layout: an optional ``[global]`` section with ``unit_scale``; one
     section per region with ``members`` (comma-separated), and optional
-    ``require_complete``, ``window`` (``START:END``), ``two_regime`` and
-    ``takeoff_year`` keys.
+    ``require_complete``, ``window`` (``START:END``), ``two_regime``,
+    ``takeoff_year`` and ``takeoff_halfwidth`` keys.  A malformed or
+    out-of-range value raises ParseError naming its section.
     """
     parser = configparser.ConfigParser()
     try:
@@ -231,8 +250,10 @@ def parse_region_config(text: str) -> AnalysisConfigFile:
     regions = []
     names = set()
     for section in parser.sections():
+        where = f"section [{section}]"
         if section.lower() == "global":
-            unit_scale = parser.getfloat(section, "unit_scale", fallback=1.0)
+            unit_scale = _config_number(parser, section, "unit_scale", 1.0)
+            _check_positive(unit_scale, f"{where}: unit_scale")
             continue
         if section in names:
             raise ParseError(f"duplicate region {section!r}")
@@ -252,25 +273,22 @@ def parse_region_config(text: str) -> AnalysisConfigFile:
             raw = parser.get(section, "window")
             parts = raw.split(":")
             if len(parts) != 2:
-                raise ParseError(f"region {section!r}: window must be START:END, got {raw!r}")
+                raise ParseError(f"{where}: window must be START:END, got {raw!r}")
             window = (
-                _parse_number(parts[0].strip(), "window start", 0),
-                _parse_number(parts[1].strip(), "window end", 0),
+                _parse_number(parts[0].strip(), "window start", where),
+                _parse_number(parts[1].strip(), "window end", where),
             )
-        takeoff_year = (
-            parser.getfloat(section, "takeoff_year")
-            if parser.has_option(section, "takeoff_year")
-            else None
-        )
+            if not window[0] < window[1]:
+                raise ParseError(f"{where}: window start must precede its end, got {raw!r}")
+        halfwidth = _config_number(parser, section, "takeoff_halfwidth", 50.0)
+        _check_positive(halfwidth, f"{where}: takeoff_halfwidth")
         regions.append(
             RegionConfig(
                 definition=definition,
                 window=window,
                 two_regime=parser.getboolean(section, "two_regime", fallback=False),
-                takeoff_year=takeoff_year,
-                takeoff_halfwidth=parser.getfloat(
-                    section, "takeoff_halfwidth", fallback=50.0
-                ),
+                takeoff_year=_config_number(parser, section, "takeoff_year"),
+                takeoff_halfwidth=halfwidth,
             )
         )
     return AnalysisConfigFile(unit_scale=unit_scale, regions=tuple(regions))

@@ -85,9 +85,7 @@ def detect_diversion(
     if tail is None:
         raise TooFewPointsError("series does not extend beyond the fit window")
 
-    in_deltas = fit.residual_deltas()
-    max_recip = max(r.observed_reciprocal for r in fit.residuals)
-    scale = _robust_scale(in_deltas, fallback=1e-9 * max_recip)
+    scale = _robust_scale(fit.deltas, fallback=1e-9 * float(fit.reciprocals.max()))
     threshold = tau * scale
 
     recips = 1.0 / tail.values
@@ -133,56 +131,51 @@ class RegimeSegmentation:
         return [s for s in self.segments if s.kind == "hyperbolic"]
 
 
-def _side_sse(fit: HyperbolicFit) -> float:
-    return float((fit.residual_deltas() ** 2).sum())
+def _fit_side(series: YearValueSeries, window: FitWindow, weighting: str):
+    """(fit, squared reciprocal residual) of one side; fit is None when it fails."""
+    try:
+        fit = fit_hyperbolic(series, window, weighting)
+    except FitError:
+        # An unfittable side is penalized by the residuals around its own
+        # mean reciprocal, so fully-modeled splits win when they exist.
+        r = 1.0 / series.slice_window(window.start_year, window.end_year).values
+        return None, float(((r - r.mean()) ** 2).sum())
+    return fit, float((fit.deltas**2).sum())
 
 
 def segment_two_hyperbolic(
     series: YearValueSeries,
-    min_points: int = 3,
     weighting: str = "uniform",
 ) -> RegimeSegmentation:
     """Best split of the series into two hyperbolic regimes.
 
-    Exhaustive search over breakpoints at observed years; the breakpoint year
-    belongs to both sides, matching a spliced series whose splice point lies
-    on both reciprocal lines.  Objective is the total squared reciprocal
-    residual; ties go to the earliest breakpoint.  A side whose fit fails
-    becomes an unmodeled segment and contributes nothing to the k-ratio.
+    Exhaustive search over breakpoints at observed years, each side holding
+    at least 3 points; the breakpoint year belongs to both sides, matching a
+    spliced series whose splice point lies on both reciprocal lines.
+    Objective is the total squared reciprocal residual; ties go to the
+    earliest breakpoint.  A side whose fit fails becomes an unmodeled segment
+    and contributes nothing to the k-ratio.
     """
-    min_points = max(min_points, 3)
-    if len(series) < 2 * min_points:
+    if len(series) < 6:
         raise TooFewPointsError(
-            f"two-regime segmentation needs >= {2 * min_points} points, got {len(series)}"
+            f"two-regime segmentation needs >= 6 points, got {len(series)}"
         )
     years = series.years
     best = None
-    # Breakpoint must leave min_points on each side (shared point included).
-    for bi in range(min_points - 1, len(years) - min_points + 1):
+    for bi in range(2, len(years) - 2):
         b = float(years[bi])
-        left_w = FitWindow(float(years[0]), b)
-        right_w = FitWindow(b, float(years[-1]))
-        sides = []
-        sse = 0.0
-        for w in (left_w, right_w):
-            try:
-                f = fit_hyperbolic(series, w, weighting)
-                sides.append(Segment(w, "hyperbolic", f))
-                sse += _side_sse(f)
-            except FitError:
-                sides.append(Segment(w, "unmodeled"))
-                # An unfittable side is penalized by the residuals around its
-                # own mean reciprocal, so fully-modeled splits win when they
-                # exist.
-                sub = series.slice_window(w.start_year, w.end_year)
-                r = 1.0 / sub.values
-                sse += float(((r - r.mean()) ** 2).sum())
-        n_valid = sum(1 for s in sides if s.kind == "hyperbolic")
-        cand = (sse, -n_valid, b)
+        windows = (FitWindow(float(years[0]), b), FitWindow(b, float(years[-1])))
+        (left, left_sse), (right, right_sse) = (
+            _fit_side(series, w, weighting) for w in windows
+        )
+        sse = left_sse + right_sse
+        cand = (sse, -((left is not None) + (right is not None)), b)
         if best is None or cand < best[0]:
-            best = (cand, sides, b, sse)
-    cand, sides, b, sse = best
-    k_ratio = None
-    if all(s.kind == "hyperbolic" for s in sides):
-        k_ratio = sides[1].fit.model.k / sides[0].fit.model.k
-    return RegimeSegmentation(tuple(sides), b, k_ratio, sse)
+            best = (cand, windows, (left, right))
+    (sse, _, b), windows, (left, right) = best
+    segments = tuple(
+        Segment(w, "unmodeled") if f is None else Segment(w, "hyperbolic", f)
+        for w, f in zip(windows, (left, right))
+    )
+    k_ratio = None if left is None or right is None else right.model.k / left.model.k
+    return RegimeSegmentation(segments, b, k_ratio, sse)

@@ -13,16 +13,15 @@ digits in compact scientific notation (``1.684e-2``).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 
 from .errors import FitError, HypergrowthError, TooFewPointsError
-from .fit import FitWindow, HyperbolicFit, fit_hyperbolic, scan_windows
+from .fit import FitWindow, HyperbolicFit, best_fit
 from .ingest import AnalysisConfigFile, DatasetTable, build_region_series
 from .model import round_half_up
 from .regime import detect_diversion, segment_two_hyperbolic
 from .series import YearValueSeries
-from .takeoff import TakeoffConfig, TakeoffHypothesis, takeoff_test
+from .takeoff import TakeoffHypothesis, takeoff_test
 
 SCHEMA_VERSION = 1
 
@@ -70,12 +69,11 @@ class RegionErrorEntry:
     message: str
 
 
-def _takeoff_cell(series: YearValueSeries, takeoff_year, config: TakeoffConfig,
-                  halfwidth: float = 50.0) -> str:
+def _takeoff_cell(series: YearValueSeries, takeoff_year, halfwidth: float) -> str:
     if takeoff_year is None:
         return ""
     try:
-        result = takeoff_test(series, TakeoffHypothesis(takeoff_year, halfwidth), config)
+        result = takeoff_test(series, TakeoffHypothesis(takeoff_year, halfwidth))
     except TooFewPointsError:
         return ""
     if result.positive:
@@ -83,46 +81,31 @@ def _takeoff_cell(series: YearValueSeries, takeoff_year, config: TakeoffConfig,
     return "X"
 
 
-def _analyze_single(series, cfg, weighting, takeoff_config):
-    if cfg.window is not None:
-        window = FitWindow(*cfg.window)
-        fit = fit_hyperbolic(series, window, weighting)
-    else:
-        ranked = scan_windows(series, weighting=weighting)
-        if not ranked:
-            raise FitError(f"no hyperbolic window found for {series.label!r}")
-        fit = ranked[0]
+def _region_fits(series: YearValueSeries, cfg, weighting) -> list[HyperbolicFit]:
+    """The region's fitted regimes in time order; the split's with ``two_regime``."""
+    if not cfg.two_regime:
+        window = None if cfg.window is None else FitWindow(*cfg.window)
+        return [best_fit(series, window, weighting)]
+    span = series if cfg.window is None else series.slice_window(*cfg.window)
+    seg = segment_two_hyperbolic(span, weighting=weighting)
+    fits = [s.fit for s in seg.hyperbolic_segments()]
+    if not fits:
+        raise FitError(f"no hyperbolic regime found for {series.label!r}")
+    return fits
+
+
+def _analyze(series: YearValueSeries, cfg, weighting) -> list[AnalysisReportRow]:
+    *earlier, last = _region_fits(series, cfg, weighting)
+    rows = [AnalysisReportRow.from_fit(series.label, fit) for fit in earlier]
+    # Diversion and takeoff are judged against the latest regime only;
+    # everything after an earlier regime is the next regime itself.
     prox = None
-    if series.after(fit.window.end_year) is not None:
-        finding = detect_diversion(series, fit)
+    if series.after(last.window.end_year) is not None:
+        finding = detect_diversion(series, last)
         if finding is not None and finding.direction == "slower":
             prox = finding.proximity_years
-    takeoff = _takeoff_cell(series, cfg.takeoff_year, takeoff_config, cfg.takeoff_halfwidth)
-    return [AnalysisReportRow.from_fit(series.label, fit, prox, takeoff)]
-
-
-def _analyze_two_regime(series, cfg, weighting, takeoff_config):
-    span = series
-    if cfg.window is not None:
-        span = series.slice_window(*cfg.window)
-    seg = segment_two_hyperbolic(span, weighting=weighting)
-    rows = []
-    hyper = seg.hyperbolic_segments()
-    for i, segment in enumerate(hyper):
-        last = segment is hyper[-1]
-        prox = None
-        takeoff = ""
-        if last:
-            # Diversion and takeoff are judged against the latest regime only;
-            # everything after an earlier regime is the next regime itself.
-            if series.after(segment.window.end_year) is not None:
-                finding = detect_diversion(series, segment.fit)
-                if finding is not None and finding.direction == "slower":
-                    prox = finding.proximity_years
-            takeoff = _takeoff_cell(series, cfg.takeoff_year, takeoff_config, cfg.takeoff_halfwidth)
-        rows.append(AnalysisReportRow.from_fit(series.label, segment.fit, prox, takeoff))
-    if not rows:
-        raise FitError(f"no hyperbolic regime found for {series.label!r}")
+    takeoff = _takeoff_cell(series, cfg.takeoff_year, cfg.takeoff_halfwidth)
+    rows.append(AnalysisReportRow.from_fit(series.label, last, prox, takeoff))
     return rows
 
 
@@ -130,7 +113,6 @@ def run_analysis(
     table: DatasetTable,
     config: AnalysisConfigFile,
     weighting: str = "uniform",
-    takeoff_config: TakeoffConfig = TakeoffConfig(),
 ) -> tuple[list[AnalysisReportRow], list[RegionErrorEntry]]:
     """Run the full per-region pipeline; never aborts on a single region."""
     rows: list[AnalysisReportRow] = []
@@ -138,8 +120,7 @@ def run_analysis(
     for cfg in config.regions:
         try:
             series = build_region_series(table, cfg.definition)
-            analyze = _analyze_two_regime if cfg.two_regime else _analyze_single
-            rows.extend(analyze(series, cfg, weighting, takeoff_config))
+            rows.extend(_analyze(series, cfg, weighting))
         except HypergrowthError as exc:
             errors.append(RegionErrorEntry(cfg.definition.name, str(exc)))
     return rows, errors

@@ -7,7 +7,7 @@ and preserved: nothing in this package ever interpolates across them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -10,7 +10,7 @@ positive across the four orders of magnitude a GDP series can span.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,6 +8,10 @@ squares on log-values, and the verdict is positive only when all three
 criteria hold and that model beats a single hyperbolic description of the
 whole span by a decisive small-sample-corrected information-criterion gap.
 
+Only the timing criterion depends on the predicted year: the best break,
+the growth rates around it and the information-criterion gap belong to the
+series alone, so ``takeoff_scan`` computes them once per series.
+
 A transition from growth to growth is not a takeoff: on data that are simply
 hyperbolic throughout, the pre-break growth rate is too large for the
 stagnation criterion and the piecewise model earns no decisive gap, so the
@@ -17,12 +21,12 @@ verdict stays negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import FitError, TooFewPointsError
-from .fit import FitWindow, fit_hyperbolic
+from .fit import FitWindow, _centred_line, fit_hyperbolic
 from .model import evaluate
 from .series import YearValueSeries
 
@@ -76,20 +80,6 @@ def _negative(hypothesis: TakeoffHypothesis) -> TakeoffTestResult:
     )
 
 
-def _ols_slope(t: np.ndarray, y: np.ndarray) -> float:
-    dt = t - t.mean()
-    return float((dt * (y - y.mean())).sum() / (dt**2).sum())
-
-
-def _piecewise_fit(t: np.ndarray, logy: np.ndarray, b: float):
-    """LS fit of logy ~ c + r * max(t - b, 0); returns (r, sse)."""
-    x = np.maximum(t - b, 0.0)
-    X = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(X, logy, rcond=None)
-    resid = logy - X @ coef
-    return float(coef[1]), float((resid**2).sum())
-
-
 def _aicc(n: int, sse: float, n_params: int) -> float:
     # Gaussian log-likelihood up to constants; sse floored to keep the
     # comparison finite on exact synthetic data.
@@ -97,6 +87,27 @@ def _aicc(n: int, sse: float, n_params: int) -> float:
     aic = n * math.log(sse / n) + 2 * n_params
     denom = n - n_params - 1
     return aic + (2 * n_params * (n_params + 1) / denom if denom > 0 else math.inf)
+
+
+def _require_feasible(t: np.ndarray, hypothesis: TakeoffHypothesis):
+    p = hypothesis.predicted_year
+    hw = hypothesis.search_halfwidth
+    if not ((t < p).any() and (t > p).any()):
+        raise TooFewPointsError("series needs observations on both sides of the predicted year")
+    if ((t >= p - hw) & (t <= p + hw)).sum() < 2:
+        raise TooFewPointsError("search window contains fewer than 2 observed points")
+
+
+def _judged(result: TakeoffTestResult, hypothesis: TakeoffHypothesis,
+            config: TakeoffConfig) -> TakeoffTestResult:
+    """``result`` with timing and verdict judged at ``hypothesis``."""
+    if result.break_year is None:
+        return _negative(hypothesis)
+    timing_ok = abs(result.break_year - hypothesis.predicted_year) <= hypothesis.search_halfwidth
+    positive = (result.stagnation_ok and result.prominence_ok and timing_ok
+                and result.ic_gap > config.ic_min_gap)
+    verdict = "positive" if positive else "negative"
+    return replace(result, verdict=verdict, timing_ok=timing_ok, hypothesis=hypothesis)
 
 
 def takeoff_test(
@@ -111,37 +122,26 @@ def takeoff_test(
     window.
     """
     t = series.years
-    p = hypothesis.predicted_year
-    hw = hypothesis.search_halfwidth
-    if not ((t < p).any() and (t > p).any()):
-        raise TooFewPointsError("series needs observations on both sides of the predicted year")
-    in_window = (t >= p - hw) & (t <= p + hw)
-    if in_window.sum() < 2:
-        raise TooFewPointsError("search window contains fewer than 2 observed points")
-
-    logy = np.log(series.values)
+    _require_feasible(t, hypothesis)
+    n = len(series)
+    if n < 4:
+        return _negative(hypothesis)
 
     # Candidate breaks: any observed year with at least 2 points on each side
     # (a pre-break growth rate needs a slope).  The search is global so the
     # timing criterion is a real test: the best-fitting break must land
     # within the search window of the predicted year, not merely be the best
-    # compromise inside it.
-    candidates = [
-        float(b)
-        for b in t
-        if (t <= b).sum() >= 2 and (t > b).sum() >= 2
-    ]
-    if not candidates:
-        return _negative(hypothesis)
-
-    best_b, best_r, best_sse = None, None, math.inf
-    for b in candidates:
-        r, sse = _piecewise_fit(t, logy, b)
+    # compromise inside it.  Each candidate fits logy ~ c + r * max(t - b, 0).
+    logy = np.log(series.values)
+    ones = np.ones_like(t)
+    best_i, best_r, best_sse = None, None, math.inf
+    for i in range(1, n - 2):
+        x = np.maximum(t - t[i], 0.0)
+        r, xc, ybar = _centred_line(x, logy, ones)
+        sse = float(((logy - ybar - r * (x - xc)) ** 2).sum())
         if sse < best_sse:
-            best_b, best_r, best_sse = b, r, sse
-
-    pre = t <= best_b
-    pre_rate = _ols_slope(t[pre], logy[pre])
+            best_i, best_r, best_sse = i, float(r), sse
+    pre_rate = float(_centred_line(t[: best_i + 1], logy[: best_i + 1], ones[: best_i + 1])[0])
 
     stagnation_ok = pre_rate < config.stagnation_max_rate
     if best_r <= 0:
@@ -151,11 +151,8 @@ def takeoff_test(
     else:
         score = best_r / pre_rate
         prominence_ok = score > config.prominence_min_ratio
-    timing_ok = abs(best_b - p) <= hw
 
-    n = len(series)
-    _, sse_take = _piecewise_fit(t, logy, best_b)
-    aicc_take = _aicc(n, sse_take, 3)  # level, break, rate
+    aicc_take = _aicc(n, best_sse, 3)  # level, break, rate
     try:
         hyp_fit = fit_hyperbolic(series, FitWindow(float(t[0]), float(t[-1])))
         fitted = np.asarray(evaluate(hyp_fit.model, t))
@@ -166,20 +163,12 @@ def takeoff_test(
         # veto the takeoff model.
         ic_gap = math.inf
 
-    positive = (
-        stagnation_ok and prominence_ok and timing_ok and ic_gap > config.ic_min_gap
+    evidence = replace(
+        _negative(hypothesis), prominence_ok=prominence_ok, prominence_score=score,
+        stagnation_ok=stagnation_ok, pre_break_rate=pre_rate,
+        break_year=float(t[best_i]), ic_gap=ic_gap,
     )
-    return TakeoffTestResult(
-        verdict="positive" if positive else "negative",
-        prominence_ok=prominence_ok,
-        prominence_score=score,
-        stagnation_ok=stagnation_ok,
-        pre_break_rate=pre_rate,
-        timing_ok=timing_ok,
-        break_year=best_b,
-        ic_gap=ic_gap,
-        hypothesis=hypothesis,
-    )
+    return _judged(evidence, hypothesis, config)
 
 
 def takeoff_scan(
@@ -188,17 +177,24 @@ def takeoff_scan(
     search_halfwidth: float = 50.0,
     config: TakeoffConfig = TakeoffConfig(),
 ) -> list[TakeoffTestResult]:
-    """Run takeoff_test at every grid year.
+    """takeoff_test at every grid year, run once and re-judged for timing.
 
     Years where the test is infeasible (no data on both sides, empty search
     window) yield a plain negative result, so the list always matches the
     grid and "no takeoff anywhere" is simply "every verdict is negative".
     """
     results = []
+    first = None
     for year in year_grid:
         hyp = TakeoffHypothesis(float(year), search_halfwidth)
         try:
-            results.append(takeoff_test(series, hyp, config))
+            _require_feasible(series.years, hyp)
         except TooFewPointsError:
             results.append(_negative(hyp))
+            continue
+        if first is None:
+            first = takeoff_test(series, hyp, config)
+            results.append(first)
+        else:
+            results.append(_judged(first, hyp, config))
     return results

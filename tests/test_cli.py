@@ -156,6 +156,15 @@ class TestReport:
         assert code == 1
         assert "A" in err
 
+    def test_malformed_config_number_is_usage_error(self, spliced_csv, tmp_path, capsys):
+        cfg = tmp_path / "regions.ini"
+        cfg.write_text("[africa-like]\nmembers = africa-like\ntakeoff_year = soon\n")
+        code, _, err = run(
+            capsys, "report", "--input", str(spliced_csv), "--regions-config", str(cfg)
+        )
+        assert code == 2
+        assert "[africa-like]: takeoff_year" in err
+
     def test_missing_config_is_usage_error(self, spliced_csv, capsys):
         code, _, _ = run(capsys, "report", "--input", str(spliced_csv))
         assert code == 2
@@ -193,6 +202,17 @@ class TestSynth:
         code, _, _ = run(capsys, "synth", "--kind", "hyperbolic",
                          "--param", "a", "--years", "0:100:10")
         assert code == 2
+
+    # A STEP <= 0 or an END of inf would never end the sampling loop, so
+    # these cases must stop at the validation in front of it.
+    @pytest.mark.parametrize("years", ["0:100:0", "0:100:-10", "0:100:nan",
+                                       "0:100:inf", "0:inf:10", "nan:100:10"])
+    def test_bad_years_range_is_usage_error(self, years, capsys):
+        code, _, err = run(capsys, "synth", "--kind", "hyperbolic",
+                           "--param", "a=1", "--param", "k=0.001",
+                           "--years", years)
+        assert code == 2
+        assert "--years" in err
 
     def test_infeasible_generator_is_usage_error(self, capsys):
         # Sampling past the singularity at year 1000.

@@ -43,11 +43,18 @@ class TestFitHyperbolic:
     def test_residual_orthogonality_uniform(self):
         s = hyperbolic_series(noise=0.05, seed=11)
         fit = fit_hyperbolic(s, FitWindow(0.0, 900.0), "uniform")
-        deltas = fit.residual_deltas()
-        years = np.array([r.year for r in fit.residuals])
+        deltas, years = fit.deltas, fit.years
         scale = np.abs(deltas).max()
         assert abs(deltas.sum()) < 1e-10 * max(scale, 1e-30) * len(deltas)
         assert abs((deltas * (years - years.mean())).sum()) < 1e-7 * max(scale, 1e-30) * 900
+
+    def test_point_arrays_are_read_only(self):
+        fit = fit_hyperbolic(hyperbolic_series(), FitWindow(0.0, 900.0))
+        assert fit.n_points == 10
+        for arr in (fit.years, fit.reciprocals, fit.deltas):
+            assert len(arr) == fit.n_points
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
     @given(c=st.floats(1e-3, 1e3))
     @settings(max_examples=25, deadline=None)

@@ -1,0 +1,120 @@
+"""Byte-identity of the report and CLI outputs on a small synthetic table.
+
+The digests pin every byte the ``report``, ``fit``, ``segment``,
+``diversion`` and ``plot`` paths write, including ``a`` and ``k`` at full
+JSON precision, so a refactor of the fitting code that changes any result
+fails here.  A deliberate change of output updates the digests and says why.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from hypergrowth import parse_long_csv, parse_region_config, render_report, run_analysis
+from hypergrowth.cli import main
+
+ENTITIES = (
+    ("world", "hyperbolic-then-slower",
+     ("a=1.684e-2", "k=8.539e-6", "break_year=1955", "slow_factor=0.4"),
+     "1700:2000:10", "0.002", "1"),
+    ("africa", "spliced-two-hyperbolic",
+     ("a=0.242", "k=1e-4", "break_year=1820", "k_ratio=4.2"),
+     "1000:1950:25", "0.002", "2"),
+    ("asia", "hyperbolic",
+     ("a=0.03", "k=1.5e-5",),
+     "1500:1950:25", "0.003", "3"),
+    ("west", "stagnation-then-takeoff",
+     ("level=1.0", "break_year=1750", "rate=0.02"),
+     "1500:1850:25", "0.01", "4"),
+)
+
+CONFIG = """\
+[world]
+members = world
+window = 1700:1950
+takeoff_year = 1750
+takeoff_halfwidth = 70
+
+[world+asia]
+members = world, asia
+require_complete = false
+takeoff_year = 1900
+
+[africa]
+members = africa
+two_regime = true
+takeoff_year = 1820
+
+[west]
+members = west
+window = 1775:1850
+takeoff_year = 1750
+
+[tiny]
+members = asia
+window = 1500:1525
+"""
+
+REPORT_SHA256 = {
+    "json": "b895936c24062ae27d58e05cb96a700de0e3f081a55b1424587f97d8ef9aa863",
+    "csv": "2444ed523b3b43ca5002ed33da49de9895e96109f737c35a6229e796f29de1d5",
+    "markdown": "57ccffb3900e61328af52885141352ff85a16566861cdae394e2fa6331eb3992",
+}
+
+CLI_SHA256 = {
+    "fit world auto": "a1ea400a2026386ecaab65543bf7f6672677fbc0e00d19ce2b54dd566d7a9c77",
+    "fit africa direct": "f6bd31cea52e054d9db1ac5ad54f25b2940ca87910c7d64962601dceabe9c2b5",
+    "segment africa": "15f052a278667fdf172b9ef19e879674d497b9a63d21da5ac9ea0353974e6b95",
+    "diversion world": "a3c1776c5639aa187bc7ad51fa48258502968fc8f099393187f1aea201940307",
+    "plot africa csv": "54d65d3cd1690dc1f91c3798a4ac381be0fabce4a44a94761338a54f8b0a2299",
+    "plot world svg": "8c0d2dad536023221f6bc54fe7fe6aa8fd62f6a27588b5beddbc865fdca7d1de",
+}
+
+CLI_ARGS = {
+    "fit world auto": ("fit", "--region", "world"),
+    "fit africa direct": ("fit", "--region", "africa", "--window", "1000:1800",
+                          "--weighting", "direct"),
+    "segment africa": ("segment", "--region", "africa"),
+    "diversion world": ("diversion", "--region", "world", "--window", "1700:1950"),
+    "plot africa csv": ("plot", "--region", "africa", "--two-regime", "--emit", "csv"),
+    "plot world svg": ("plot", "--region", "world", "--window", "1700:1950",
+                       "--mode", "semilog"),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def table_csv(tmp_path_factory) -> Path:
+    """All entities in one long CSV, each generated by ``hypergrowth synth``."""
+    tmp = tmp_path_factory.mktemp("golden")
+    rows = ["entity,year,value"]
+    for name, kind, params, years, noise, seed in ENTITIES:
+        part = tmp / f"{name}.csv"
+        argv = ["synth", "--kind", kind, "--years", years, "--noise", noise,
+                "--seed", seed, "--label", name, "--out", str(part)]
+        for p in params:
+            argv += ["--param", p]
+        assert main(argv) == 0
+        rows += part.read_text().splitlines()[1:]
+    path = tmp / "table.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("fmt", sorted(REPORT_SHA256))
+def test_report_bytes(table_csv, fmt):
+    table = parse_long_csv(table_csv.read_bytes())
+    rows, errors = run_analysis(table, parse_region_config(CONFIG))
+    assert [e.region for e in errors] == ["tiny"]
+    assert sha256(render_report(rows, fmt)) == REPORT_SHA256[fmt]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_SHA256))
+def test_cli_bytes(table_csv, tmp_path, name):
+    out = tmp_path / "out"
+    assert main([*CLI_ARGS[name], "--input", str(table_csv), "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == CLI_SHA256[name]

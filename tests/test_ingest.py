@@ -44,6 +44,22 @@ class TestParseLongCsv:
         with pytest.raises(ParseError, match="line 1"):
             parse_long_csv(b"region,when,amount\nWorld,1000,5\n")
 
+    @pytest.mark.parametrize("row, match", [
+        (b"World,1000,nan", "line 2: value"),
+        (b"World,1000,inf", "line 2: value"),
+        (b"World,1000,-Infinity", "line 2: value"),
+        (b"World,nan,5", "line 2: year"),
+        (b"World,inf,5", "line 2: year"),
+    ])
+    def test_non_finite_number_names_line(self, row, match):
+        with pytest.raises(ParseError, match=match):
+            parse_long_csv(b"entity,year,value\n" + row + b"\n")
+
+    @pytest.mark.parametrize("unit_scale", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_bad_unit_scale(self, unit_scale):
+        with pytest.raises(ParseError, match="unit_scale"):
+            parse_long_csv(b"entity,year,value\nWorld,1000,5\n", unit_scale)
+
     def test_crlf_accepted(self):
         table = parse_long_csv(b"entity,year,value\r\nWorld,1000,116.8\r\n")
         assert table.value("World", 1000.0) == pytest.approx(116.8)
@@ -68,6 +84,16 @@ class TestParseWideTable:
     def test_non_numeric_year_header(self):
         with pytest.raises(ParseError):
             parse_wide_table(b"entity,medieval\nWorld,116.8\n")
+
+    @pytest.mark.parametrize("data, match", [
+        (b"entity,1000\nWorld,nan\n", "line 2: cell"),
+        (b"entity,1000\nWorld,inf\n", "line 2: cell"),
+        (b"entity,nan\nWorld,5\n", "line 1: year header"),
+        (b"entity,-inf\nWorld,5\n", "line 1: year header"),
+    ])
+    def test_non_finite_number_names_line(self, data, match):
+        with pytest.raises(ParseError, match=match):
+            parse_wide_table(data)
 
     def test_non_numeric_cell(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -195,3 +221,20 @@ require_complete = false
     def test_bad_window_rejected(self):
         with pytest.raises(ParseError, match="window"):
             parse_region_config("[R]\nmembers = A\nwindow = 1-2\n")
+
+    @pytest.mark.parametrize("text, match", [
+        ("[global]\nunit_scale = lots\n", r"\[global\]: unit_scale"),
+        ("[global]\nunit_scale = nan\n", r"\[global\]: unit_scale"),
+        ("[global]\nunit_scale = -1\n", r"\[global\]: unit_scale"),
+        ("[R]\nmembers = A\nwindow = 1900:1800\n", r"\[R\]: window"),
+        ("[R]\nmembers = A\nwindow = 1900:1900\n", r"\[R\]: window"),
+        ("[R]\nmembers = A\nwindow = 1:inf\n", r"\[R\]: window end"),
+        ("[R]\nmembers = A\ntakeoff_year = soon\n", r"\[R\]: takeoff_year"),
+        ("[R]\nmembers = A\ntakeoff_year = nan\n", r"\[R\]: takeoff_year"),
+        ("[R]\nmembers = A\ntakeoff_halfwidth = wide\n", r"\[R\]: takeoff_halfwidth"),
+        ("[R]\nmembers = A\ntakeoff_halfwidth = -5\n", r"\[R\]: takeoff_halfwidth"),
+        ("[R]\nmembers = A\ntakeoff_halfwidth = 0\n", r"\[R\]: takeoff_halfwidth"),
+    ])
+    def test_bad_number_names_section(self, text, match):
+        with pytest.raises(ParseError, match=match):
+            parse_region_config(text)

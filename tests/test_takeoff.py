@@ -1,8 +1,11 @@
 """Takeoff-from-stagnation signature tests."""
 
-import numpy as np
+import dataclasses
+import math
+
 import pytest
 
+import hypergrowth.takeoff
 from hypergrowth import (
     GeneratorSpec,
     TakeoffHypothesis,
@@ -107,3 +110,33 @@ class TestTakeoffScan:
         results = takeoff_scan(s, [1000.0, 1900.0])
         assert len(results) == 2
         assert not results[0].positive
+
+    @pytest.mark.parametrize("make", [stagnation_series, hyperbolic_series])
+    def test_equals_takeoff_test_at_every_year(self, make):
+        # Infeasible: 500 to 1600 hold < 2 points within 50 years on the
+        # sparse grid; 2100 lies past the data.
+        grid = [500.0, *self.SCAN_GRID, 2100.0]
+        s = make()
+        infeasible = 0
+        for result in takeoff_scan(s, grid):
+            try:
+                expected = takeoff_test(s, result.hypothesis)
+            except TooFewPointsError:
+                infeasible += 1
+                assert not result.positive and result.break_year is None
+                continue
+            for f in dataclasses.fields(expected):
+                want, got = getattr(expected, f.name), getattr(result, f.name)
+                both_nan = isinstance(want, float) and math.isnan(want) and math.isnan(got)
+                assert both_nan or got == want, f.name
+        assert infeasible == 5
+
+    def test_one_hyperbolic_fit_per_scan(self, monkeypatch):
+        calls = []
+        fit = hypergrowth.takeoff.fit_hyperbolic
+        monkeypatch.setattr(
+            hypergrowth.takeoff, "fit_hyperbolic",
+            lambda *args, **kwargs: calls.append(1) or fit(*args, **kwargs),
+        )
+        takeoff_scan(stagnation_series(noise=0.01, seed=3), self.SCAN_GRID)
+        assert len(calls) == 1
