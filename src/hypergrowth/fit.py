@@ -12,11 +12,24 @@ data.  ``direct`` weights each squared reciprocal residual by S_i^2, which
 approximates relative-error fitting of the original values: the reciprocal
 difference -(dS)/(S1*S2) blows up at small S, so uniform weighting
 over-weights the early, small-value points.
+
+The searches over many candidate lines (``scan_windows`` here, the
+two-regime split in ``regime`` and the takeoff break in ``takeoff``) screen,
+then confirm.  Cumulative sums of 1, t, y, t^2, t*y and y^2 (weighted for the
+line, plain for the residual sum of squares that ranks candidates) give
+every contiguous run's line and rank key in closed form, with a bound on
+their rounding derived from the magnitudes of the summed terms.  Only the
+candidates whose keys lie within that bound of the best are refitted by the
+exact solver and ranked by the exact key, so every result is the exact
+solver's own.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,10 +208,218 @@ def goodness(fit: HyperbolicFit, series: YearValueSeries) -> GoodnessReport:
     )
 
 
+# Rows of _CumulativeSums.P: w-weighted 1, t, y, t^2, t*y, y^2, then plain.
+_W, _WT, _WY, _WTT, _WTY, _WYY, _N, _T, _Y, _TT, _TY, _YY = range(12)
+_EPS = float(np.finfo(float).eps)
+_CHUNK = 1 << 15  # windows screened per block, to bound scan_windows' temporaries
+
+
+class _Lines(NamedTuple):
+    """Screened weighted lines y = mu_y + level + slope * (t - mu_t) of many runs.
+
+    ``sse`` is the plain (unweighted) squared residual about the line and
+    ``mean_sse`` about the run's plain mean.  Each ``e_*`` bounds the gap
+    between the screened value and the exact solver's result, from the
+    magnitudes of the summed terms; it is inf where the screen cannot tell.
+    """
+
+    slope: np.ndarray
+    level: np.ndarray
+    sse: np.ndarray
+    mean_sse: np.ndarray
+    e_slope: np.ndarray
+    e_level: np.ndarray
+    e_sse: np.ndarray
+    e_mean_sse: np.ndarray
+
+
+def _screen_lines(S: np.ndarray, E: np.ndarray, mu_t: float, mu_y: float) -> _Lines:
+    """The weighted line, its plain SSE and their error bounds from run sums.
+
+    ``S`` and ``E`` are (12, m) arrays of run sums (rows as in
+    _CumulativeSums) and bounds on their rounding, each at least 8 * eps times
+    the sum's magnitude; ``mu_t`` and ``mu_y`` turn the centred t and y back
+    into the raw values the exact solver sees.  Each bound is first order in
+    the rounding: the sums' errors carried through, doubled to cover the
+    rounding of the arithmetic on them, then doubled again.
+    """
+    W, Wt, Wy, Wtt, Wty, Wyy, N, St, Sy, Stt, Sty, Syy = S
+    eW, eWt, eWy, eWtt, eWty, _, _, eSt, eSy, eStt, eSty, eSyy = E
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tc, yc = Wt / W, Wy / W
+        ctt = Wtt - Wt * tc
+        slope = (Wty - Wt * yc) / ctt
+        level = yc - slope * tc
+        sse = (Syy - 2 * level * Sy - 2 * slope * Sty + N * level**2
+               + 2 * level * slope * St + slope**2 * Stt)
+        ybar = Sy / N
+        mean_sse = Syy - Sy * ybar
+
+        # The screen: each quantity moves with the errors of the sums it uses.
+        e_ctt = 2 * (eWtt + 2 * abs(tc) * eWt + tc**2 * eW)
+        e_slope = 2 * (eWty + abs(yc) * eWt + abs(tc) * eWy + abs(tc * yc) * eW) / ctt
+        e_slope += abs(slope) * e_ctt / ctt
+        e_level = 2 * (eWy + abs(yc) * eW + abs(slope) * (eWt + abs(tc) * eW)) / W
+        # The exact solver: rounding of its own sums over the raw t and y.
+        gamma = (N + 3) * _EPS
+        root_y = np.sqrt(Wyy) + np.sqrt(W) * abs(mu_y)
+        root_t = np.sqrt(Wtt) + np.sqrt(W) * abs(mu_t)
+        e_slope += 3 * gamma * (root_y + abs(slope) * root_t) / np.sqrt(ctt)
+        e_level += gamma * (root_y + abs(slope) * root_t) / np.sqrt(W) + abs(tc) * e_slope
+
+        # A line off by at most e_level + |t| * e_slope over the run moves the
+        # SSE by at most 2 * sqrt(SSE) * D + D^2, D the root-sum-square offset;
+        # the exact solver's residuals round at the scale of the raw values.
+        e_terms = 2 * (eSyy + 2 * abs(level) * eSy + 2 * abs(slope) * eSty
+                       + 2 * abs(level * slope) * eSt + slope**2 * eStt)
+        raw = (np.sqrt(Syy) + np.sqrt(N) * (abs(mu_y) + abs(mu_y + level - slope * mu_t))
+               + abs(slope) * (np.sqrt(Stt) + np.sqrt(N) * abs(mu_t)))
+        D = np.sqrt(N) * e_level + np.sqrt(Stt) * e_slope + 8 * _EPS * raw
+        e_sse = 2 * (e_terms + D * (2 * np.sqrt(np.maximum(sse, 0) + e_terms) + D)
+                     + gamma * (abs(sse) + e_terms))
+        e_mean = 2 * (eSyy + 2 * abs(ybar) * eSy)
+        Dm = eSy / np.sqrt(N) + 2 * gamma * (np.sqrt(Syy) + np.sqrt(N) * abs(mu_y))
+        e_mean_sse = 2 * (e_mean + Dm * (2 * np.sqrt(np.maximum(mean_sse, 0) + e_mean) + Dm)
+                          + gamma * abs(mean_sse))
+    # The first-order bounds need a well-determined slope; where it is not,
+    # the screen knows nothing of the line and its SSE.
+    unsure = ~(e_ctt < 0.5 * ctt)
+    inf = np.inf
+    return _Lines(slope, level, np.where(unsure, 0.0, sse), mean_sse,
+                  np.where(unsure, inf, e_slope), np.where(unsure, inf, e_level),
+                  np.where(unsure, inf, e_sse), e_mean_sse)
+
+
+class _CumulativeSums:
+    """Running sums of one series, behind the least-squares line of any run.
+
+    ``P[:, j + 1] - P[:, i]`` sums the rows (w-weighted 1, t, y, t^2, t*y,
+    y^2, then the plain ones) over points i..j.  t and y are centred on their
+    plain means ``mu_t`` and ``mu_y`` first, which keeps the cancellation in a
+    run's centred moments small.
+    """
+
+    def __init__(self, t: np.ndarray, y: np.ndarray, w: np.ndarray):
+        self.mu_t, self.mu_y = t.mean(), y.mean()
+        self.tc, yc = t - self.mu_t, y - self.mu_y
+        terms = np.stack([np.ones_like(t), self.tc, yc, self.tc**2, self.tc * yc, yc**2])
+        self.P = np.zeros((12, len(t) + 1))
+        np.cumsum(terms * w, axis=1, out=self.P[:6, 1:])
+        np.cumsum(terms, axis=1, out=self.P[6:, 1:])
+
+    def _sums(self, i, j):
+        """Sums over points i..j (inclusive) and bounds on their rounding.
+
+        A running sum of k terms is off by at most about k * eps times the
+        running sum of their magnitudes, and forming the terms adds a few eps;
+        the signed rows' magnitudes are bounded by Cauchy-Schwarz from the
+        non-negative ones.
+        """
+        top = self.P[:, j + 1]
+        mag = top.copy()
+        for r, (p, q) in ((_WT, (_W, _WTT)), (_WY, (_W, _WYY)), (_WTY, (_WTT, _WYY)),
+                          (_T, (_N, _TT)), (_Y, (_N, _YY)), (_TY, (_TT, _YY))):
+            mag[r] = np.sqrt(top[p] * top[q])
+        return top - self.P[:, i], (self.P.shape[1] + 7) * _EPS * mag
+
+    def runs(self, i, j) -> _Lines:
+        """Screened lines of the runs i..j (index arrays or integers)."""
+        return _screen_lines(*self._sums(i, j), self.mu_t, self.mu_y)
+
+    def hinges(self, breaks: np.ndarray) -> _Lines:
+        """Screened lines y ~ c + r * max(t - t[b], 0), one per break index b.
+
+        The hinge regressor is 0 up to the break and t - t[b] after it, so its
+        sums come from the suffix sums of 1, t, t^2, t*y and y, O(1) per break.
+        """
+        n = self.P.shape[1] - 1
+        S, E = self._sums(breaks + 1, np.full_like(breaks, n - 1))
+        m, b, eps = S[_N], self.tc[breaks], _EPS
+        x = S[_T] - b * m
+        xx = S[_TT] - 2 * b * S[_T] + b**2 * m
+        xy = S[_TY] - b * S[_Y]
+        # The suffix sums' own rounding plus that of shifting t by the break,
+        # at the scale of sqrt(sum (|t| + |b|)^2).
+        scale = np.sqrt(S[_TT]) + np.sqrt(m) * abs(b)
+        e_x = E[_T] + 8 * eps * np.sqrt(m) * scale
+        e_xx = E[_TT] + 2 * abs(b) * E[_T] + 8 * eps * scale**2
+        e_xy = E[_TY] + abs(b) * E[_Y] + 8 * eps * scale * np.sqrt(S[_YY])
+        whole, e_whole = self._sums(0, n - 1)
+        ones = np.ones_like(x)
+        rows = [n * ones, x, whole[_Y] * ones, xx, xy, whole[_YY] * ones]
+        errs = [0 * ones, e_x, e_whole[_Y] * ones, e_xx, e_xy, e_whole[_YY] * ones]
+        # The regressor is t - t[b] itself, not centred: its offset is 0.
+        return _screen_lines(np.stack(rows * 2), np.stack(errs * 2), 0.0, self.mu_y)
+
+    def verdicts(self, lines: _Lines, end_year):
+        """(accept, reject): where the screen is sure of fit_hyperbolic's checks.
+
+        Runs in neither mask sit within rounding of a check's threshold; only
+        the exact solver can decide them.
+        """
+        eps, mu_t, mu_y = _EPS, self.mu_t, self.mu_y
+        k = -lines.slope
+        e_k = lines.e_slope + eps * abs(k)
+        a = mu_y + lines.level + k * mu_t
+        e_a = (lines.e_level + abs(mu_t) * lines.e_slope
+               + 4 * eps * (abs(mu_y) + abs(lines.level) + abs(k * mu_t)))
+        g = a - k * end_year  # > 0 iff the singularity a/k lies past the window
+        e_g = e_a + abs(end_year) * e_k + 4 * eps * (abs(a) + abs(k * end_year))
+        falling, positive = k > e_k, a > e_a
+        accept = falling & positive & (g > e_g)
+        reject = (k < -e_k) | (falling & (a < -e_a)) | (falling & positive & (g < -e_g))
+        return accept, reject
+
+
+class _RankedFits(Sequence):
+    """Accepted windows of a scan in exact rank order, fitted on demand.
+
+    Each window carries a lower bound on its exact rank key.  The next item is
+    the best exact fit so far once every unfitted window's bound lies above
+    it; until then the unfitted window with the lowest bound is fitted.  So
+    only windows the screen cannot separate from the items asked for are
+    fitted, and ties among them fall to the exact key.
+    """
+
+    def __init__(self, series, weighting, first, last, lo, known):
+        self._series, self._weighting = series, weighting
+        self._first, self._last, self._known = first, last, known
+        self._lo = lo
+        self._order = np.argsort(lo, kind="stable")
+        self._next = 0  # windows self._order[:self._next] are fitted
+        self._pending: list = []  # heap of (exact key, fit), fitted but not yet ranked
+        self._ranked: list[HyperbolicFit] = []
+
+    def __len__(self) -> int:
+        return len(self._first)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[r] for r in range(len(self))[index]]
+        r = range(len(self))[index]
+        while len(self._ranked) <= r:
+            while self._next < len(self) and (
+                not self._pending or self._lo[self._order[self._next]] <= self._pending[0][0][0]
+            ):
+                fit = self._fit(self._order[self._next])
+                self._next += 1
+                key = (fit.rmse_per_dof, -fit.window.span, fit.window.start_year)
+                heapq.heappush(self._pending, (key, fit))
+            self._ranked.append(heapq.heappop(self._pending)[1])
+        return self._ranked[r]
+
+    def _fit(self, w) -> HyperbolicFit:
+        if w in self._known:
+            return self._known[w]
+        t = self._series.years
+        window = FitWindow(float(t[self._first[w]]), float(t[self._last[w]]))
+        return fit_hyperbolic(self._series, window, self._weighting)
+
+
 def scan_windows(
     series: YearValueSeries,
     weighting: str = "uniform",
-) -> list[HyperbolicFit]:
+) -> Sequence[HyperbolicFit]:
     """Fit every contiguous window with observed-year endpoints.
 
     Candidates are all (start, end) pairs of observed years enclosing at
@@ -206,20 +427,42 @@ def scan_windows(
     singularity-in-window) are silently dropped.  Results are ranked by rmse
     per degree of freedom, ties broken by longer window, then earlier start,
     so ordering is fully deterministic.
+
+    The result is a lazy sequence: ``len()`` is known at once, and items are
+    ``fit_hyperbolic`` results built as they are reached.  Cumulative sums
+    screen every window in O(n^2) array work: its line, its rank key with a
+    rounding bound, and fit_hyperbolic's checks.  Only windows whose keys
+    the screen cannot separate are refitted exactly and ordered by the exact
+    key, and only a check that lies within rounding of its threshold is left
+    to the exact solver, so every item is what the exact solver returns.
+    On exact data every key ties and the cost falls back to one exact fit per
+    window.
     """
-    years = series.years
-    fits = []
-    for i in range(len(years)):
-        for j in range(i + 2, len(years)):
-            window = FitWindow(float(years[i]), float(years[j]))
+    if weighting not in WEIGHTINGS:
+        raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
+    t, s = series.years, series.values
+    w = s**2 if weighting == "direct" else np.ones_like(s)
+    sums = _CumulativeSums(t, 1.0 / s, w)
+    first, last = np.triu_indices(len(t), 2)
+    accept, lo, known = np.zeros(len(first), dtype=bool), np.zeros(len(first)), {}
+    for c in range(0, len(first), _CHUNK):
+        block = slice(c, c + _CHUNK)
+        i, j = first[block], last[block]
+        lines = sums.runs(i, j)
+        accept[block], reject = sums.verdicts(lines, t[j])
+        # A lower bound on the exact rmse_per_dof, rounding of the sqrt included.
+        dof = j - i - 1.0
+        lo[block] = np.sqrt(np.maximum((lines.sse - lines.e_sse) / dof, 0.0)) * (1 - 4 * _EPS)
+        for u in c + np.flatnonzero(~(accept[block] | reject)):
+            window = FitWindow(float(t[first[u]]), float(t[last[u]]))
             try:
-                fits.append(fit_hyperbolic(series, window, weighting))
+                fit = fit_hyperbolic(series, window, weighting)
             except (NonHyperbolicError, SingularityInWindowError):
                 continue
-    fits.sort(
-        key=lambda f: (f.rmse_per_dof, -f.window.span, f.window.start_year)
-    )
-    return fits
+            accept[u], lo[u], known[u] = True, fit.rmse_per_dof, fit
+    keep = np.flatnonzero(accept)
+    return _RankedFits(series, weighting, first[keep], last[keep], lo[keep],
+                       {int(np.searchsorted(keep, u)): fit for u, fit in known.items()})
 
 
 def best_fit(series: YearValueSeries, window: FitWindow | None, weighting: str) -> HyperbolicFit:

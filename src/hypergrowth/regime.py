@@ -10,7 +10,8 @@ never fire.
 Segmentation splits a series into two hyperbolic regimes at the observed year
 minimizing the total squared reciprocal residual of the two side fits, the
 pattern seen where a slow hyperbolic growth hands over to a distinctly faster
-one.
+one.  Every split is screened from one set of cumulative sums in O(n), and
+only the splits that may tie the best are fitted exactly (see ``fit``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, NegativeProximityError, TooFewPointsError
-from .fit import FitWindow, HyperbolicFit, fit_hyperbolic
+from .fit import (
+    WEIGHTINGS,
+    FitWindow,
+    HyperbolicFit,
+    _CumulativeSums,
+    fit_hyperbolic,
+)
 from .model import (
     HyperbolicModel,
     ReciprocalResidual,
@@ -155,23 +162,50 @@ def segment_two_hyperbolic(
     Objective is the total squared reciprocal residual; ties go to the
     earliest breakpoint.  A side whose fit fails becomes an unmodeled segment
     and contributes nothing to the k-ratio.
+
+    One set of cumulative sums screens every break in O(n): both side lines,
+    fit_hyperbolic's checks and each side's cost with a rounding bound.  Only
+    the breaks whose total cost may tie the best are refitted exactly and
+    compared as above, so the result is the exact solver's.
     """
     if len(series) < 6:
         raise TooFewPointsError(
             f"two-regime segmentation needs >= 6 points, got {len(series)}"
         )
-    years = series.years
-    best = None
-    for bi in range(2, len(years) - 2):
+    if weighting not in WEIGHTINGS:
+        raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
+    years, s = series.years, series.values
+    n = len(years)
+    sums = _CumulativeSums(years, 1.0 / s, s**2 if weighting == "direct" else np.ones_like(s))
+    breaks = np.arange(2, n - 2)
+    sides = ((np.zeros_like(breaks), breaks), (breaks, np.full_like(breaks, n - 1)))
+
+    def split(bi):
         b = float(years[bi])
-        windows = (FitWindow(float(years[0]), b), FitWindow(b, float(years[-1])))
+        return FitWindow(float(years[0]), b), FitWindow(b, float(years[-1]))
+
+    exact = {}  # (break index, side) -> _fit_side result
+    lo = hi = 0.0
+    for side, (i, j) in enumerate(sides):
+        lines = sums.runs(i, j)
+        accept, reject = sums.verdicts(lines, years[j])
+        cost = np.where(accept, lines.sse, lines.mean_sse)
+        err = np.where(accept, lines.e_sse, lines.e_mean_sse)
+        for u in np.flatnonzero(~(accept | reject)):
+            fit = exact[u, side] = _fit_side(series, split(breaks[u])[side], weighting)
+            cost[u], err[u] = fit[1], 0.0
+        lo, hi = lo + (cost - err), hi + (cost + err)
+
+    best = None
+    for u in np.flatnonzero(lo <= hi.min()):
+        ws = split(breaks[u])
         (left, left_sse), (right, right_sse) = (
-            _fit_side(series, w, weighting) for w in windows
+            exact.get((u, side)) or _fit_side(series, w, weighting) for side, w in enumerate(ws)
         )
         sse = left_sse + right_sse
-        cand = (sse, -((left is not None) + (right is not None)), b)
+        cand = (sse, -((left is not None) + (right is not None)), float(years[breaks[u]]))
         if best is None or cand < best[0]:
-            best = (cand, windows, (left, right))
+            best = (cand, ws, (left, right))
     (sse, _, b), windows, (left, right) = best
     segments = tuple(
         Segment(w, "unmodeled") if f is None else Segment(w, "hyperbolic", f)

@@ -10,7 +10,11 @@ whole span by a decisive small-sample-corrected information-criterion gap.
 
 Only the timing criterion depends on the predicted year: the best break,
 the growth rates around it and the information-criterion gap belong to the
-series alone, so ``takeoff_scan`` computes them once per series.
+series alone, so ``takeoff_scan`` computes them once per series.  The break
+search screens every candidate from suffix sums in O(n) and fits only those
+that may tie the best exactly (see ``fit``).  A growth rate within its
+rounding bound of zero counts as zero, so the sign of rounding noise on an
+exactly flat series cannot pass for a prominent change.
 
 A transition from growth to growth is not a takeoff: on data that are simply
 hyperbolic throughout, the pre-break growth rate is too large for the
@@ -26,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FitError, TooFewPointsError
-from .fit import FitWindow, _centred_line, fit_hyperbolic
+from .fit import FitWindow, _centred_line, _CumulativeSums, fit_hyperbolic
 from .model import evaluate
 from .series import YearValueSeries
 
@@ -110,6 +114,11 @@ def _judged(result: TakeoffTestResult, hypothesis: TakeoffHypothesis,
     return replace(result, verdict=verdict, timing_ok=timing_ok, hypothesis=hypothesis)
 
 
+def _zero_if_rounding(rate: float, bound) -> float:
+    """``rate``, or 0.0 where it lies within its (finite) rounding bound of zero."""
+    return 0.0 if abs(rate) <= bound < math.inf else rate
+
+
 def takeoff_test(
     series: YearValueSeries,
     hypothesis: TakeoffHypothesis,
@@ -134,14 +143,23 @@ def takeoff_test(
     # compromise inside it.  Each candidate fits logy ~ c + r * max(t - b, 0).
     logy = np.log(series.values)
     ones = np.ones_like(t)
+    sums = _CumulativeSums(t, logy, ones)
+    hinges = sums.hinges(np.arange(1, n - 2))
+    # Only the breaks whose SSE may tie the best are fitted exactly; the
+    # first strictly smallest exact SSE wins, as in a scan of every break.
     best_i, best_r, best_sse = None, None, math.inf
-    for i in range(1, n - 2):
+    for c in np.flatnonzero(hinges.sse - hinges.e_sse <= (hinges.sse + hinges.e_sse).min()):
+        i = c + 1
         x = np.maximum(t - t[i], 0.0)
         r, xc, ybar = _centred_line(x, logy, ones)
         sse = float(((logy - ybar - r * (x - xc)) ** 2).sum())
         if sse < best_sse:
             best_i, best_r, best_sse = i, float(r), sse
     pre_rate = float(_centred_line(t[: best_i + 1], logy[: best_i + 1], ones[: best_i + 1])[0])
+    # A rate within rounding of zero is zero: on an exactly flat stretch its
+    # sign is rounding noise and must not decide prominence.
+    best_r = _zero_if_rounding(best_r, hinges.e_slope[best_i - 1])
+    pre_rate = _zero_if_rounding(pre_rate, sums.runs(0, best_i).e_slope)
 
     stagnation_ok = pre_rate < config.stagnation_max_rate
     if best_r <= 0:

@@ -65,7 +65,9 @@ REPORT_SHA256 = {
 CLI_SHA256 = {
     "fit world auto": "a1ea400a2026386ecaab65543bf7f6672677fbc0e00d19ce2b54dd566d7a9c77",
     "fit africa direct": "f6bd31cea52e054d9db1ac5ad54f25b2940ca87910c7d64962601dceabe9c2b5",
+    "fit world auto direct": "ef28ff95503c67593d76d696aa92b6c55dfdb428dec194e96a66c5e5b94cf511",
     "segment africa": "15f052a278667fdf172b9ef19e879674d497b9a63d21da5ac9ea0353974e6b95",
+    "segment africa direct": "7b277205957b4304831a06467972f91d9938a11d20b94a6b4c688386e8efc524",
     "diversion world": "a3c1776c5639aa187bc7ad51fa48258502968fc8f099393187f1aea201940307",
     "plot africa csv": "54d65d3cd1690dc1f91c3798a4ac381be0fabce4a44a94761338a54f8b0a2299",
     "plot world svg": "8c0d2dad536023221f6bc54fe7fe6aa8fd62f6a27588b5beddbc865fdca7d1de",
@@ -75,7 +77,9 @@ CLI_ARGS = {
     "fit world auto": ("fit", "--region", "world"),
     "fit africa direct": ("fit", "--region", "africa", "--window", "1000:1800",
                           "--weighting", "direct"),
+    "fit world auto direct": ("fit", "--region", "world", "--weighting", "direct"),
     "segment africa": ("segment", "--region", "africa"),
+    "segment africa direct": ("segment", "--region", "africa", "--weighting", "direct"),
     "diversion world": ("diversion", "--region", "world", "--window", "1700:1950"),
     "plot africa csv": ("plot", "--region", "africa", "--two-regime", "--emit", "csv"),
     "plot world svg": ("plot", "--region", "world", "--window", "1700:1950",

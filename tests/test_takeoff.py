@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import hypergrowth.takeoff
@@ -54,6 +55,19 @@ class TestTakeoffTest:
         result = takeoff_test(s, TakeoffHypothesis(1750.0))
         assert not result.positive
         assert not result.prominence_ok
+
+    def test_exactly_constant_series_never_positive(self):
+        # Every break fits a flat series to rounding noise, so the fitted
+        # rates are rounding noise too; their sign must not read as a
+        # stagnation followed by growth.
+        grid = [1100.0, 1300.0, 1500.0, 1750.0, 1900.0]
+        positives = 0
+        for step in (5.0, 10.0, 20.0):
+            years = np.arange(1000.0, 2000.0 + step / 2, step)
+            for level in np.linspace(0.11, 50.0, 200):
+                s = YearValueSeries(years, np.full(len(years), level))
+                positives += sum(r.positive for r in takeoff_scan(s, grid))
+        assert positives == 0
 
     def test_wrongly_timed_hypothesis_is_negative(self):
         # Halfwidth 150 keeps the sparse grid feasible (two points in the
