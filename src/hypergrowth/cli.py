@@ -15,9 +15,10 @@ import sys
 from pathlib import Path
 
 from .acceptance import check_world_reproduction, run_all_checks
-from .errors import GeneratorError, HypergrowthError, ParseError, RegionError
+from .errors import GeneratorError, HypergrowthError, ParseError
 from .fit import FitWindow, best_fit, goodness
 from .ingest import (
+    DatasetTable,
     build_region_series,
     parse_long_csv,
     parse_region_config,
@@ -27,7 +28,7 @@ from .ingest import (
 from .model import round_half_up
 from .plots import build_plot_sheet, plot_sheet_csv, plot_sheet_svg
 from .regime import detect_diversion, segment_two_hyperbolic
-from .report import render_report, run_analysis
+from .report import _region_fits, render_report, run_analysis
 from .series import YearValueSeries
 from .synth import GeneratorSpec, generate, maddison_year_grid
 from .takeoff import TakeoffHypothesis, takeoff_test
@@ -66,8 +67,9 @@ def _parse_window(text: str) -> FitWindow:
 def _add_input_args(p: argparse.ArgumentParser):
     p.add_argument("--input", required=True, help="input CSV file")
     p.add_argument("--format", choices=("long", "wide"), default="long")
-    p.add_argument("--unit-scale", type=float, default=1.0,
-                   help="factor converting source units to billions")
+    p.add_argument("--unit-scale", type=float,
+                   help="factor converting source units to billions "
+                        "(default: [global] unit_scale of --regions-config, else 1)")
     p.add_argument("--region", help="region (with --regions-config) or entity name")
     p.add_argument("--regions-config", help="region definition file")
 
@@ -76,17 +78,25 @@ def _add_common_args(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output file (default: stdout)")
 
 
-def _load_table(args):
-    data = Path(args.input).read_bytes()
-    if args.format == "wide":
-        return parse_wide_table(data, args.unit_scale)
-    return parse_long_csv(data, args.unit_scale)
+def _load_config(args):
+    if not args.regions_config:
+        return None
+    return parse_region_config(Path(args.regions_config).read_text())
+
+
+def _load_table(args, config) -> DatasetTable:
+    """The --input table; --unit-scale wins over the config's, which wins over 1."""
+    unit_scale = args.unit_scale
+    if unit_scale is None:
+        unit_scale = config.unit_scale if config is not None else 1.0
+    parse = parse_wide_table if args.format == "wide" else parse_long_csv
+    return parse(Path(args.input).read_bytes(), unit_scale)
 
 
 def _load_series(args) -> YearValueSeries:
-    table = _load_table(args)
-    if args.regions_config:
-        config = parse_region_config(Path(args.regions_config).read_text())
+    config = _load_config(args)
+    table = _load_table(args, config)
+    if config is not None:
         if not args.region:
             raise CliError("--region is required with --regions-config")
         for rc in config.regions:
@@ -206,13 +216,8 @@ def _sanitize(obj):
 def cmd_report(args) -> int:
     if not args.regions_config:
         raise CliError("report requires --regions-config")
-    config = parse_region_config(Path(args.regions_config).read_text())
-    data = Path(args.input).read_bytes()
-    unit_scale = args.unit_scale if args.unit_scale != 1.0 else config.unit_scale
-    if args.format == "wide":
-        table = parse_wide_table(data, unit_scale)
-    else:
-        table = parse_long_csv(data, unit_scale)
+    config = _load_config(args)
+    table = _load_table(args, config)
     rows, errors = run_analysis(table, config, weighting=args.weighting)
     _write_output(render_report(rows, args.emit), args.out)
     for err in errors:
@@ -222,17 +227,10 @@ def cmd_report(args) -> int:
 
 def cmd_plot(args) -> int:
     series = _load_series(args)
-    annotations = []
-    if args.two_regime:
-        seg = segment_two_hyperbolic(series, weighting=args.weighting)
-        fits = [s.fit for s in seg.hyperbolic_segments()]
-        if not fits:
-            raise RegionError("no hyperbolic regime to plot")
-        annotations.append(("breakpoint", seg.breakpoint_year))
-        last_fit = fits[-1]
-    else:
-        last_fit = _fit_series(series, args)
-        fits = [last_fit]
+    window = _parse_window(args.window) if args.window else None
+    fits, breakpoint = _region_fits(series, window, args.two_regime, args.weighting)
+    annotations = [] if breakpoint is None else [("breakpoint", breakpoint)]
+    last_fit = fits[-1]
     annotations.append(("singularity", last_fit.model.singularity_year))
     if series.after(last_fit.window.end_year) is not None:
         finding = detect_diversion(series, last_fit)

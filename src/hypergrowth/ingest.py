@@ -38,25 +38,28 @@ class RegionDefinition:
 
 @dataclass
 class DatasetTable:
-    """Sparse (entity, year) -> value mapping, already unit-converted."""
+    """Sparse entity -> {year -> value} table, already unit-converted.
 
-    entities: list[str]
-    years: list[float]
-    cells: dict[tuple[str, float], float]
+    Entities keep the order in which the source first names them.
+    """
+
+    rows: dict[str, dict[float, float]]
+
+    @property
+    def entities(self) -> list[str]:
+        return list(self.rows)
 
     def value(self, entity: str, year: float) -> float | None:
-        return self.cells.get((entity, year))
+        return self.rows.get(entity, {}).get(year)
 
     def entity_series(self, entity: str, label: str | None = None) -> YearValueSeries:
-        if entity not in self.entities:
+        row = self.rows.get(entity)
+        if row is None:
             raise RegionError(f"unknown entity {entity!r}")
-        pairs = sorted(
-            (year, v) for (e, year), v in self.cells.items() if e == entity
+        years = sorted(row)
+        return YearValueSeries(
+            np.array(years), np.array([row[y] for y in years]), label or entity
         )
-        if not pairs:
-            raise RegionError(f"entity {entity!r} has no observations")
-        years, values = zip(*pairs)
-        return YearValueSeries(np.array(years), np.array(values), label or entity)
 
 
 def _parse_number(text: str, what: str, where: str) -> float:
@@ -75,18 +78,14 @@ def _check_positive(value: float, what: str):
 
 
 def _add_cell(table: DatasetTable, entity: str, year: float, value: float, line_no: int):
-    key = (entity, year)
-    if key in table.cells:
+    row = table.rows.setdefault(entity, {})
+    if year in row:
         raise ParseError(f"line {line_no}: duplicate cell for ({entity}, {year:g})")
     if value <= 0:
         raise ParseError(
             f"line {line_no}: value {value:g} for ({entity}, {year:g}) is not positive"
         )
-    table.cells[key] = value
-    if entity not in table.entities:
-        table.entities.append(entity)
-    if year not in table.years:
-        table.years.append(year)
+    row[year] = value
 
 
 def parse_long_csv(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
@@ -104,19 +103,19 @@ def parse_long_csv(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
         raise ParseError("line 1: empty file") from None
     if [h.strip().lower() for h in header] != ["entity", "year", "value"]:
         raise ParseError(f"line 1: expected header entity,year,value, got {header}")
-    table = DatasetTable([], [], {})
+    table = DatasetTable({})
     for line_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
+        fields = [c.strip() for c in row]
+        if not any(fields):
             continue
-        if len(row) != 3:
-            raise ParseError(f"line {line_no}: expected 3 fields, got {len(row)}")
-        entity, year_s, value_s = (c.strip() for c in row)
+        if len(fields) != 3:
+            raise ParseError(f"line {line_no}: expected 3 fields, got {len(fields)}")
+        entity, year_s, value_s = fields
         if not value_s:
             continue
         year = _parse_number(year_s, "year", f"line {line_no}")
         value = _parse_number(value_s, "value", f"line {line_no}") * unit_scale
         _add_cell(table, entity, year, value, line_no)
-    table.years.sort()
     return table
 
 
@@ -140,18 +139,16 @@ def parse_wide_table(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
     years = [
         _parse_number(h.strip(), "year header", "line 1") for h in header[1:]
     ]
-    table = DatasetTable([], [], {})
+    table = DatasetTable({})
     for line_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
+        fields = [c.strip() for c in row]
+        if not any(fields):
             continue
-        entity = row[0].strip()
-        for year, cell in zip(years, row[1:]):
-            cell = cell.strip()
+        for year, cell in zip(years, fields[1:]):
             if not cell:
                 continue
             value = _parse_number(cell, "cell", f"line {line_no}") * unit_scale
-            _add_cell(table, entity, year, value, line_no)
-    table.years.sort()
+            _add_cell(table, fields[0], year, value, line_no)
     return table
 
 
@@ -160,22 +157,16 @@ def serialize_long_csv(table: DatasetTable) -> bytes:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["entity", "year", "value"])
-    for entity in table.entities:
-        pairs = sorted(
-            (year, v) for (e, year), v in table.cells.items() if e == entity
-        )
-        for year, value in pairs:
-            writer.writerow([entity, f"{int(year)}" if year == int(year) else repr(year), repr(value)])
+    for entity, row in table.rows.items():
+        for year in sorted(row):
+            writer.writerow([entity, f"{int(year)}" if year == int(year) else repr(year), repr(row[year])])
     return out.getvalue().encode("utf-8")
 
 
 def series_to_long_csv(series: YearValueSeries) -> bytes:
     """Long-CSV encoding of a single series (entity = label)."""
-    table = DatasetTable([], [], {})
-    entity = series.label or "series"
-    for i, (year, value) in enumerate(zip(series.years, series.values)):
-        _add_cell(table, entity, float(year), float(value), i + 2)
-    return serialize_long_csv(table)
+    row = dict(zip(series.years.tolist(), series.values.tolist()))
+    return serialize_long_csv(DatasetTable({series.label or "series": row}))
 
 
 def build_region_series(table: DatasetTable, region: RegionDefinition) -> YearValueSeries:
@@ -184,24 +175,22 @@ def build_region_series(table: DatasetTable, region: RegionDefinition) -> YearVa
     With ``require_complete`` (the default) a year is kept only when every
     member reports it; summing over a changing member set would fabricate
     growth.  Otherwise the sum runs over whichever members are present.
+    Members are summed in the region's order.
     """
+    rows = []
     for member in region.members:
-        if member not in table.entities:
+        if member not in table.rows:
             raise RegionError(
                 f"region {region.name!r}: member {member!r} not in table"
             )
-    years, values = [], []
-    for year in table.years:
-        cells = [table.value(m, year) for m in region.members]
-        present = [c for c in cells if c is not None]
-        if not present:
-            continue
-        if region.require_complete and len(present) < len(region.members):
-            continue
-        years.append(year)
-        values.append(sum(present))
+        rows.append(table.rows[member])
+    if region.require_complete:
+        years = sorted(set(rows[0]).intersection(*rows[1:]))
+    else:
+        years = sorted(set().union(*rows))
     if not years:
         raise RegionError(f"region {region.name!r} has no usable years")
+    values = [sum(row[y] for row in rows if y in row) for y in years]
     try:
         return YearValueSeries(np.array(years), np.array(values), region.name)
     except SeriesError as exc:  # pragma: no cover - positivity is inherited

@@ -81,21 +81,26 @@ def _takeoff_cell(series: YearValueSeries, takeoff_year, halfwidth: float) -> st
     return "X"
 
 
-def _region_fits(series: YearValueSeries, cfg, weighting) -> list[HyperbolicFit]:
-    """The region's fitted regimes in time order; the split's with ``two_regime``."""
-    if not cfg.two_regime:
-        window = None if cfg.window is None else FitWindow(*cfg.window)
-        return [best_fit(series, window, weighting)]
-    span = series if cfg.window is None else series.slice_window(*cfg.window)
+def _region_fits(series: YearValueSeries, window: FitWindow | None, two_regime: bool, weighting):
+    """The fitted regimes in time order, and the breakpoint when the split runs.
+
+    Without ``two_regime`` the one regime is ``best_fit``'s and the breakpoint
+    is None; with it, the series is cut to ``window`` and split in two.
+    """
+    if not two_regime:
+        return [best_fit(series, window, weighting)], None
+    span = series if window is None else series.slice_window(window.start_year, window.end_year)
     seg = segment_two_hyperbolic(span, weighting=weighting)
     fits = [s.fit for s in seg.hyperbolic_segments()]
     if not fits:
         raise FitError(f"no hyperbolic regime found for {series.label!r}")
-    return fits
+    return fits, seg.breakpoint_year
 
 
 def _analyze(series: YearValueSeries, cfg, weighting) -> list[AnalysisReportRow]:
-    *earlier, last = _region_fits(series, cfg, weighting)
+    window = None if cfg.window is None else FitWindow(*cfg.window)
+    fits, _ = _region_fits(series, window, cfg.two_regime, weighting)
+    *earlier, last = fits
     rows = [AnalysisReportRow.from_fit(series.label, fit) for fit in earlier]
     # Diversion and takeoff are judged against the latest regime only;
     # everything after an earlier regime is the next regime itself.

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from hypergrowth import build_plot_sheet, parse_long_csv, plot_sheet_csv, segment_two_hyperbolic
 from hypergrowth.cli import main
 
 
@@ -188,6 +189,63 @@ class TestPlot:
         )
         assert code == 0
         assert out.splitlines()[0] == "year,observed,fitted,residual_reciprocal"
+
+    def test_two_regime_split_runs_inside_window(self, spliced_csv, capsys):
+        series = parse_long_csv(spliced_csv.read_bytes()).entity_series("africa-like")
+        seg = segment_two_hyperbolic(series.slice_window(1000.0, 1700.0))
+        fits = [s.fit for s in seg.hyperbolic_segments()]
+        code, out, _ = run(
+            capsys, "plot", "--input", str(spliced_csv),
+            "--two-regime", "--window", "1000:1700", "--emit", "csv",
+        )
+        assert code == 0
+        assert out.encode() == plot_sheet_csv(build_plot_sheet(series, fits))
+        _, whole, _ = run(
+            capsys, "plot", "--input", str(spliced_csv), "--two-regime", "--emit", "csv",
+        )
+        assert whole != out
+
+    def test_breakpoint_marked_when_one_side_is_unmodeled(self, tmp_path, capsys):
+        # Falling values before 1500 (not hyperbolic), a hyperbola after.
+        rows = ["entity,year,value"] + [
+            f"x,{y},{10 - 0.005 * (y - 1000) if y < 1500 else 1 / (0.2 - 1e-4 * (y - 1000))!r}"
+            for y in range(1000, 1960, 20)
+        ]
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(rows) + "\n")
+        code, out, _ = run(capsys, "plot", "--input", str(data), "--two-regime")
+        assert code == 0
+        assert ">breakpoint</text>" in out
+
+
+class TestUnitScale:
+    """--unit-scale wins, then the config's [global] unit_scale, then 1."""
+
+    @pytest.fixture
+    def scaled_config(self, tmp_path):
+        cfg = tmp_path / "regions.ini"
+        cfg.write_text("[global]\nunit_scale = 0.001\n\n[W]\nmembers = demo\n")
+        return cfg
+
+    # The series has a = 1; scaling its values by c divides a by c.
+    @pytest.mark.parametrize("flags, a", [((), 1000.0), (("--unit-scale", "1"), 1.0),
+                                          (("--unit-scale", "2"), 0.5)])
+    def test_report(self, hyperbolic_csv, scaled_config, capsys, flags, a):
+        code, out, err = run(
+            capsys, "report", "--input", str(hyperbolic_csv),
+            "--regions-config", str(scaled_config), "--emit", "json", *flags,
+        )
+        assert code == 0, err
+        assert json.loads(out)["rows"][0]["a"] == pytest.approx(a, rel=1e-9)
+
+    @pytest.mark.parametrize("flags, a", [((), 1000.0), (("--unit-scale", "1"), 1.0)])
+    def test_fit_with_regions_config(self, hyperbolic_csv, scaled_config, capsys, flags, a):
+        code, out, err = run(
+            capsys, "fit", "--input", str(hyperbolic_csv),
+            "--regions-config", str(scaled_config), "--region", "W", *flags,
+        )
+        assert code == 0, err
+        assert json.loads(out)["a"] == pytest.approx(a, rel=1e-9)
 
 
 class TestSynth:

@@ -60,6 +60,12 @@ class TestParseLongCsv:
         with pytest.raises(ParseError, match="unit_scale"):
             parse_long_csv(b"entity,year,value\nWorld,1000,5\n", unit_scale)
 
+    def test_entities_keep_first_seen_order(self):
+        table = parse_long_csv(
+            b"entity,year,value\nS,1900,1\nN,1900,2\nS,1950,3\nA,1800,4\nN,1800,5\n"
+        )
+        assert table.entities == ["S", "N", "A"]
+
     def test_crlf_accepted(self):
         table = parse_long_csv(b"entity,year,value\r\nWorld,1000,116.8\r\n")
         assert table.value("World", 1000.0) == pytest.approx(116.8)
@@ -99,6 +105,11 @@ class TestParseWideTable:
         with pytest.raises(ParseError, match="line 2"):
             parse_wide_table(b"entity,1000\nWorld,n/a\n")
 
+    def test_repeated_entity_row_names_second_line(self):
+        data = b"entity,1000,1500\nWorld,1,\nAsia,2,3\nWorld,,4\nWorld,5,\n"
+        with pytest.raises(ParseError, match="line 5: duplicate cell for \\(World, 1000\\)"):
+            parse_wide_table(data)
+
 
 @st.composite
 def sparse_tables(draw):
@@ -124,7 +135,7 @@ class TestRoundTrip:
         data = ("\n".join(lines) + "\n").encode()
         table = parse_long_csv(data)
         again = parse_long_csv(serialize_long_csv(table))
-        assert again.cells == table.cells
+        assert again.rows == table.rows
 
     @given(sparse_tables())
     @settings(max_examples=50, deadline=None)
@@ -143,8 +154,11 @@ class TestRoundTrip:
             )
         wide = parse_wide_table(("\n".join(lines) + "\n").encode())
         long_again = parse_long_csv(serialize_long_csv(wide))
-        assert long_again.cells == wide.cells
-        assert wide.cells == {(e, float(y)): v for (e, y), v in cells.items()}
+        assert long_again.rows == wide.rows
+        expected = {}
+        for (e, y), v in cells.items():
+            expected.setdefault(e, {})[float(y)] = v
+        assert wide.rows == expected
 
 
 class TestBuildRegionSeries:
@@ -183,6 +197,50 @@ class TestBuildRegionSeries:
         table = parse_long_csv(b"entity,year,value\nN,1900,1\nS,1950,2\n")
         with pytest.raises(RegionError, match="no usable years"):
             build_region_series(table, RegionDefinition("R", ("N", "S")))
+
+
+def reference_region_series(table, region):
+    """Per-year region sum over every year of the table, as first written."""
+    all_years = sorted({y for row in table.rows.values() for y in row})
+    years, values = [], []
+    for year in all_years:
+        cells = [table.value(m, year) for m in region.members]
+        present = [c for c in cells if c is not None]
+        if not present:
+            continue
+        if region.require_complete and len(present) < len(region.members):
+            continue
+        years.append(year)
+        values.append(sum(present))
+    return np.array(years), np.array(values)
+
+
+class TestRegionSeriesReference:
+    @staticmethod
+    def gappy_table(seed):
+        rng = np.random.default_rng(seed)
+        lines = ["entity,year,value"]
+        for e in ("E0", "E1", "E2", "E3", "E4", "E5"):
+            for y in rng.permutation(np.arange(1000, 2000, 5))[: rng.integers(20, 150)]:
+                lines.append(f"{e},{y},{float(rng.lognormal(0.0, 2.0))!r}")
+        return parse_long_csv(("\n".join(lines) + "\n").encode())
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("complete", [True, False])
+    @pytest.mark.parametrize("members", [
+        ("E0",), ("E3", "E1"), ("E5", "E0", "E2", "E4"), ("E4", "E3", "E2", "E1", "E0", "E5"),
+    ])
+    def test_matches_per_year_loop(self, seed, complete, members):
+        table = self.gappy_table(seed)
+        region = RegionDefinition("R", members, require_complete=complete)
+        years, values = reference_region_series(table, region)
+        if not len(years):
+            with pytest.raises(RegionError, match="no usable years"):
+                build_region_series(table, region)
+            return
+        s = build_region_series(table, region)
+        assert s.years.tobytes() == years.tobytes()
+        assert s.values.tobytes() == values.tobytes()
 
 
 class TestRegionConfig:
