@@ -63,7 +63,6 @@ from .report import (
 from .series import YearValueSeries
 from .synth import GeneratorSpec, generate, maddison_year_grid
 from .takeoff import (
-    TakeoffConfig,
     TakeoffHypothesis,
     TakeoffTestResult,
     takeoff_scan,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fit import FitWindow, fit_hyperbolic, goodness
-from .ingest import parse_long_csv, parse_wide_table, RegionDefinition, build_region_series
+from .ingest import DatasetTable, RegionDefinition, build_region_series
 from .model import HyperbolicModel, reciprocal_delta, round_half_up
 from .regime import detect_diversion, proximity, segment_two_hyperbolic
 from .series import YearValueSeries
@@ -328,15 +328,14 @@ def run_all_checks(trials: int = 1000) -> list[CheckResult]:
     ]
 
 
-def check_world_reproduction(data: bytes, wide: bool = False, unit_scale: float = 1e-3) -> CheckResult:
+def check_world_reproduction(table: DatasetTable) -> CheckResult:
     """Optional data-dependent check against a Maddison-2010 world GDP export.
 
-    Expects the world aggregate under an entity named 'World'; values in
-    millions unless unit_scale says otherwise.  Refits 1000-1955 and checks
+    Expects the world aggregate under an entity named 'World', in billions
+    (the table's unit_scale converts it).  Refits 1000-1955 and checks
     parameters within 5% of the reference, a slower diversion in [1950,
     1960], and an AD 1 relative deviation in [70%, 85%].
     """
-    table = parse_wide_table(data, unit_scale) if wide else parse_long_csv(data, unit_scale)
     series = build_region_series(table, RegionDefinition("World", ("World",)))
     fit = fit_hyperbolic(series, FitWindow(1000.0, 1955.0))
     ref = REFERENCE_ROWS[0]

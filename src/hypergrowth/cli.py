@@ -81,7 +81,11 @@ def _add_common_args(p: argparse.ArgumentParser):
 def _load_config(args):
     if not args.regions_config:
         return None
-    return parse_region_config(Path(args.regions_config).read_text())
+    try:
+        text = Path(args.regions_config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{args.regions_config}: not UTF-8 text ({exc})") from None
+    return parse_region_config(text)
 
 
 def _load_table(args, config) -> DatasetTable:
@@ -166,6 +170,10 @@ def cmd_segment(args) -> int:
 
 
 def cmd_diversion(args) -> int:
+    if args.run_length < 1:
+        raise CliError(f"--run-length must be >= 1, got {args.run_length}")
+    if not (math.isfinite(args.tau) and args.tau > 0):
+        raise CliError(f"--tau must be finite and > 0, got {args.tau}")
     series = _load_series(args)
     fit = _fit_series(series, args)
     finding = detect_diversion(series, fit, m=args.run_length, tau=args.tau)
@@ -192,12 +200,7 @@ def cmd_diversion(args) -> int:
 def cmd_takeoff(args) -> int:
     series = _load_series(args)
     hyp = TakeoffHypothesis(args.predicted_year, args.halfwidth)
-    result = takeoff_test(series, hyp)
-    doc = dataclasses.asdict(result)
-    doc["hypothesis"] = {
-        "predicted_year": hyp.predicted_year,
-        "search_halfwidth": hyp.search_halfwidth,
-    }
+    doc = dataclasses.asdict(takeoff_test(series, hyp))
     _write_output(_json_bytes(_sanitize(doc)), args.out)
     return 0
 
@@ -293,14 +296,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise CliError(f"--trials must be >= 1, got {args.trials}")
+    # The --maddison table is read as --input (see build_parser).
+    table = _load_table(args, None) if args.input else None
     results = run_all_checks(trials=args.trials)
-    if args.maddison:
-        data = Path(args.maddison).read_bytes()
-        results.append(
-            check_world_reproduction(
-                data, wide=args.format == "wide", unit_scale=args.unit_scale
-            )
-        )
+    if table is not None:
+        results.append(check_world_reproduction(table))
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -368,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the built-in acceptance checks")
     p.add_argument("--trials", type=int, default=1000,
                    help="Monte-Carlo trials per statistical check")
-    p.add_argument("--maddison", help="optional Maddison-2010 CSV for the "
-                                      "data-dependent reproduction check")
+    p.add_argument("--maddison", dest="input", help="optional Maddison-2010 CSV for the "
+                                                    "data-dependent reproduction check")
     p.add_argument("--format", choices=("long", "wide"), default="wide")
     p.add_argument("--unit-scale", type=float, default=1e-3)
 
@@ -402,7 +404,7 @@ def main(argv=None) -> int:
     except HypergrowthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ANALYSIS_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an input that cannot be read or an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

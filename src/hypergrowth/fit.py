@@ -18,10 +18,10 @@ two-regime split in ``regime`` and the takeoff break in ``takeoff``) screen,
 then confirm.  Cumulative sums of 1, t, y, t^2, t*y and y^2 (weighted for the
 line, plain for the residual sum of squares that ranks candidates) give
 every contiguous run's line and rank key in closed form, with a bound on
-their rounding derived from the magnitudes of the summed terms.  Only the
-candidates whose keys lie within that bound of the best are refitted by the
-exact solver and ranked by the exact key, so every result is the exact
-solver's own.
+their rounding derived from the magnitudes of the summed terms.  Each search
+then hands ``_best_first`` a lower bound per candidate and the exact refit:
+only the candidates whose bounds reach the best exact key are refitted, and
+they are ranked by that key, so every result is the exact solver's own.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     SingularityInWindowError,
     TooFewPointsError,
 )
-from .model import HyperbolicModel, evaluate, reciprocal_line
+from .model import HyperbolicModel, reciprocal_line, relative_deviation
 from .series import YearValueSeries
 
 WEIGHTINGS = ("uniform", "direct")
@@ -104,6 +104,13 @@ def _centred_line(t: np.ndarray, y: np.ndarray, w: np.ndarray):
     return slope, tc, ybar
 
 
+def _weights(values: np.ndarray, weighting: str) -> np.ndarray:
+    """Least-squares weight of each reciprocal; ValueError for an unknown weighting."""
+    if weighting not in WEIGHTINGS:
+        raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
+    return values**2 if weighting == "direct" else np.ones_like(values)
+
+
 def fit_hyperbolic(
     series: YearValueSeries,
     window: FitWindow,
@@ -116,17 +123,15 @@ def fit_hyperbolic(
     SingularityInWindowError (fitted a/k falls inside the window, i.e. the
     model cannot describe the data it was fitted to).
     """
-    if weighting not in WEIGHTINGS:
-        raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     mask = (series.years >= window.start_year) & (series.years <= window.end_year)
     t = series.years[mask]
     s = series.values[mask]
+    w = _weights(s, weighting)
     if len(t) < 3:
         raise TooFewPointsError(
             f"window [{window.start_year}, {window.end_year}] holds {len(t)} points; need >= 3"
         )
     y = 1.0 / s
-    w = s**2 if weighting == "direct" else np.ones_like(s)
 
     slope, tc, ybar = _centred_line(t, y, w)
     k = -slope
@@ -194,17 +199,14 @@ def goodness(fit: HyperbolicFit, series: YearValueSeries) -> GoodnessReport:
     fitted to later data.
     """
     sing = fit.model.singularity_year
-    devs = []
-    for year, value in zip(series.years, series.values):
-        if year >= sing:
-            devs.append((float(year), None))
-        else:
-            fitted = evaluate(fit.model, year)
-            devs.append((float(year), 100.0 * (value - fitted) / fitted))
+    devs = tuple(
+        (float(year), None if year >= sing else relative_deviation(year, value, fit.model))
+        for year, value in zip(series.years, series.values)
+    )
     return GoodnessReport(
         rmse_reciprocal=fit.rmse_reciprocal,
         r2_reciprocal=fit.r2_reciprocal,
-        deviations=tuple(devs),
+        deviations=devs,
     )
 
 
@@ -371,49 +373,45 @@ class _CumulativeSums:
         return accept, reject
 
 
-class _RankedFits(Sequence):
-    """Accepted windows of a scan in exact rank order, fitted on demand.
+def _best_first(lo: np.ndarray, confirm):
+    """Screened candidates in the order of their exact keys, refitted as reached.
 
-    Each window carries a lower bound on its exact rank key.  The next item is
-    the best exact fit so far once every unfitted window's bound lies above
-    it; until then the unfitted window with the lowest bound is fitted.  So
-    only windows the screen cannot separate from the items asked for are
-    fitted, and ties among them fall to the exact key.
+    ``lo[u]`` is a lower bound on the first element of candidate u's exact
+    key, and ``confirm(u)`` refits u exactly, returning (key, result).
+    Candidates are refitted in order of their bounds, and (key, result) pairs
+    are yielded by key, each once every candidate not yet refitted has a bound
+    above its key.  So only candidates the screen cannot separate from those
+    asked for are refitted, and ties among them fall to the exact key.
     """
+    pending: list = []  # heap of (key, candidate, result), refitted but not yet yielded
+    for u in np.argsort(lo, kind="stable"):
+        while pending and pending[0][0][0] < lo[u]:
+            key, _, result = heapq.heappop(pending)
+            yield key, result
+        key, result = confirm(u)
+        heapq.heappush(pending, (key, u, result))
+    while pending:
+        key, _, result = heapq.heappop(pending)
+        yield key, result
 
-    def __init__(self, series, weighting, first, last, lo, known):
-        self._series, self._weighting = series, weighting
-        self._first, self._last, self._known = first, last, known
-        self._lo = lo
-        self._order = np.argsort(lo, kind="stable")
-        self._next = 0  # windows self._order[:self._next] are fitted
-        self._pending: list = []  # heap of (exact key, fit), fitted but not yet ranked
+
+class _RankedFits(Sequence):
+    """The accepted windows of a scan, in rank order, fitted as they are reached."""
+
+    def __init__(self, count: int, fits):
+        self._count, self._fits = count, fits
         self._ranked: list[HyperbolicFit] = []
 
     def __len__(self) -> int:
-        return len(self._first)
+        return self._count
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[r] for r in range(len(self))[index]]
         r = range(len(self))[index]
         while len(self._ranked) <= r:
-            while self._next < len(self) and (
-                not self._pending or self._lo[self._order[self._next]] <= self._pending[0][0][0]
-            ):
-                fit = self._fit(self._order[self._next])
-                self._next += 1
-                key = (fit.rmse_per_dof, -fit.window.span, fit.window.start_year)
-                heapq.heappush(self._pending, (key, fit))
-            self._ranked.append(heapq.heappop(self._pending)[1])
+            self._ranked.append(next(self._fits)[1])
         return self._ranked[r]
-
-    def _fit(self, w) -> HyperbolicFit:
-        if w in self._known:
-            return self._known[w]
-        t = self._series.years
-        window = FitWindow(float(t[self._first[w]]), float(t[self._last[w]]))
-        return fit_hyperbolic(self._series, window, self._weighting)
 
 
 def scan_windows(
@@ -438,11 +436,8 @@ def scan_windows(
     On exact data every key ties and the cost falls back to one exact fit per
     window.
     """
-    if weighting not in WEIGHTINGS:
-        raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     t, s = series.years, series.values
-    w = s**2 if weighting == "direct" else np.ones_like(s)
-    sums = _CumulativeSums(t, 1.0 / s, w)
+    sums = _CumulativeSums(t, 1.0 / s, _weights(s, weighting))
     first, last = np.triu_indices(len(t), 2)
     accept, lo, known = np.zeros(len(first), dtype=bool), np.zeros(len(first)), {}
     for c in range(0, len(first), _CHUNK):
@@ -461,8 +456,14 @@ def scan_windows(
                 continue
             accept[u], lo[u], known[u] = True, fit.rmse_per_dof, fit
     keep = np.flatnonzero(accept)
-    return _RankedFits(series, weighting, first[keep], last[keep], lo[keep],
-                       {int(np.searchsorted(keep, u)): fit for u, fit in known.items()})
+
+    def confirm(c):
+        u = keep[c]
+        fit = known.get(u) or fit_hyperbolic(
+            series, FitWindow(float(t[first[u]]), float(t[last[u]])), weighting)
+        return (fit.rmse_per_dof, -fit.window.span, fit.window.start_year), fit
+
+    return _RankedFits(len(keep), _best_first(lo[keep], confirm))
 
 
 def best_fit(series: YearValueSeries, window: FitWindow | None, weighting: str) -> HyperbolicFit:

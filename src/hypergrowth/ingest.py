@@ -77,6 +77,13 @@ def _check_positive(value: float, what: str):
         raise ParseError(f"{what} {value:g} is not a positive finite number")
 
 
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text ({exc})") from None
+
+
 def _add_cell(table: DatasetTable, entity: str, year: float, value: float, line_no: int):
     row = table.rows.setdefault(entity, {})
     if year in row:
@@ -95,7 +102,7 @@ def parse_long_csv(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
     malformed row raises ParseError naming its line number.
     """
     _check_positive(unit_scale, "unit_scale")
-    text = data.decode("utf-8")
+    text = _decode(data)
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -126,7 +133,7 @@ def parse_wide_table(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
     Blank cells mean missing; every present cell must be numeric.
     """
     _check_positive(unit_scale, "unit_scale")
-    text = data.decode("utf-8")
+    text = _decode(data)
     first_line = text.splitlines()[0] if text.splitlines() else ""
     delimiter = "\t" if first_line.count("\t") >= first_line.count(",") and "\t" in first_line else ","
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)

@@ -22,10 +22,11 @@ import numpy as np
 
 from .errors import FitError, NegativeProximityError, TooFewPointsError
 from .fit import (
-    WEIGHTINGS,
     FitWindow,
     HyperbolicFit,
+    _best_first,
     _CumulativeSums,
+    _weights,
     fit_hyperbolic,
 )
 from .model import (
@@ -172,41 +173,38 @@ def segment_two_hyperbolic(
         raise TooFewPointsError(
             f"two-regime segmentation needs >= 6 points, got {len(series)}"
         )
-    if weighting not in WEIGHTINGS:
-        raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     years, s = series.years, series.values
     n = len(years)
-    sums = _CumulativeSums(years, 1.0 / s, s**2 if weighting == "direct" else np.ones_like(s))
+    sums = _CumulativeSums(years, 1.0 / s, _weights(s, weighting))
     breaks = np.arange(2, n - 2)
     sides = ((np.zeros_like(breaks), breaks), (breaks, np.full_like(breaks, n - 1)))
 
-    def split(bi):
-        b = float(years[bi])
+    def split(u):
+        b = float(years[breaks[u]])
         return FitWindow(float(years[0]), b), FitWindow(b, float(years[-1]))
 
     exact = {}  # (break index, side) -> _fit_side result
-    lo = hi = 0.0
+    lo = 0.0
     for side, (i, j) in enumerate(sides):
         lines = sums.runs(i, j)
         accept, reject = sums.verdicts(lines, years[j])
-        cost = np.where(accept, lines.sse, lines.mean_sse)
-        err = np.where(accept, lines.e_sse, lines.e_mean_sse)
+        # A lower bound on this side's cost, exact where the screen cannot decide.
+        side_lo = np.where(accept, lines.sse - lines.e_sse, lines.mean_sse - lines.e_mean_sse)
         for u in np.flatnonzero(~(accept | reject)):
-            fit = exact[u, side] = _fit_side(series, split(breaks[u])[side], weighting)
-            cost[u], err[u] = fit[1], 0.0
-        lo, hi = lo + (cost - err), hi + (cost + err)
+            fit = exact[u, side] = _fit_side(series, split(u)[side], weighting)
+            side_lo[u] = fit[1]
+        lo = lo + side_lo
 
-    best = None
-    for u in np.flatnonzero(lo <= hi.min()):
-        ws = split(breaks[u])
+    def confirm(u):
+        windows = split(u)
         (left, left_sse), (right, right_sse) = (
-            exact.get((u, side)) or _fit_side(series, w, weighting) for side, w in enumerate(ws)
+            exact.get((u, side)) or _fit_side(series, w, weighting)
+            for side, w in enumerate(windows)
         )
-        sse = left_sse + right_sse
-        cand = (sse, -((left is not None) + (right is not None)), float(years[breaks[u]]))
-        if best is None or cand < best[0]:
-            best = (cand, ws, (left, right))
-    (sse, _, b), windows, (left, right) = best
+        modeled = (left is not None) + (right is not None)
+        return (left_sse + right_sse, -modeled, windows[1].start_year), (windows, left, right)
+
+    (sse, _, b), (windows, left, right) = next(_best_first(lo, confirm))
     segments = tuple(
         Segment(w, "unmodeled") if f is None else Segment(w, "hyperbolic", f)
         for w, f in zip(windows, (left, right))

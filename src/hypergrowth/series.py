@@ -83,6 +83,3 @@ class YearValueSeries:
         if not mask.any():
             return None
         return YearValueSeries(self.years[mask], self.values[mask], self.label)
-
-    def with_label(self, label: str) -> "YearValueSeries":
-        return YearValueSeries(self.years, self.values, label)

@@ -70,6 +70,8 @@ class GeneratorSpec:
                 raise GeneratorError(f"parameter {name} must be finite and positive, got {v}")
         if not (self.noise >= 0 and math.isfinite(self.noise)):
             raise GeneratorError("noise sigma must be finite and >= 0")
+        if self.seed < 0:
+            raise GeneratorError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "sample_years", tuple(years.tolist()))
 
 

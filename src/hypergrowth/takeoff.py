@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FitError, TooFewPointsError
-from .fit import FitWindow, _centred_line, _CumulativeSums, fit_hyperbolic
+from .fit import FitWindow, _best_first, _centred_line, _CumulativeSums, fit_hyperbolic
 from .model import evaluate
 from .series import YearValueSeries
 
@@ -43,14 +43,11 @@ class TakeoffHypothesis:
     search_halfwidth: float = 50.0
 
 
-@dataclass(frozen=True)
-class TakeoffConfig:
-    """Decision thresholds; defaults chosen so verdicts are stable over a
-    wide threshold range (verified by the Monte-Carlo suite)."""
-
-    stagnation_max_rate: float = 0.001  # 0.1 %/year pre-break growth bound
-    prominence_min_ratio: float = 10.0  # post/pre growth-rate ratio
-    ic_min_gap: float = 10.0  # AICc(single hyperbolic) - AICc(takeoff model)
+# Decision thresholds, chosen so verdicts are stable over a wide threshold
+# range (verified by the Monte-Carlo suite).
+STAGNATION_MAX_RATE = 0.001  # 0.1 %/year pre-break growth bound
+PROMINENCE_MIN_RATIO = 10.0  # post/pre growth-rate ratio
+IC_MIN_GAP = 10.0  # AICc(single hyperbolic) - AICc(takeoff model)
 
 
 @dataclass(frozen=True)
@@ -102,14 +99,13 @@ def _require_feasible(t: np.ndarray, hypothesis: TakeoffHypothesis):
         raise TooFewPointsError("search window contains fewer than 2 observed points")
 
 
-def _judged(result: TakeoffTestResult, hypothesis: TakeoffHypothesis,
-            config: TakeoffConfig) -> TakeoffTestResult:
+def _judged(result: TakeoffTestResult, hypothesis: TakeoffHypothesis) -> TakeoffTestResult:
     """``result`` with timing and verdict judged at ``hypothesis``."""
     if result.break_year is None:
         return _negative(hypothesis)
     timing_ok = abs(result.break_year - hypothesis.predicted_year) <= hypothesis.search_halfwidth
     positive = (result.stagnation_ok and result.prominence_ok and timing_ok
-                and result.ic_gap > config.ic_min_gap)
+                and result.ic_gap > IC_MIN_GAP)
     verdict = "positive" if positive else "negative"
     return replace(result, verdict=verdict, timing_ok=timing_ok, hypothesis=hypothesis)
 
@@ -119,11 +115,7 @@ def _zero_if_rounding(rate: float, bound) -> float:
     return 0.0 if abs(rate) <= bound < math.inf else rate
 
 
-def takeoff_test(
-    series: YearValueSeries,
-    hypothesis: TakeoffHypothesis,
-    config: TakeoffConfig = TakeoffConfig(),
-) -> TakeoffTestResult:
+def takeoff_test(series: YearValueSeries, hypothesis: TakeoffHypothesis) -> TakeoffTestResult:
     """Evaluate the three-feature takeoff signature at the predicted year.
 
     Raises TooFewPointsError when the series has no observations on both
@@ -145,30 +137,29 @@ def takeoff_test(
     ones = np.ones_like(t)
     sums = _CumulativeSums(t, logy, ones)
     hinges = sums.hinges(np.arange(1, n - 2))
-    # Only the breaks whose SSE may tie the best are fitted exactly; the
-    # first strictly smallest exact SSE wins, as in a scan of every break.
-    best_i, best_r, best_sse = None, None, math.inf
-    for c in np.flatnonzero(hinges.sse - hinges.e_sse <= (hinges.sse + hinges.e_sse).min()):
-        i = c + 1
-        x = np.maximum(t - t[i], 0.0)
+
+    def confirm(c):
+        x = np.maximum(t - t[c + 1], 0.0)
         r, xc, ybar = _centred_line(x, logy, ones)
-        sse = float(((logy - ybar - r * (x - xc)) ** 2).sum())
-        if sse < best_sse:
-            best_i, best_r, best_sse = i, float(r), sse
+        return (float(((logy - ybar - r * (x - xc)) ** 2).sum()), c), float(r)
+
+    # The smallest exact SSE wins, ties to the earliest break.
+    (best_sse, c), best_r = next(_best_first(hinges.sse - hinges.e_sse, confirm))
+    best_i = c + 1
     pre_rate = float(_centred_line(t[: best_i + 1], logy[: best_i + 1], ones[: best_i + 1])[0])
     # A rate within rounding of zero is zero: on an exactly flat stretch its
     # sign is rounding noise and must not decide prominence.
     best_r = _zero_if_rounding(best_r, hinges.e_slope[best_i - 1])
     pre_rate = _zero_if_rounding(pre_rate, sums.runs(0, best_i).e_slope)
 
-    stagnation_ok = pre_rate < config.stagnation_max_rate
+    stagnation_ok = pre_rate < STAGNATION_MAX_RATE
     if best_r <= 0:
         prominence_ok, score = False, 0.0
     elif pre_rate <= 0:
         prominence_ok, score = True, math.inf
     else:
         score = best_r / pre_rate
-        prominence_ok = score > config.prominence_min_ratio
+        prominence_ok = score > PROMINENCE_MIN_RATIO
 
     aicc_take = _aicc(n, best_sse, 3)  # level, break, rate
     try:
@@ -186,14 +177,13 @@ def takeoff_test(
         stagnation_ok=stagnation_ok, pre_break_rate=pre_rate,
         break_year=float(t[best_i]), ic_gap=ic_gap,
     )
-    return _judged(evidence, hypothesis, config)
+    return _judged(evidence, hypothesis)
 
 
 def takeoff_scan(
     series: YearValueSeries,
     year_grid,
     search_halfwidth: float = 50.0,
-    config: TakeoffConfig = TakeoffConfig(),
 ) -> list[TakeoffTestResult]:
     """takeoff_test at every grid year, run once and re-judged for timing.
 
@@ -211,8 +201,8 @@ def takeoff_scan(
             results.append(_negative(hyp))
             continue
         if first is None:
-            first = takeoff_test(series, hyp, config)
+            first = takeoff_test(series, hyp)
             results.append(first)
         else:
-            results.append(_judged(first, hyp, config))
+            results.append(_judged(first, hyp))
     return results

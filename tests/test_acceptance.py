@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from hypergrowth import parse_long_csv, parse_wide_table
 from hypergrowth.acceptance import (
     check_diversion_detection,
     check_k_ratios,
@@ -85,4 +86,5 @@ def test_world_reproduction_from_data():
         data = fh.read()
     wide = os.environ.get("HYPERGROWTH_MADDISON_FORMAT", "wide") == "wide"
     scale = float(os.environ.get("HYPERGROWTH_MADDISON_UNIT_SCALE", "1e-3"))
-    assert_check(check_world_reproduction(data, wide=wide, unit_scale=scale))
+    table = (parse_wide_table if wide else parse_long_csv)(data, scale)
+    assert_check(check_world_reproduction(table))

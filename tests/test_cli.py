@@ -287,3 +287,53 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1] == "10/10 checks passed"
+
+    # World GDP in millions, the Maddison unit that --unit-scale's 1e-3 default
+    # converts: the reference world curve, slower after 1955, plus an AD 1
+    # observation 77% (passes) or 1% (fails) above the curve.
+    @pytest.mark.parametrize("ad1, passed", [(105_000.0, True), (60_000.0, False)])
+    def test_world_reproduction_from_table(self, tmp_path, capsys, ad1, passed):
+        path = tmp_path / "world.csv"
+        code, _, err = run(
+            capsys, "synth", "--kind", "hyperbolic-then-slower",
+            "--param", "a=1.684e-5", "--param", "k=8.539e-9",
+            "--param", "break_year=1955", "--param", "slow_factor=0.4",
+            "--years", "1000:2008:2", "--label", "World", "--out", str(path),
+        )
+        assert code == 0, err
+        with path.open("a") as fh:
+            fh.write(f"World,1,{ad1!r}\n")
+        code, out, _ = run(capsys, "verify", "--trials", "20", "--maddison", str(path),
+                           "--format", "long")
+        *_, check, summary = out.strip().splitlines()
+        assert check.startswith(("PASS" if passed else "FAIL") + "  world-series reproduction")
+        assert summary == ("11/11" if passed else "10/11") + " checks passed"
+        assert code == (0 if passed else 1)
+
+
+class TestMalformedInput:
+    """Bad arguments and unreadable files: exit 2 and one error line, no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("diversion", "--input", "{csv}", "--run-length", "0"),
+        ("diversion", "--input", "{csv}", "--tau", "-1"),
+        ("diversion", "--input", "{csv}", "--tau", "nan"),
+        ("verify", "--trials", "0"),
+        ("verify", "--trials", "-3"),
+        ("synth", "--kind", "hyperbolic", "--param", "a=1", "--param", "k=0.001",
+         "--years", "0:900:50", "--noise", "0.01", "--seed", "-1"),
+        ("fit", "--input", "{dir}"),
+        ("verify", "--maddison", "{dir}"),
+        ("fit", "--input", "{latin1}"),
+        ("verify", "--maddison", "{latin1}", "--format", "long"),
+        ("fit", "--input", "{csv}", "--regions-config", "{latin1}", "--region", "demo"),
+    ], ids=["run-length-0", "tau-negative", "tau-nan", "trials-0", "trials-negative",
+            "seed-negative", "input-dir", "maddison-dir", "input-not-utf8",
+            "maddison-not-utf8", "config-not-utf8"])
+    def test_usage_error(self, hyperbolic_csv, tmp_path, capsys, argv):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("entity,year,value\nM\u00fcnchen,1900,1\n".encode("latin-1"))
+        paths = {"csv": hyperbolic_csv, "dir": tmp_path, "latin1": latin1}
+        code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")

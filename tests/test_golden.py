@@ -1,7 +1,7 @@
 """Byte-identity of the report and CLI outputs on a small synthetic table.
 
 The digests pin every byte the ``report``, ``fit``, ``segment``,
-``diversion`` and ``plot`` paths write, including ``a`` and ``k`` at full
+``diversion``, ``takeoff`` and ``plot`` paths write, including ``a`` and ``k`` at full
 JSON precision, so a refactor of the fitting code that changes any result
 fails here.  A deliberate change of output updates the digests and says why.
 """
@@ -71,6 +71,8 @@ CLI_SHA256 = {
     "diversion world": "a3c1776c5639aa187bc7ad51fa48258502968fc8f099393187f1aea201940307",
     "plot africa csv": "54d65d3cd1690dc1f91c3798a4ac381be0fabce4a44a94761338a54f8b0a2299",
     "plot world svg": "8c0d2dad536023221f6bc54fe7fe6aa8fd62f6a27588b5beddbc865fdca7d1de",
+    "takeoff west": "2f5da73808378a9b066c80b374272bf0d1ad43a80304af126f0ba80c9d76959f",
+    "takeoff world": "6a5a9340ef8ff321bf8df34ecbe878957c257eae9bbbf3911ca78d4eeeeaa328",
 }
 
 CLI_ARGS = {
@@ -84,6 +86,9 @@ CLI_ARGS = {
     "plot africa csv": ("plot", "--region", "africa", "--two-regime", "--emit", "csv"),
     "plot world svg": ("plot", "--region", "world", "--window", "1700:1950",
                        "--mode", "semilog"),
+    "takeoff west": ("takeoff", "--region", "west", "--predicted-year", "1750",
+                     "--halfwidth", "70"),
+    "takeoff world": ("takeoff", "--region", "world", "--predicted-year", "1900"),
 }
 
 

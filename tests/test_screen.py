@@ -21,7 +21,6 @@ from hypergrowth import (
     GeneratorSpec,
     NonHyperbolicError,
     SingularityInWindowError,
-    TakeoffConfig,
     TakeoffHypothesis,
     YearValueSeries,
     fit_hyperbolic,
@@ -33,7 +32,14 @@ from hypergrowth import (
 from hypergrowth.fit import _centred_line, best_fit
 from hypergrowth.model import evaluate
 from hypergrowth.regime import _fit_side
-from hypergrowth.takeoff import _aicc, _judged, _negative, _require_feasible
+from hypergrowth.takeoff import (
+    PROMINENCE_MIN_RATIO,
+    STAGNATION_MAX_RATE,
+    _aicc,
+    _judged,
+    _negative,
+    _require_feasible,
+)
 
 WEIGHTINGS = ("uniform", "direct")
 
@@ -66,7 +72,7 @@ def reference_segment(series, weighting):
     return b, sse, None if left is None or right is None else right.model.k / left.model.k
 
 
-def reference_takeoff(series, hypothesis, config=TakeoffConfig()):
+def reference_takeoff(series, hypothesis):
     t = series.years
     _require_feasible(t, hypothesis)
     n = len(series)
@@ -88,7 +94,7 @@ def reference_takeoff(series, hypothesis, config=TakeoffConfig()):
         prominence_ok, score = True, math.inf
     else:
         score = best_r / pre_rate
-        prominence_ok = score > config.prominence_min_ratio
+        prominence_ok = score > PROMINENCE_MIN_RATIO
     try:
         hyp = fit_hyperbolic(series, FitWindow(float(t[0]), float(t[-1])))
         sse_hyp = float(((logy - np.log(np.asarray(evaluate(hyp.model, t)))) ** 2).sum())
@@ -97,10 +103,10 @@ def reference_takeoff(series, hypothesis, config=TakeoffConfig()):
         ic_gap = math.inf
     evidence = dataclasses.replace(
         _negative(hypothesis), prominence_ok=prominence_ok, prominence_score=score,
-        stagnation_ok=pre_rate < config.stagnation_max_rate, pre_break_rate=pre_rate,
+        stagnation_ok=pre_rate < STAGNATION_MAX_RATE, pre_break_rate=pre_rate,
         break_year=float(t[best_i]), ic_gap=ic_gap,
     )
-    return _judged(evidence, hypothesis, config)
+    return _judged(evidence, hypothesis)
 
 
 def noisy_series(seed):
