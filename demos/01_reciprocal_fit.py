@@ -11,8 +11,8 @@ from hypergrowth import (
     GeneratorSpec,
     fit_hyperbolic,
     generate,
-    goodness,
     maddison_year_grid,
+    relative_deviation,
     round_half_up,
 )
 
@@ -33,7 +33,7 @@ print(f"reciprocal-space R^2 = {fit.r2_reciprocal:.6f}")
 
 # Even two thousand years before the window ends, the fitted curve stays
 # within tens of percent of the data -- the signature of a single regime.
-report = goodness(fit, series)
+deviations = relative_deviation(series.years, series.values, fit.model)
 print("\nyear    deviation from fit (%)")
-for year, dev in report.deviations:
+for year, dev in zip(series.years, deviations):
     print(f"{year:6g}  {dev:+8.1f}")

@@ -29,6 +29,6 @@ assert finding is not None
 print(f"diversion year   : {finding.year:g} ({finding.direction})")
 print(f"proximity        : {finding.proximity_years} years")
 print("evidence points  :")
-for r in finding.evidence:
-    print(f"  {r.year:g}: observed 1/S = {r.observed_reciprocal:.5f}, "
-          f"fitted {r.fitted_reciprocal:.5f}, delta {r.delta:+.2e}")
+for year, observed, fitted in zip(*finding.evidence):
+    print(f"  {year:g}: observed 1/S = {observed:.5f}, "
+          f"fitted {fitted:.5f}, delta {observed - fitted:+.2e}")

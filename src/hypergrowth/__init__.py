@@ -19,7 +19,7 @@ from .errors import (
     SingularityInWindowError,
     TooFewPointsError,
 )
-from .fit import FitWindow, GoodnessReport, HyperbolicFit, fit_hyperbolic, goodness, scan_windows
+from .fit import FitWindow, HyperbolicFit, fit_hyperbolic, scan_windows
 from .ingest import (
     AnalysisConfigFile,
     DatasetTable,
@@ -34,14 +34,11 @@ from .ingest import (
 )
 from .model import (
     HyperbolicModel,
-    ReciprocalResidual,
     evaluate,
     reciprocal_delta,
     reciprocal_line,
-    reciprocal_transform,
     relative_deviation,
     round_half_up,
-    singularity,
 )
 from .plots import PlotSheet, build_plot_sheet, plot_sheet_csv, plot_sheet_svg
 from .regime import (

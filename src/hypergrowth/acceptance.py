@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fit import FitWindow, fit_hyperbolic, goodness
+from .fit import FitWindow, fit_hyperbolic
 from .ingest import DatasetTable, RegionDefinition, build_region_series
-from .model import HyperbolicModel, reciprocal_delta, round_half_up
+from .model import HyperbolicModel, reciprocal_delta, relative_deviation, round_half_up
 from .regime import detect_diversion, proximity, segment_two_hyperbolic
 from .series import YearValueSeries
 from .synth import GeneratorSpec, generate, maddison_year_grid, spliced_models
@@ -137,6 +137,8 @@ def check_parameter_recovery_exact() -> CheckResult:
 
 def check_parameter_recovery_noisy(trials: int = 1000) -> CheckResult:
     """1% multiplicative noise, 30 points: (a, k) within 2% in >= 95% of trials."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     a, k = 1.0, 1.0e-3
     years = tuple(float(y) for y in range(0, 900, 30))  # 30 points, well clear of 1000
     window = FitWindow(years[0], years[-1])
@@ -171,6 +173,8 @@ def _diversion_scenario(seed: int, spliced: bool):
 def check_diversion_detection(trials: int = 1000) -> CheckResult:
     """Spliced series: detection within one year of the splice, >= 95%;
     pure hyperbolic: no finding in >= 99%; direction always slower."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     detected = 0
     wrong_direction = 0
     for seed in range(trials):
@@ -347,9 +351,13 @@ def check_world_reproduction(table: DatasetTable) -> CheckResult:
     finding = detect_diversion(series, fit)
     if finding is None or finding.direction != "slower" or not (1950 <= finding.year <= 1960):
         problems.append(f"diversion {finding} not a slower departure in [1950, 1960]")
-    dev = goodness(fit, series).deviation_at(1.0)
-    if dev is None or not (70.0 <= dev <= 85.0):
-        problems.append(f"AD 1 deviation {dev} outside [70%, 85%]")
+    ad1 = series.values[series.years == 1.0]
+    if len(ad1) == 0:
+        problems.append("no AD 1 observation in the World series")
+    else:
+        dev = relative_deviation(1.0, ad1[0], fit.model)
+        if not (70.0 <= dev <= 85.0):
+            problems.append(f"AD 1 deviation {dev} outside [70%, 85%]")
     return CheckResult(
         "world-series reproduction (data-dependent)",
         not problems,

@@ -12,20 +12,22 @@ import dataclasses
 import json
 import math
 import sys
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from .acceptance import check_world_reproduction, run_all_checks
 from .errors import GeneratorError, HypergrowthError, ParseError
-from .fit import FitWindow, best_fit, goodness
+from .fit import FitWindow, best_fit
 from .ingest import (
     DatasetTable,
     build_region_series,
     parse_long_csv,
     parse_region_config,
     parse_wide_table,
+    parse_window,
     series_to_long_csv,
 )
-from .model import round_half_up
+from .model import relative_deviation, round_half_up
 from .plots import build_plot_sheet, plot_sheet_csv, plot_sheet_svg
 from .regime import detect_diversion, segment_two_hyperbolic
 from .report import _region_fits, render_report, run_analysis
@@ -52,16 +54,6 @@ def _write_output(data: bytes, out: str | None):
 
 def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
-def _parse_window(text: str) -> FitWindow:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise CliError(f"--window must be START:END, got {text!r}")
-    try:
-        return FitWindow(float(parts[0]), float(parts[1]))
-    except (ValueError, HypergrowthError) as exc:
-        raise CliError(f"bad --window {text!r}: {exc}") from exc
 
 
 def _add_input_args(p: argparse.ArgumentParser):
@@ -131,25 +123,32 @@ def _fit_summary(fit) -> dict:
     }
 
 
+def _window(args) -> FitWindow | None:
+    return FitWindow(*parse_window(args.window, "--window")) if args.window else None
+
+
 def _fit_series(series, args):
-    window = _parse_window(args.window) if args.window else None
-    return best_fit(series, window, args.weighting)
+    return best_fit(series, _window(args), args.weighting)
 
 
 def cmd_fit(args) -> int:
     series = _load_series(args)
     fit = _fit_series(series, args)
-    report = goodness(fit, series)
+    # Years increase, so the years at or past the singularity, where the model
+    # cannot be evaluated, come last; their deviation is null.
+    n = int((series.years < fit.model.singularity_year).sum())
+    devs = relative_deviation(series.years[:n], series.values[:n], fit.model).tolist()
+    devs += [None] * (len(series) - n)
     doc = _fit_summary(fit)
-    doc["deviations_percent"] = [[y, d] for y, d in report.deviations]
+    doc["deviations_percent"] = [[y, d] for y, d in zip(series.years.tolist(), devs)]
     _write_output(_json_bytes(doc), args.out)
     return 0
 
 
 def cmd_segment(args) -> int:
     series = _load_series(args)
-    if args.window:
-        window = _parse_window(args.window)
+    window = _window(args)
+    if window is not None:
         series = series.slice_window(window.start_year, window.end_year)
     seg = segment_two_hyperbolic(series, weighting=args.weighting)
     doc = {
@@ -185,12 +184,12 @@ def cmd_diversion(args) -> int:
             "proximity_years": finding.proximity_years,
             "evidence": [
                 {
-                    "year": r.year,
-                    "observed_reciprocal": r.observed_reciprocal,
-                    "fitted_reciprocal": r.fitted_reciprocal,
-                    "delta": r.delta,
+                    "year": y,
+                    "observed_reciprocal": r,
+                    "fitted_reciprocal": f,
+                    "delta": r - f,
                 }
-                for r in finding.evidence
+                for y, r, f in zip(*(arr.tolist() for arr in finding.evidence))
             ],
         }
     _write_output(_json_bytes(doc), args.out)
@@ -230,8 +229,7 @@ def cmd_report(args) -> int:
 
 def cmd_plot(args) -> int:
     series = _load_series(args)
-    window = _parse_window(args.window) if args.window else None
-    fits, breakpoint = _region_fits(series, window, args.two_regime, args.weighting)
+    fits, breakpoint = _region_fits(series, _window(args), args.two_regime, args.weighting)
     annotations = [] if breakpoint is None else [("breakpoint", breakpoint)]
     last_fit = fits[-1]
     annotations.append(("singularity", last_fit.model.singularity_year))
@@ -269,17 +267,14 @@ def cmd_synth(args) -> int:
         if len(parts) not in (2, 3):
             raise CliError(f"--years must be START:END[:STEP], got {args.years!r}")
         try:
-            start, end = float(parts[0]), float(parts[1])
-            step = float(parts[2]) if len(parts) == 3 else 1.0
-        except ValueError:
+            start, end, step = (Decimal(p) for p in parts + ["1"] * (3 - len(parts)))
+        except InvalidOperation:
             raise CliError(f"bad --years {args.years!r}") from None
-        if not (math.isfinite(start) and math.isfinite(end) and math.isfinite(step) and step > 0):
+        if not (all(d.is_finite() and math.isfinite(float(d)) for d in (start, end, step))
+                and float(step) > 0):
             raise CliError(f"--years needs finite START, END and STEP > 0, got {args.years!r}")
-        years = []
-        y = start
-        while y <= end + 1e-9:
-            years.append(y)
-            y += step
+        # Each year is START + i*STEP in decimal, so rounding does not build up.
+        years = [float(start + i * step) for i in range(math.floor((end - start) / step) + 1)]
     else:
         raise CliError("synth requires --years or --maddison-grid")
     spec = GeneratorSpec(

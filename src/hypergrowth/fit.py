@@ -39,7 +39,7 @@ from .errors import (
     SingularityInWindowError,
     TooFewPointsError,
 )
-from .model import HyperbolicModel, reciprocal_line, relative_deviation
+from .model import HyperbolicModel, reciprocal_line
 from .series import YearValueSeries
 
 WEIGHTINGS = ("uniform", "direct")
@@ -168,45 +168,6 @@ def fit_hyperbolic(
         r2_reciprocal=r2,
         max_abs_relative_deviation=float(rel_dev.max()),
         weighting=weighting,
-    )
-
-
-@dataclass(frozen=True)
-class GoodnessReport:
-    """Whole-series diagnostics for one fit.
-
-    ``deviations`` holds a signed percent deviation for every observed year of
-    the series (also outside the fit window); None where the model is not
-    evaluable (year at or past the singularity).
-    """
-
-    rmse_reciprocal: float
-    r2_reciprocal: float
-    deviations: tuple[tuple[float, float | None], ...]
-
-    def deviation_at(self, year: float) -> float | None:
-        for y, d in self.deviations:
-            if y == year:
-                return d
-        raise KeyError(f"year {year} not in series")
-
-
-def goodness(fit: HyperbolicFit, series: YearValueSeries) -> GoodnessReport:
-    """In-window error summary plus out-of-window deviations.
-
-    Out-of-window deviations support the characteristic commentary of this
-    analysis style, e.g. how far the earliest observation sits above a curve
-    fitted to later data.
-    """
-    sing = fit.model.singularity_year
-    devs = tuple(
-        (float(year), None if year >= sing else relative_deviation(year, value, fit.model))
-        for year, value in zip(series.years, series.values)
-    )
-    return GoodnessReport(
-        rmse_reciprocal=fit.rmse_reciprocal,
-        r2_reciprocal=fit.r2_reciprocal,
-        deviations=devs,
     )
 
 

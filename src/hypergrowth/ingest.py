@@ -228,6 +228,18 @@ def _config_number(parser, section: str, key: str, fallback=None):
     return _parse_number(parser.get(section, key).strip(), key, f"section [{section}]")
 
 
+def parse_window(text: str, where: str) -> tuple[float, float]:
+    """Finite ``START:END`` years with START < END; ParseError naming ``where`` otherwise."""
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise ParseError(f"{where}: window must be START:END, got {text!r}")
+    start = _parse_number(parts[0].strip(), "window start", where)
+    end = _parse_number(parts[1].strip(), "window end", where)
+    if not start < end:
+        raise ParseError(f"{where}: window start must precede its end, got {text!r}")
+    return start, end
+
+
 def parse_region_config(text: str) -> AnalysisConfigFile:
     """Parse the plain key-value region config.
 
@@ -266,16 +278,7 @@ def parse_region_config(text: str) -> AnalysisConfigFile:
         )
         window = None
         if parser.has_option(section, "window"):
-            raw = parser.get(section, "window")
-            parts = raw.split(":")
-            if len(parts) != 2:
-                raise ParseError(f"{where}: window must be START:END, got {raw!r}")
-            window = (
-                _parse_number(parts[0].strip(), "window start", where),
-                _parse_number(parts[1].strip(), "window end", where),
-            )
-            if not window[0] < window[1]:
-                raise ParseError(f"{where}: window start must precede its end, got {raw!r}")
+            window = parse_window(parser.get(section, "window"), where)
         halfwidth = _config_number(parser, section, "takeoff_halfwidth", 50.0)
         _check_positive(halfwidth, f"{where}: takeoff_halfwidth")
         regions.append(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationDomainError, SeriesError
-from .series import YearValueSeries
 
 
 def round_half_up(x: float) -> int:
@@ -40,19 +39,6 @@ class HyperbolicModel:
     def singularity_year(self) -> float:
         """Real-valued year a/k at which the model diverges."""
         return self.a / self.k
-
-
-@dataclass(frozen=True)
-class ReciprocalResidual:
-    """Observed minus fitted reciprocal value at one year."""
-
-    year: float
-    observed_reciprocal: float
-    fitted_reciprocal: float
-
-    @property
-    def delta(self) -> float:
-        return self.observed_reciprocal - self.fitted_reciprocal
 
 
 def evaluate(model: HyperbolicModel, t):
@@ -81,16 +67,6 @@ def reciprocal_line(model: HyperbolicModel, t):
     return float(out) if out.ndim == 0 else out
 
 
-def singularity(model: HyperbolicModel) -> float:
-    """Year of the escape to infinity, a/k (not rounded)."""
-    return model.singularity_year
-
-
-def reciprocal_transform(series: YearValueSeries) -> YearValueSeries:
-    """Map each value v to 1/v; years untouched.  An involution."""
-    return YearValueSeries(series.years, 1.0 / series.values, series.label)
-
-
 def reciprocal_delta(s1, s2):
     """Difference of reciprocals, 1/s2 - 1/s1, via -(s2 - s1)/(s1*s2).
 
@@ -106,11 +82,12 @@ def reciprocal_delta(s1, s2):
     return float(out) if out.ndim == 0 else out
 
 
-def relative_deviation(year: float, value: float, model: HyperbolicModel) -> float:
-    """Signed percent deviation of an observation from the fitted curve.
+def relative_deviation(year, value, model: HyperbolicModel):
+    """Signed percent deviation of observations from the fitted curve.
 
     100 * (observed - fitted) / fitted; positive means the observation lies
-    above the curve.  Raises EvaluationDomainError at or past the singularity.
+    above the curve.  ``year`` and ``value`` are scalars or aligned arrays.
+    Raises EvaluationDomainError at or past the singularity.
     """
     fitted = evaluate(model, year)
     return 100.0 * (value - fitted) / fitted

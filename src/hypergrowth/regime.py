@@ -16,6 +16,7 @@ only the splits that may tie the best are fitted exactly (see ``fit``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +30,7 @@ from .fit import (
     _weights,
     fit_hyperbolic,
 )
-from .model import (
-    HyperbolicModel,
-    ReciprocalResidual,
-    reciprocal_line,
-    round_half_up,
-)
+from .model import HyperbolicModel, reciprocal_line, round_half_up
 from .series import YearValueSeries
 
 # MAD -> sigma for a normal distribution.
@@ -43,11 +39,15 @@ _MAD_TO_SIGMA = 1.4826
 
 @dataclass(frozen=True)
 class DiversionFinding:
-    """First year of systematic departure from a fitted trajectory."""
+    """First year of systematic departure from a fitted trajectory.
+
+    ``evidence`` holds read-only arrays over the offending run: its years, the
+    observed reciprocals and the fitted reciprocals.
+    """
 
     year: float
     direction: str  # "slower" | "faster"
-    evidence: tuple[ReciprocalResidual, ...]
+    evidence: tuple[np.ndarray, np.ndarray, np.ndarray]
     proximity_years: int | None  # only meaningful for direction == "slower"
 
 
@@ -89,6 +89,8 @@ def detect_diversion(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
     tail = series.after(fit.window.end_year)
     if tail is None:
         raise TooFewPointsError("series does not extend beyond the fit window")
@@ -107,10 +109,9 @@ def detect_diversion(
         run = slice(i, i + m)
         if exceeds[run].all() and np.all(signs[run] == signs[i]) and signs[i] != 0:
             direction = "slower" if signs[i] > 0 else "faster"
-            evidence = tuple(
-                ReciprocalResidual(float(y), float(r), float(f))
-                for y, r, f in zip(tail.years[run], recips[run], fitted[run])
-            )
+            evidence = tuple(arr[run].copy() for arr in (tail.years, recips, fitted))
+            for arr in evidence:
+                arr.setflags(write=False)
             year = float(tail.years[i])
             prox = proximity(fit.model, year) if direction == "slower" else None
             return DiversionFinding(year, direction, evidence, prox)

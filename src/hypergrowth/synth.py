@@ -100,13 +100,8 @@ def _exact_values(spec: GeneratorSpec, years: np.ndarray) -> np.ndarray:
 
 
 def _spliced_values(p: dict, years: np.ndarray) -> np.ndarray:
-    a1, k1, b, ratio = p["a"], p["k"], p["break_year"], p["k_ratio"]
-    k2 = ratio * k1
-    # Continuity of the reciprocal at the break: a2 - k2*b = a1 - k1*b.
-    a2 = a1 + (k2 - k1) * b
-    m1 = HyperbolicModel(a1, k1)
-    m2 = HyperbolicModel(a2, k2)
-    left = years <= b
+    m1, m2 = spliced_models(p)
+    left = years <= p["break_year"]
     if left.any() and years[left][-1] >= m1.singularity_year:
         raise GeneratorError("first-regime sample years reach its singularity")
     if years[-1] >= m2.singularity_year:
@@ -143,6 +138,7 @@ def spliced_models(p: dict) -> tuple[HyperbolicModel, HyperbolicModel]:
     """The two exact models behind a spliced-two-hyperbolic spec."""
     a1, k1, b, ratio = p["a"], p["k"], p["break_year"], p["k_ratio"]
     k2 = ratio * k1
+    # Continuity of the reciprocal at the break: a2 - k2*b = a1 - k1*b.
     return HyperbolicModel(a1, k1), HyperbolicModel(a1 + (k2 - k1) * b, k2)
 
 

@@ -26,6 +26,7 @@ from hypergrowth.acceptance import (
     check_two_regime_exact,
     check_two_regime_noisy,
     check_world_reproduction,
+    run_all_checks,
 )
 
 TRIALS = int(os.environ.get("HYPERGROWTH_ACCEPTANCE_TRIALS", "1000"))
@@ -58,6 +59,15 @@ def test_parameter_recovery_noisy():
 
 def test_diversion_detection():
     assert_check(check_diversion_detection(TRIALS))
+
+
+# trials = 0 divided by zero; a negative count ran no trial and scored 0%.
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("check", [check_parameter_recovery_noisy, check_diversion_detection,
+                                   run_all_checks])
+def test_trials_must_be_positive(check, trials):
+    with pytest.raises(ValueError, match="trials"):
+        check(trials=trials)
 
 
 def test_two_regime_exact():

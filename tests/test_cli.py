@@ -272,6 +272,21 @@ class TestSynth:
         assert code == 2
         assert "--years" in err
 
+    # Summing STEP once per year drifted: 0:1:0.1 wrote 0.30000000000000004
+    # and ended at 0.9999999999999999.
+    @pytest.mark.parametrize("years, expected", [
+        ("0:1:0.1", [round(i * 0.1, 1) for i in range(11)]),
+        ("1900:1901:0.05", [round(1900 + i * 0.05, 2) for i in range(21)]),
+        ("1000:1010:5", [1000.0, 1005.0, 1010.0]),
+        ("1000:1011:5", [1000.0, 1005.0, 1010.0]),
+    ])
+    def test_years_are_start_plus_multiples_of_step(self, capsys, years, expected):
+        code, out, err = run(capsys, "synth", "--kind", "constant", "--param", "level=1",
+                             "--years", years)
+        assert code == 0, err
+        table = parse_long_csv(out.encode())
+        assert sorted(table.rows["constant"]) == expected
+
     def test_infeasible_generator_is_usage_error(self, capsys):
         # Sampling past the singularity at year 1000.
         code, _, _ = run(capsys, "synth", "--kind", "hyperbolic",
@@ -290,8 +305,9 @@ class TestVerify:
 
     # World GDP in millions, the Maddison unit that --unit-scale's 1e-3 default
     # converts: the reference world curve, slower after 1955, plus an AD 1
-    # observation 77% (passes) or 1% (fails) above the curve.
-    @pytest.mark.parametrize("ad1, passed", [(105_000.0, True), (60_000.0, False)])
+    # observation 77% (passes) or 1% (fails) above the curve, or none (fails).
+    @pytest.mark.parametrize("ad1, passed", [(105_000.0, True), (60_000.0, False),
+                                             (None, False)])
     def test_world_reproduction_from_table(self, tmp_path, capsys, ad1, passed):
         path = tmp_path / "world.csv"
         code, _, err = run(
@@ -301,12 +317,14 @@ class TestVerify:
             "--years", "1000:2008:2", "--label", "World", "--out", str(path),
         )
         assert code == 0, err
-        with path.open("a") as fh:
-            fh.write(f"World,1,{ad1!r}\n")
+        if ad1 is not None:
+            with path.open("a") as fh:
+                fh.write(f"World,1,{ad1!r}\n")
         code, out, _ = run(capsys, "verify", "--trials", "20", "--maddison", str(path),
                            "--format", "long")
         *_, check, summary = out.strip().splitlines()
         assert check.startswith(("PASS" if passed else "FAIL") + "  world-series reproduction")
+        assert passed or "AD 1" in check
         assert summary == ("11/11" if passed else "10/11") + " checks passed"
         assert code == (0 if passed else 1)
 
@@ -327,9 +345,11 @@ class TestMalformedInput:
         ("fit", "--input", "{latin1}"),
         ("verify", "--maddison", "{latin1}", "--format", "long"),
         ("fit", "--input", "{csv}", "--regions-config", "{latin1}", "--region", "demo"),
+        ("fit", "--input", "{csv}", "--window=-inf:600"),
+        ("fit", "--input", "{csv}", "--window", "0:inf"),
     ], ids=["run-length-0", "tau-negative", "tau-nan", "trials-0", "trials-negative",
             "seed-negative", "input-dir", "maddison-dir", "input-not-utf8",
-            "maddison-not-utf8", "config-not-utf8"])
+            "maddison-not-utf8", "config-not-utf8", "window-start-inf", "window-end-inf"])
     def test_usage_error(self, hyperbolic_csv, tmp_path, capsys, argv):
         latin1 = tmp_path / "latin1.txt"
         latin1.write_bytes("entity,year,value\nM\u00fcnchen,1900,1\n".encode("latin-1"))

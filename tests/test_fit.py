@@ -12,7 +12,7 @@ from hypergrowth import (
     YearValueSeries,
     fit_hyperbolic,
     generate,
-    goodness,
+    relative_deviation,
     scan_windows,
 )
 
@@ -93,33 +93,33 @@ class TestFitHyperbolic:
 
 
 class TestGoodness:
+    """In-window error summary, and relative_deviation over a whole series."""
+
     def test_exact_data(self):
         s = hyperbolic_series()
         fit = fit_hyperbolic(s, FitWindow(0.0, 900.0))
-        report = goodness(fit, s)
-        assert report.rmse_reciprocal == pytest.approx(0.0, abs=1e-14)
-        assert report.r2_reciprocal == pytest.approx(1.0)
-        for _, dev in report.deviations:
-            assert dev == pytest.approx(0.0, abs=1e-9)
+        assert fit.rmse_reciprocal == pytest.approx(0.0, abs=1e-14)
+        assert fit.r2_reciprocal == pytest.approx(1.0)
+        devs = relative_deviation(s.years, s.values, fit.model)
+        np.testing.assert_allclose(devs, 0.0, atol=1e-9)
 
     def test_doubling_one_point(self):
         s = hyperbolic_series()
         values = s.values.copy()
         values[3] *= 2.0
-        bumped = YearValueSeries(s.years, values)
         fit = fit_hyperbolic(s, FitWindow(0.0, 900.0))
-        report = goodness(fit, bumped)
-        devs = dict(report.deviations)
-        assert devs[300.0] == pytest.approx(100.0, abs=1e-9)
-        others = [d for y, d in report.deviations if y != 300.0]
-        assert max(abs(d) for d in others) < 1e-9
+        devs = relative_deviation(s.years, values, fit.model)
+        assert s.years[3] == 300.0
+        assert devs[3] == pytest.approx(100.0, abs=1e-9)
+        assert np.abs(np.delete(devs, 3)).max() < 1e-9
 
     def test_out_of_window_deviation_reported(self):
         s = hyperbolic_series(years=tuple(float(y) for y in range(0, 951, 50)))
         fit = fit_hyperbolic(s, FitWindow(200.0, 900.0))
-        report = goodness(fit, s)
-        assert report.deviation_at(0.0) == pytest.approx(0.0, abs=1e-9)
-        assert len(report.deviations) == len(s)
+        devs = relative_deviation(s.years, s.values, fit.model)
+        assert devs.shape == (len(s),)
+        assert s.years[0] == 0.0
+        assert devs[0] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestScanWindows:

@@ -14,10 +14,9 @@ from hypergrowth import (
     YearValueSeries,
     evaluate,
     reciprocal_delta,
-    reciprocal_transform,
+    reciprocal_line,
     relative_deviation,
     round_half_up,
-    singularity,
 )
 
 WORLD = HyperbolicModel(1.684e-2, 8.539e-6)
@@ -55,13 +54,13 @@ class TestEvaluate:
 
 class TestSingularity:
     def test_world_row(self):
-        assert round_half_up(singularity(WORLD)) == 1972
+        assert round_half_up(WORLD.singularity_year) == 1972
 
     def test_asia_row(self):
-        assert round_half_up(singularity(HyperbolicModel(2.303e-2, 1.129e-5))) == 2040
+        assert round_half_up(HyperbolicModel(2.303e-2, 1.129e-5).singularity_year) == 2040
 
     def test_unit_model(self):
-        assert singularity(HyperbolicModel(1.0, 1.0)) == pytest.approx(1.0)
+        assert HyperbolicModel(1.0, 1.0).singularity_year == pytest.approx(1.0)
 
     def test_parameters_must_be_positive(self):
         with pytest.raises(SeriesError):
@@ -71,34 +70,12 @@ class TestSingularity:
 
 
 class TestReciprocalTransform:
-    def test_single_point(self):
-        s = YearValueSeries([2000.0], [2.0])
-        assert reciprocal_transform(s).values[0] == pytest.approx(0.5)
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 3000), st.floats(1e-6, 1e6)),
-            min_size=1,
-            max_size=30,
-            unique_by=lambda p: p[0],
-        )
-    )
-    def test_involution(self, points):
-        points.sort()
-        years = [float(y) for y, _ in points]
-        values = [v for _, v in points]
-        s = YearValueSeries(years, values)
-        back = reciprocal_transform(reciprocal_transform(s))
-        np.testing.assert_array_equal(back.years, s.years)
-        np.testing.assert_allclose(back.values, s.values, rtol=1e-15)
-
     def test_model_series_is_collinear(self):
         model = HyperbolicModel(1.0, 0.001)
         years = np.arange(0.0, 901.0, 100.0)
-        s = YearValueSeries(years, evaluate(model, years))
-        recip = reciprocal_transform(s).values
-        expected = model.a - model.k * years
-        np.testing.assert_allclose(recip, expected, rtol=1e-12)
+        recip = 1.0 / evaluate(model, years)
+        np.testing.assert_allclose(recip, reciprocal_line(model, years), rtol=1e-12)
+        np.testing.assert_allclose(recip, model.a - model.k * years, rtol=1e-12)
 
 
 class TestReciprocalDelta:

@@ -56,8 +56,12 @@ class TestDetectDiversion:
         assert finding is not None
         assert finding.direction == "slower"
         assert abs(finding.year - 995.0) <= 1.0
-        assert len(finding.evidence) == 2
-        assert all(r.delta > 0 for r in finding.evidence)
+        years, observed, fitted = finding.evidence
+        np.testing.assert_array_equal(years, [finding.year, finding.year + 1.0])
+        assert np.all(observed - fitted > 0)
+        for arr in finding.evidence:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_faster_departure_detected_with_flipped_sign(self):
         # A series that accelerates beyond the fitted trajectory bends the
@@ -86,6 +90,18 @@ class TestDetectDiversion:
         assert finding is not None
         assert finding.direction == "slower"
         assert finding.year == 910.0
+
+    # tau = -1 made any two same-sign residuals a diversion (a "faster" one
+    # at 630 on this pure hyperbolic series); nan silently found nothing.
+    @pytest.mark.parametrize("tau", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_tau_must_be_finite_and_positive(self, tau):
+        years = tuple(float(y) for y in range(0, 900, 30))
+        s = generate(GeneratorSpec("hyperbolic", {"a": 1.0, "k": 1e-3}, years,
+                                   noise=0.01, seed=3))
+        fit = fit_hyperbolic(s, FitWindow(0.0, 600.0))
+        assert detect_diversion(s, fit) is None
+        with pytest.raises(ValueError, match="tau"):
+            detect_diversion(s, fit, tau=tau)
 
     def test_requires_points_beyond_window(self):
         s = generate(
