@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fit import FitWindow, fit_hyperbolic
+from .fit import FitWindow, best_fit, fit_hyperbolic
 from .ingest import DatasetTable, RegionDefinition, build_region_series
 from .model import HyperbolicModel, reciprocal_delta, relative_deviation, round_half_up
 from .regime import detect_diversion, proximity, segment_two_hyperbolic
@@ -298,6 +298,45 @@ def check_takeoff_verdicts() -> CheckResult:
     )
 
 
+_SLOWER_PARAMS = {"a": 1.684e-2, "k": 8.539e-6, "break_year": 1955.0, "slow_factor": 0.4}
+
+
+def check_automatic_window() -> CheckResult:
+    """1% noise on an annual (1000-2008) and the sparse grid, 200 seeds each.
+
+    Every automatic window recovers k within 1% (annual) or 5% (sparse).
+    hyperbolic-then-slower (break 1955): the window ends within one year, one
+    grid step, of the break in >= 90% of seeds.  Pure hyperbolic: every
+    annual window keeps the full span.
+    """
+    grids = {"annual": (tuple(float(y) for y in range(1000, 2009)), 0.01),
+             "sparse": (tuple(maddison_year_grid()), 0.05)}
+    seeds, problems, notes = 200, [], []
+    for kind, params in (("hyperbolic-then-slower", _SLOWER_PARAMS),
+                         ("hyperbolic", {"a": 1.0, "k": 4.0e-4})):
+        for grid, (years, k_tol) in grids.items():
+            fits = [best_fit(generate(GeneratorSpec(kind, params, years, noise=0.01, seed=seed)),
+                             None, "uniform") for seed in range(seeds)]
+            k_err = max(abs(f.model.k / params["k"] - 1) for f in fits)
+            if k_err > k_tol:
+                problems.append(f"{kind} {grid}: k off by {k_err:.1%}")
+            if kind == "hyperbolic":
+                kept = sum(f.window.end_year == years[-1] for f in fits)
+                notes.append(f"{kind} {grid}: full span {kept}/{seeds}, k within {k_err:.1%}")
+                if grid == "annual" and kept < seeds:
+                    problems.append(f"{kind} {grid}: full span kept in {kept}/{seeds}")
+                continue
+            near = sum(abs(f.window.end_year - 1955.0) <= 1 for f in fits) / seeds
+            notes.append(f"{kind} {grid}: end at 1955 +-1 in {near:.1%}, k within {k_err:.1%}")
+            if near < 0.9:
+                problems.append(f"{kind} {grid}: end at 1955 +-1 in only {near:.1%}")
+    return CheckResult(
+        f"automatic window ({seeds} seeds per shape and grid, 1% noise)",
+        not problems,
+        "; ".join(problems or notes),
+    )
+
+
 def check_reciprocal_delta_identity(n: int = 1_000_000, seed: int = 7) -> CheckResult:
     """-(s2-s1)/(s1*s2) equals 1/s2 - 1/s1 to 1e-12 relative, 1e6 pairs."""
     rng = np.random.default_rng(seed)
@@ -328,6 +367,7 @@ def run_all_checks(trials: int = 1000) -> list[CheckResult]:
         check_two_regime_exact(),
         check_two_regime_noisy(),
         check_takeoff_verdicts(),
+        check_automatic_window(),
         check_reciprocal_delta_identity(),
     ]
 

@@ -20,6 +20,7 @@ from .errors import GeneratorError, HypergrowthError, ParseError
 from .fit import FitWindow, best_fit
 from .ingest import (
     DatasetTable,
+    _check_positive,
     build_region_series,
     parse_long_csv,
     parse_region_config,
@@ -197,6 +198,9 @@ def cmd_diversion(args) -> int:
 
 
 def cmd_takeoff(args) -> int:
+    if not math.isfinite(args.predicted_year):
+        raise CliError(f"--predicted-year {args.predicted_year:g} is not finite")
+    _check_positive(args.halfwidth, "--halfwidth")
     series = _load_series(args)
     hyp = TakeoffHypothesis(args.predicted_year, args.halfwidth)
     doc = dataclasses.asdict(takeoff_test(series, hyp))

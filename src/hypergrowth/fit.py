@@ -15,18 +15,23 @@ over-weights the early, small-value points.
 
 The searches over many candidate lines (``scan_windows`` here, the
 two-regime split in ``regime`` and the takeoff break in ``takeoff``) screen,
-then confirm.  Cumulative sums of 1, t, y, t^2, t*y and y^2 (weighted for the
-line, plain for the residual sum of squares that ranks candidates) give
-every contiguous run's line and rank key in closed form, with a bound on
-their rounding derived from the magnitudes of the summed terms.  Each search
-then hands ``_best_first`` a lower bound per candidate and the exact refit:
-only the candidates whose bounds reach the best exact key are refitted, and
-they are ranked by that key, so every result is the exact solver's own.
+then refit.  Cumulative sums of 1, t, y, t^2, t*y and y^2 (weighted for the
+line, plain for the plain residual sum of squares) give every contiguous
+run's line and cost in closed form, O(1) per run.  Each search takes the best
+screened candidate under one tie rule: costs within ``_TIE_RTOL`` times the
+series' total sum of squares about its mean tie, so rounding noise on exact
+data cannot decide.  Only the chosen candidate is refitted, by
+``fit_hyperbolic`` or ``_centred_line``, so every returned fit is the exact
+solver's own.
+
+The automatic window (``scan_windows``, behind ``best_fit``) is the paper's
+account of a series: hyperbolic growth from the series start up to a
+diversion, then some other growth, modelled as a log-linear tail.  The break,
+or no break at all, is chosen by BIC.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -84,14 +89,6 @@ class HyperbolicFit:
     @property
     def n_points(self) -> int:
         return len(self.years)
-
-    @property
-    def rmse_per_dof(self) -> float:
-        """sqrt(SSE / (n - 2)); the scan_windows ranking score."""
-        # A Python sum in observation order: which of two near-tied windows
-        # ranks first, and so the automatic window, rests on the last bits.
-        sse = sum((self.deltas**2).tolist())
-        return float(np.sqrt(sse / (self.n_points - 2))) if self.n_points > 2 else 0.0
 
 
 def _centred_line(t: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -171,86 +168,37 @@ def fit_hyperbolic(
     )
 
 
-# Rows of _CumulativeSums.P: w-weighted 1, t, y, t^2, t*y, y^2, then plain.
-_W, _WT, _WY, _WTT, _WTY, _WYY, _N, _T, _Y, _TT, _TY, _YY = range(12)
-_EPS = float(np.finfo(float).eps)
-_CHUNK = 1 << 15  # windows screened per block, to bound scan_windows' temporaries
+# Rows of _CumulativeSums.P: w-weighted 1, t, y, t^2, t*y, y^2 (0-5), then plain.
+_N, _T, _Y, _TT, _TY, _YY = range(6, 12)
+# Screened costs within this share of the total sum of squares about the mean tie.
+_TIE_RTOL = 1e-12
 
 
 class _Lines(NamedTuple):
     """Screened weighted lines y = mu_y + level + slope * (t - mu_t) of many runs.
 
-    ``sse`` is the plain (unweighted) squared residual about the line and
-    ``mean_sse`` about the run's plain mean.  Each ``e_*`` bounds the gap
-    between the screened value and the exact solver's result, from the
-    magnitudes of the summed terms; it is inf where the screen cannot tell.
+    ``sse`` is the plain (unweighted) squared residual about the line, ``wsse``
+    the weighted one, and ``mean_sse`` the plain one about the run's plain mean.
     """
 
     slope: np.ndarray
     level: np.ndarray
     sse: np.ndarray
+    wsse: np.ndarray
     mean_sse: np.ndarray
-    e_slope: np.ndarray
-    e_level: np.ndarray
-    e_sse: np.ndarray
-    e_mean_sse: np.ndarray
 
 
-def _screen_lines(S: np.ndarray, E: np.ndarray, mu_t: float, mu_y: float) -> _Lines:
-    """The weighted line, its plain SSE and their error bounds from run sums.
-
-    ``S`` and ``E`` are (12, m) arrays of run sums (rows as in
-    _CumulativeSums) and bounds on their rounding, each at least 8 * eps times
-    the sum's magnitude; ``mu_t`` and ``mu_y`` turn the centred t and y back
-    into the raw values the exact solver sees.  Each bound is first order in
-    the rounding: the sums' errors carried through, doubled to cover the
-    rounding of the arithmetic on them, then doubled again.
-    """
+def _screen_lines(S: np.ndarray) -> _Lines:
+    """The weighted line and its residual sums of squares from (12, m) run sums."""
     W, Wt, Wy, Wtt, Wty, Wyy, N, St, Sy, Stt, Sty, Syy = S
-    eW, eWt, eWy, eWtt, eWty, _, _, eSt, eSy, eStt, eSty, eSyy = E
     with np.errstate(divide="ignore", invalid="ignore"):
         tc, yc = Wt / W, Wy / W
-        ctt = Wtt - Wt * tc
-        slope = (Wty - Wt * yc) / ctt
+        cty = Wty - Wt * yc
+        slope = cty / (Wtt - Wt * tc)
         level = yc - slope * tc
         sse = (Syy - 2 * level * Sy - 2 * slope * Sty + N * level**2
                + 2 * level * slope * St + slope**2 * Stt)
-        ybar = Sy / N
-        mean_sse = Syy - Sy * ybar
-
-        # The screen: each quantity moves with the errors of the sums it uses.
-        e_ctt = 2 * (eWtt + 2 * abs(tc) * eWt + tc**2 * eW)
-        e_slope = 2 * (eWty + abs(yc) * eWt + abs(tc) * eWy + abs(tc * yc) * eW) / ctt
-        e_slope += abs(slope) * e_ctt / ctt
-        e_level = 2 * (eWy + abs(yc) * eW + abs(slope) * (eWt + abs(tc) * eW)) / W
-        # The exact solver: rounding of its own sums over the raw t and y.
-        gamma = (N + 3) * _EPS
-        root_y = np.sqrt(Wyy) + np.sqrt(W) * abs(mu_y)
-        root_t = np.sqrt(Wtt) + np.sqrt(W) * abs(mu_t)
-        e_slope += 3 * gamma * (root_y + abs(slope) * root_t) / np.sqrt(ctt)
-        e_level += gamma * (root_y + abs(slope) * root_t) / np.sqrt(W) + abs(tc) * e_slope
-
-        # A line off by at most e_level + |t| * e_slope over the run moves the
-        # SSE by at most 2 * sqrt(SSE) * D + D^2, D the root-sum-square offset;
-        # the exact solver's residuals round at the scale of the raw values.
-        e_terms = 2 * (eSyy + 2 * abs(level) * eSy + 2 * abs(slope) * eSty
-                       + 2 * abs(level * slope) * eSt + slope**2 * eStt)
-        raw = (np.sqrt(Syy) + np.sqrt(N) * (abs(mu_y) + abs(mu_y + level - slope * mu_t))
-               + abs(slope) * (np.sqrt(Stt) + np.sqrt(N) * abs(mu_t)))
-        D = np.sqrt(N) * e_level + np.sqrt(Stt) * e_slope + 8 * _EPS * raw
-        e_sse = 2 * (e_terms + D * (2 * np.sqrt(np.maximum(sse, 0) + e_terms) + D)
-                     + gamma * (abs(sse) + e_terms))
-        e_mean = 2 * (eSyy + 2 * abs(ybar) * eSy)
-        Dm = eSy / np.sqrt(N) + 2 * gamma * (np.sqrt(Syy) + np.sqrt(N) * abs(mu_y))
-        e_mean_sse = 2 * (e_mean + Dm * (2 * np.sqrt(np.maximum(mean_sse, 0) + e_mean) + Dm)
-                          + gamma * abs(mean_sse))
-    # The first-order bounds need a well-determined slope; where it is not,
-    # the screen knows nothing of the line and its SSE.
-    unsure = ~(e_ctt < 0.5 * ctt)
-    inf = np.inf
-    return _Lines(slope, level, np.where(unsure, 0.0, sse), mean_sse,
-                  np.where(unsure, inf, e_slope), np.where(unsure, inf, e_level),
-                  np.where(unsure, inf, e_sse), e_mean_sse)
+        return _Lines(slope, level, sse, Wyy - Wy * yc - slope * cty, Syy - Sy**2 / N)
 
 
 class _CumulativeSums:
@@ -259,7 +207,9 @@ class _CumulativeSums:
     ``P[:, j + 1] - P[:, i]`` sums the rows (w-weighted 1, t, y, t^2, t*y,
     y^2, then the plain ones) over points i..j.  t and y are centred on their
     plain means ``mu_t`` and ``mu_y`` first, which keeps the cancellation in a
-    run's centred moments small.
+    run's centred moments small.  ``tolerance`` is _TIE_RTOL times the plain
+    total sum of squares of y about its mean: screened costs closer than that
+    tie.
     """
 
     def __init__(self, t: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -269,25 +219,12 @@ class _CumulativeSums:
         self.P = np.zeros((12, len(t) + 1))
         np.cumsum(terms * w, axis=1, out=self.P[:6, 1:])
         np.cumsum(terms, axis=1, out=self.P[6:, 1:])
-
-    def _sums(self, i, j):
-        """Sums over points i..j (inclusive) and bounds on their rounding.
-
-        A running sum of k terms is off by at most about k * eps times the
-        running sum of their magnitudes, and forming the terms adds a few eps;
-        the signed rows' magnitudes are bounded by Cauchy-Schwarz from the
-        non-negative ones.
-        """
-        top = self.P[:, j + 1]
-        mag = top.copy()
-        for r, (p, q) in ((_WT, (_W, _WTT)), (_WY, (_W, _WYY)), (_WTY, (_WTT, _WYY)),
-                          (_T, (_N, _TT)), (_Y, (_N, _YY)), (_TY, (_TT, _YY))):
-            mag[r] = np.sqrt(top[p] * top[q])
-        return top - self.P[:, i], (self.P.shape[1] + 7) * _EPS * mag
+        self.tolerance = _TIE_RTOL * float(self.P[_YY, -1] - self.P[_Y, -1] ** 2 / len(t))
 
     def runs(self, i, j) -> _Lines:
-        """Screened lines of the runs i..j (index arrays or integers)."""
-        return _screen_lines(*self._sums(i, j), self.mu_t, self.mu_y)
+        """Screened lines of the runs i..j (index arrays or integers, broadcast)."""
+        i, j = np.broadcast_arrays(i, j)
+        return _screen_lines(self.P[:, j + 1] - self.P[:, i])
 
     def hinges(self, breaks: np.ndarray) -> _Lines:
         """Screened lines y ~ c + r * max(t - t[b], 0), one per break index b.
@@ -296,135 +233,94 @@ class _CumulativeSums:
         sums come from the suffix sums of 1, t, t^2, t*y and y, O(1) per break.
         """
         n = self.P.shape[1] - 1
-        S, E = self._sums(breaks + 1, np.full_like(breaks, n - 1))
-        m, b, eps = S[_N], self.tc[breaks], _EPS
+        S = self.P[:, n:] - self.P[:, breaks + 1]
+        m, b = S[_N], self.tc[breaks]
         x = S[_T] - b * m
         xx = S[_TT] - 2 * b * S[_T] + b**2 * m
         xy = S[_TY] - b * S[_Y]
-        # The suffix sums' own rounding plus that of shifting t by the break,
-        # at the scale of sqrt(sum (|t| + |b|)^2).
-        scale = np.sqrt(S[_TT]) + np.sqrt(m) * abs(b)
-        e_x = E[_T] + 8 * eps * np.sqrt(m) * scale
-        e_xx = E[_TT] + 2 * abs(b) * E[_T] + 8 * eps * scale**2
-        e_xy = E[_TY] + abs(b) * E[_Y] + 8 * eps * scale * np.sqrt(S[_YY])
-        whole, e_whole = self._sums(0, n - 1)
         ones = np.ones_like(x)
-        rows = [n * ones, x, whole[_Y] * ones, xx, xy, whole[_YY] * ones]
-        errs = [0 * ones, e_x, e_whole[_Y] * ones, e_xx, e_xy, e_whole[_YY] * ones]
-        # The regressor is t - t[b] itself, not centred: its offset is 0.
-        return _screen_lines(np.stack(rows * 2), np.stack(errs * 2), 0.0, self.mu_y)
+        rows = [n * ones, x, self.P[_Y, n] * ones, xx, xy, self.P[_YY, n] * ones]
+        return _screen_lines(np.stack(rows * 2))
 
-    def verdicts(self, lines: _Lines, end_year):
-        """(accept, reject): where the screen is sure of fit_hyperbolic's checks.
-
-        Runs in neither mask sit within rounding of a check's threshold; only
-        the exact solver can decide them.
-        """
-        eps, mu_t, mu_y = _EPS, self.mu_t, self.mu_y
+    def passes(self, lines: _Lines, end_year) -> np.ndarray:
+        """fit_hyperbolic's checks as signs of the screened k, a and a - k * end_year."""
         k = -lines.slope
-        e_k = lines.e_slope + eps * abs(k)
-        a = mu_y + lines.level + k * mu_t
-        e_a = (lines.e_level + abs(mu_t) * lines.e_slope
-               + 4 * eps * (abs(mu_y) + abs(lines.level) + abs(k * mu_t)))
-        g = a - k * end_year  # > 0 iff the singularity a/k lies past the window
-        e_g = e_a + abs(end_year) * e_k + 4 * eps * (abs(a) + abs(k * end_year))
-        falling, positive = k > e_k, a > e_a
-        accept = falling & positive & (g > e_g)
-        reject = (k < -e_k) | (falling & (a < -e_a)) | (falling & positive & (g < -e_g))
-        return accept, reject
-
-
-def _best_first(lo: np.ndarray, confirm):
-    """Screened candidates in the order of their exact keys, refitted as reached.
-
-    ``lo[u]`` is a lower bound on the first element of candidate u's exact
-    key, and ``confirm(u)`` refits u exactly, returning (key, result).
-    Candidates are refitted in order of their bounds, and (key, result) pairs
-    are yielded by key, each once every candidate not yet refitted has a bound
-    above its key.  So only candidates the screen cannot separate from those
-    asked for are refitted, and ties among them fall to the exact key.
-    """
-    pending: list = []  # heap of (key, candidate, result), refitted but not yet yielded
-    for u in np.argsort(lo, kind="stable"):
-        while pending and pending[0][0][0] < lo[u]:
-            key, _, result = heapq.heappop(pending)
-            yield key, result
-        key, result = confirm(u)
-        heapq.heappush(pending, (key, u, result))
-    while pending:
-        key, _, result = heapq.heappop(pending)
-        yield key, result
+        a = self.mu_y + lines.level + k * self.mu_t
+        return (k > 0) & (a > 0) & (a - k * end_year > 0)
 
 
 class _RankedFits(Sequence):
-    """The accepted windows of a scan, in rank order, fitted as they are reached."""
+    """Candidates in rank order, fitted as they are reached.
 
-    def __init__(self, count: int, fits):
-        self._count, self._fits = count, fits
-        self._ranked: list[HyperbolicFit] = []
+    ``fit(c)`` refits candidate c exactly; one whose exact fit fails a check
+    is dropped when reached, so the exact verdict wins.
+    """
+
+    def __init__(self, order, fit):
+        self._order, self._fit, self._fits = list(order), fit, []
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._order)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[r] for r in range(len(self))[index]]
         r = range(len(self))[index]
-        while len(self._ranked) <= r:
-            self._ranked.append(next(self._fits)[1])
-        return self._ranked[r]
+        while len(self._fits) <= r < len(self._order):
+            try:
+                self._fits.append(self._fit(self._order[len(self._fits)]))
+            except (NonHyperbolicError, SingularityInWindowError):
+                del self._order[len(self._fits)]
+        return self._fits[r]
 
 
 def scan_windows(
     series: YearValueSeries,
     weighting: str = "uniform",
 ) -> Sequence[HyperbolicFit]:
-    """Fit every contiguous window with observed-year endpoints.
+    """Candidate automatic windows, best first: hyperbolic growth, then a diversion.
 
-    Candidates are all (start, end) pairs of observed years enclosing at
-    least 3 observations.  Windows whose fit fails (non-hyperbolic or
-    singularity-in-window) are silently dropped.  Results are ranked by rmse
-    per degree of freedom, ties broken by longer window, then earlier start,
-    so ordering is fully deterministic.
+    Every candidate window starts at the first observed year and ends at an
+    observed year t[b].  With a break (K = 2), a hyperbola fits t[0]..t[b]
+    (at least 3 points) and a log-linear tail the points after t[b] (at least
+    2); without one (K = 1), a hyperbola fits the whole series.  The
+    hyperbola's cost is its direct-weighted reciprocal SSE, about its squared
+    relative error, and the tail's the SSE of its log values.  Candidates
+    rank by BIC, n*log(SSE/n) + p*log(n) with p = 2 for K = 1 and 5 for
+    K = 2, each SSE floored at the tie tolerance.  Costs within _TIE_RTOL
+    times the total sum of squares of the log values about their mean tie
+    with the best, and ties go to the longer window.  A window whose
+    screened line under ``weighting`` fails one of fit_hyperbolic's checks
+    is no candidate.
 
-    The result is a lazy sequence: ``len()`` is known at once, and items are
-    ``fit_hyperbolic`` results built as they are reached.  Cumulative sums
-    screen every window in O(n^2) array work: its line, its rank key with a
-    rounding bound, and fit_hyperbolic's checks.  Only windows whose keys
-    the screen cannot separate are refitted exactly and ordered by the exact
-    key, and only a check that lies within rounding of its threshold is left
-    to the exact solver, so every item is what the exact solver returns.
-    On exact data every key ties and the cost falls back to one exact fit per
-    window.
+    Every cost comes from cumulative sums, O(n) in all.  The result is a
+    lazy sequence of ``fit_hyperbolic(series, window, weighting)``, each
+    made when first reached.
     """
     t, s = series.years, series.values
-    sums = _CumulativeSums(t, 1.0 / s, _weights(s, weighting))
-    first, last = np.triu_indices(len(t), 2)
-    accept, lo, known = np.zeros(len(first), dtype=bool), np.zeros(len(first)), {}
-    for c in range(0, len(first), _CHUNK):
-        block = slice(c, c + _CHUNK)
-        i, j = first[block], last[block]
-        lines = sums.runs(i, j)
-        accept[block], reject = sums.verdicts(lines, t[j])
-        # A lower bound on the exact rmse_per_dof, rounding of the sqrt included.
-        dof = j - i - 1.0
-        lo[block] = np.sqrt(np.maximum((lines.sse - lines.e_sse) / dof, 0.0)) * (1 - 4 * _EPS)
-        for u in c + np.flatnonzero(~(accept[block] | reject)):
-            window = FitWindow(float(t[first[u]]), float(t[last[u]]))
-            try:
-                fit = fit_hyperbolic(series, window, weighting)
-            except (NonHyperbolicError, SingularityInWindowError):
-                continue
-            accept[u], lo[u], known[u] = True, fit.rmse_per_dof, fit
-    keep = np.flatnonzero(accept)
+    n = len(t)
+    w = _weights(s, weighting)
+    if n < 3:
+        return _RankedFits([], None)
+    y = 1.0 / s
+    head = _CumulativeSums(t, y, _weights(s, "direct"))
+    logs = _CumulativeSums(t, np.log(s), np.ones_like(t))
+    ends = np.arange(2, n - 2)  # head ends that leave a tail of 2 points or more
+    tail = logs.runs(ends + 1, n - 1).sse
+    ends = np.append(ends, n - 1)
+    sse = head.runs(0, ends).wsse + np.append(tail, 0.0)
+    # BIC, n * log(SSE / n) + p * log(n), rises with SSE * n**(p / n).
+    cost = np.maximum(sse, logs.tolerance) * float(n) ** (np.where(ends < n - 1, 5, 2) / n)
+    line = head if weighting == "direct" else _CumulativeSums(t, y, w)
+    ok = line.passes(line.runs(0, ends), t[ends])
+    cost, ends = cost[ok], ends[ok]
+    if len(ends):
+        cost = np.where(cost <= cost.min() + logs.tolerance, cost.min(), cost)
 
-    def confirm(c):
-        u = keep[c]
-        fit = known.get(u) or fit_hyperbolic(
-            series, FitWindow(float(t[first[u]]), float(t[last[u]])), weighting)
-        return (fit.rmse_per_dof, -fit.window.span, fit.window.start_year), fit
+    def fit(b):
+        return fit_hyperbolic(series, FitWindow(float(t[0]), float(t[b])), weighting)
 
-    return _RankedFits(len(keep), _best_first(lo[keep], confirm))
+    return _RankedFits(ends[np.lexsort((-ends, cost))], fit)
 
 
 def best_fit(series: YearValueSeries, window: FitWindow | None, weighting: str) -> HyperbolicFit:

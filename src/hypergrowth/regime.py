@@ -11,7 +11,7 @@ Segmentation splits a series into two hyperbolic regimes at the observed year
 minimizing the total squared reciprocal residual of the two side fits, the
 pattern seen where a slow hyperbolic growth hands over to a distinctly faster
 one.  Every split is screened from one set of cumulative sums in O(n), and
-only the splits that may tie the best are fitted exactly (see ``fit``).
+only the best is fitted exactly (see ``fit``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import FitError, NegativeProximityError, TooFewPointsError
 from .fit import (
     FitWindow,
     HyperbolicFit,
-    _best_first,
     _CumulativeSums,
     _weights,
     fit_hyperbolic,
@@ -161,14 +160,15 @@ def segment_two_hyperbolic(
     Exhaustive search over breakpoints at observed years, each side holding
     at least 3 points; the breakpoint year belongs to both sides, matching a
     spliced series whose splice point lies on both reciprocal lines.
-    Objective is the total squared reciprocal residual; ties go to the
-    earliest breakpoint.  A side whose fit fails becomes an unmodeled segment
-    and contributes nothing to the k-ratio.
+    Objective is the total squared reciprocal residual; costs within the
+    tie tolerance of the least (see ``fit``) tie, and ties go to the earliest
+    breakpoint.  A side whose fit fails becomes an unmodeled segment, costs
+    the squared residual about its mean reciprocal and contributes nothing to
+    the k-ratio.
 
     One set of cumulative sums screens every break in O(n): both side lines,
-    fit_hyperbolic's checks and each side's cost with a rounding bound.  Only
-    the breaks whose total cost may tie the best are refitted exactly and
-    compared as above, so the result is the exact solver's.
+    fit_hyperbolic's checks as signs, and each side's cost.  Only the chosen
+    break's sides are fitted exactly, and those fits are returned.
     """
     if len(series) < 6:
         raise TooFewPointsError(
@@ -178,37 +178,16 @@ def segment_two_hyperbolic(
     n = len(years)
     sums = _CumulativeSums(years, 1.0 / s, _weights(s, weighting))
     breaks = np.arange(2, n - 2)
-    sides = ((np.zeros_like(breaks), breaks), (breaks, np.full_like(breaks, n - 1)))
-
-    def split(u):
-        b = float(years[breaks[u]])
-        return FitWindow(float(years[0]), b), FitWindow(b, float(years[-1]))
-
-    exact = {}  # (break index, side) -> _fit_side result
-    lo = 0.0
-    for side, (i, j) in enumerate(sides):
+    cost = 0.0
+    for i, j in ((0, breaks), (breaks, n - 1)):
         lines = sums.runs(i, j)
-        accept, reject = sums.verdicts(lines, years[j])
-        # A lower bound on this side's cost, exact where the screen cannot decide.
-        side_lo = np.where(accept, lines.sse - lines.e_sse, lines.mean_sse - lines.e_mean_sse)
-        for u in np.flatnonzero(~(accept | reject)):
-            fit = exact[u, side] = _fit_side(series, split(u)[side], weighting)
-            side_lo[u] = fit[1]
-        lo = lo + side_lo
-
-    def confirm(u):
-        windows = split(u)
-        (left, left_sse), (right, right_sse) = (
-            exact.get((u, side)) or _fit_side(series, w, weighting)
-            for side, w in enumerate(windows)
-        )
-        modeled = (left is not None) + (right is not None)
-        return (left_sse + right_sse, -modeled, windows[1].start_year), (windows, left, right)
-
-    (sse, _, b), (windows, left, right) = next(_best_first(lo, confirm))
+        cost = cost + np.where(sums.passes(lines, years[j]), lines.sse, lines.mean_sse)
+    b = float(years[breaks[np.argmax(cost <= cost.min() + sums.tolerance)]])
+    windows = (FitWindow(float(years[0]), b), FitWindow(b, float(years[-1])))
+    (left, left_sse), (right, right_sse) = (_fit_side(series, w, weighting) for w in windows)
     segments = tuple(
         Segment(w, "unmodeled") if f is None else Segment(w, "hyperbolic", f)
         for w, f in zip(windows, (left, right))
     )
     k_ratio = None if left is None or right is None else right.model.k / left.model.k
-    return RegimeSegmentation(segments, b, k_ratio, sse)
+    return RegimeSegmentation(segments, b, k_ratio, left_sse + right_sse)

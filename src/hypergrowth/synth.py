@@ -37,13 +37,15 @@ _REQUIRED = {
     "spliced-two-hyperbolic": ("a", "k", "break_year", "k_ratio"),
     "hyperbolic-then-slower": ("a", "k", "break_year", "slow_factor"),
 }
+# Parameters a kind reads when given; any other parameter is an error.
+_OPTIONAL = {"exponential": ("ref_year",)}
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Recipe for one synthetic series.
 
-    ``parameters`` are kind-specific (see _REQUIRED); ``noise`` is the sigma
+    ``parameters`` are kind-specific (see _REQUIRED and _OPTIONAL); ``noise`` is the sigma
     of the per-point multiplicative log-normal factor; ``seed`` feeds a
     dedicated PCG64 stream so runs are reproducible.
     """
@@ -64,6 +66,10 @@ class GeneratorSpec:
         missing = [p for p in _REQUIRED[self.kind] if p not in self.parameters]
         if missing:
             raise GeneratorError(f"{self.kind} requires parameters {missing}")
+        unknown = sorted(set(self.parameters) - {*_REQUIRED[self.kind],
+                                                 *_OPTIONAL.get(self.kind, ())})
+        if unknown:
+            raise GeneratorError(f"{self.kind} takes no parameters {unknown}")
         for name in _REQUIRED[self.kind]:
             v = self.parameters[name]
             if not (math.isfinite(v) and v > 0):

@@ -11,10 +11,11 @@ whole span by a decisive small-sample-corrected information-criterion gap.
 Only the timing criterion depends on the predicted year: the best break,
 the growth rates around it and the information-criterion gap belong to the
 series alone, so ``takeoff_scan`` computes them once per series.  The break
-search screens every candidate from suffix sums in O(n) and fits only those
-that may tie the best exactly (see ``fit``).  A growth rate within its
-rounding bound of zero counts as zero, so the sign of rounding noise on an
-exactly flat series cannot pass for a prominent change.
+search screens every candidate from suffix sums in O(n), takes the earliest
+whose cost ties the least under ``fit``'s tie rule, and fits only that one
+exactly.  A growth rate within the same relative tolerance of zero counts as
+zero, so the sign of rounding noise on an exactly flat series cannot pass
+for a prominent change.
 
 A transition from growth to growth is not a takeoff: on data that are simply
 hyperbolic throughout, the pre-break growth rate is too large for the
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FitError, TooFewPointsError
-from .fit import FitWindow, _best_first, _centred_line, _CumulativeSums, fit_hyperbolic
+from .fit import _TIE_RTOL, FitWindow, _centred_line, _CumulativeSums, fit_hyperbolic
 from .model import evaluate
 from .series import YearValueSeries
 
@@ -110,11 +111,6 @@ def _judged(result: TakeoffTestResult, hypothesis: TakeoffHypothesis) -> Takeoff
     return replace(result, verdict=verdict, timing_ok=timing_ok, hypothesis=hypothesis)
 
 
-def _zero_if_rounding(rate: float, bound) -> float:
-    """``rate``, or 0.0 where it lies within its (finite) rounding bound of zero."""
-    return 0.0 if abs(rate) <= bound < math.inf else rate
-
-
 def takeoff_test(series: YearValueSeries, hypothesis: TakeoffHypothesis) -> TakeoffTestResult:
     """Evaluate the three-feature takeoff signature at the predicted year.
 
@@ -136,21 +132,18 @@ def takeoff_test(series: YearValueSeries, hypothesis: TakeoffHypothesis) -> Take
     logy = np.log(series.values)
     ones = np.ones_like(t)
     sums = _CumulativeSums(t, logy, ones)
-    hinges = sums.hinges(np.arange(1, n - 2))
-
-    def confirm(c):
-        x = np.maximum(t - t[c + 1], 0.0)
-        r, xc, ybar = _centred_line(x, logy, ones)
-        return (float(((logy - ybar - r * (x - xc)) ** 2).sum()), c), float(r)
-
-    # The smallest exact SSE wins, ties to the earliest break.
-    (best_sse, c), best_r = next(_best_first(hinges.sse - hinges.e_sse, confirm))
-    best_i = c + 1
-    pre_rate = float(_centred_line(t[: best_i + 1], logy[: best_i + 1], ones[: best_i + 1])[0])
-    # A rate within rounding of zero is zero: on an exactly flat stretch its
-    # sign is rounding noise and must not decide prominence.
-    best_r = _zero_if_rounding(best_r, hinges.e_slope[best_i - 1])
-    pre_rate = _zero_if_rounding(pre_rate, sums.runs(0, best_i).e_slope)
+    # The earliest break whose screened SSE ties the least, refitted exactly.
+    cost = sums.hinges(np.arange(1, n - 2)).sse
+    best_i = 1 + int(np.argmax(cost <= cost.min() + sums.tolerance))
+    x = np.maximum(t - t[best_i], 0.0)
+    best_r, xc, ybar = _centred_line(x, logy, ones)
+    best_sse = float(((logy - ybar - best_r * (x - xc)) ** 2).sum())
+    pre_rate = _centred_line(t[: best_i + 1], logy[: best_i + 1], ones[: best_i + 1])[0]
+    # A rate whose change over the span is within _TIE_RTOL of the largest log
+    # value is zero: on an exactly flat stretch its sign is rounding noise and
+    # must not decide prominence.
+    zero = _TIE_RTOL * float(np.abs(logy).max()) / (t[-1] - t[0])
+    best_r, pre_rate = (0.0 if abs(r) <= zero else float(r) for r in (best_r, pre_rate))
 
     stagnation_ok = pre_rate < STAGNATION_MAX_RATE
     if best_r <= 0:

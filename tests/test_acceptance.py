@@ -15,6 +15,7 @@ import pytest
 
 from hypergrowth import parse_long_csv, parse_wide_table
 from hypergrowth.acceptance import (
+    check_automatic_window,
     check_diversion_detection,
     check_k_ratios,
     check_parameter_recovery_exact,
@@ -80,6 +81,10 @@ def test_two_regime_noisy():
 
 def test_takeoff_verdicts():
     assert_check(check_takeoff_verdicts())
+
+
+def test_automatic_window():
+    assert_check(check_automatic_window())
 
 
 def test_reciprocal_delta_identity():

@@ -261,6 +261,13 @@ class TestSynth:
                          "--param", "a", "--years", "0:100:10")
         assert code == 2
 
+    def test_unread_param_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "synth", "--kind", "hyperbolic", "--param", "a=1",
+                           "--param", "k=1e-3", "--param", "break_year=1900",
+                           "--years", "0:100:10")
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "break_year" in err
+
     # A STEP <= 0 or an END of inf would never end the sampling loop, so
     # these cases must stop at the validation in front of it.
     @pytest.mark.parametrize("years", ["0:100:0", "0:100:-10", "0:100:nan",
@@ -301,7 +308,7 @@ class TestVerify:
         assert code == 0
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines[:-1])
-        assert lines[-1] == "10/10 checks passed"
+        assert lines[-1] == "11/11 checks passed"
 
     # World GDP in millions, the Maddison unit that --unit-scale's 1e-3 default
     # converts: the reference world curve, slower after 1955, plus an AD 1
@@ -325,7 +332,7 @@ class TestVerify:
         *_, check, summary = out.strip().splitlines()
         assert check.startswith(("PASS" if passed else "FAIL") + "  world-series reproduction")
         assert passed or "AD 1" in check
-        assert summary == ("11/11" if passed else "10/11") + " checks passed"
+        assert summary == ("12/12" if passed else "11/12") + " checks passed"
         assert code == (0 if passed else 1)
 
 
@@ -347,9 +354,14 @@ class TestMalformedInput:
         ("fit", "--input", "{csv}", "--regions-config", "{latin1}", "--region", "demo"),
         ("fit", "--input", "{csv}", "--window=-inf:600"),
         ("fit", "--input", "{csv}", "--window", "0:inf"),
+        ("takeoff", "--input", "{csv}", "--predicted-year", "500", "--halfwidth", "-5"),
+        ("takeoff", "--input", "{csv}", "--predicted-year", "500", "--halfwidth", "nan"),
+        ("takeoff", "--input", "{csv}", "--predicted-year", "500", "--halfwidth", "inf"),
+        ("takeoff", "--input", "{csv}", "--predicted-year", "nan"),
     ], ids=["run-length-0", "tau-negative", "tau-nan", "trials-0", "trials-negative",
             "seed-negative", "input-dir", "maddison-dir", "input-not-utf8",
-            "maddison-not-utf8", "config-not-utf8", "window-start-inf", "window-end-inf"])
+            "maddison-not-utf8", "config-not-utf8", "window-start-inf", "window-end-inf",
+            "halfwidth-negative", "halfwidth-nan", "halfwidth-inf", "predicted-year-nan"])
     def test_usage_error(self, hyperbolic_csv, tmp_path, capsys, argv):
         latin1 = tmp_path / "latin1.txt"
         latin1.write_bytes("entity,year,value\nM\u00fcnchen,1900,1\n".encode("latin-1"))

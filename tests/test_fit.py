@@ -124,9 +124,8 @@ class TestGoodness:
 
 class TestScanWindows:
     def test_pure_hyperbolic_all_windows_near_perfect(self):
-        # On exact data every window fits to rounding noise, so ordering
-        # among them is arbitrary; what matters is that the top candidate
-        # recovers the true model and the full range is offered.
+        # On exact data the whole series fits to rounding noise, so the top
+        # candidate is the full range, and it recovers the true model.
         s = hyperbolic_series()
         ranked = scan_windows(s)
         top = ranked[0]
@@ -136,7 +135,8 @@ class TestScanWindows:
             f for f in ranked
             if f.window.start_year == 0.0 and f.window.end_year == 900.0
         )
-        assert full.rmse_per_dof == pytest.approx(0.0, abs=1e-12)
+        assert full.rmse_reciprocal == pytest.approx(0.0, abs=1e-12)
+        assert top is full
 
     def test_spliced_series_full_range_not_on_top(self):
         params = {"a": 0.242, "k": 1e-4, "break_year": 1820.0, "k_ratio": 4.2}
@@ -155,8 +155,8 @@ class TestScanWindows:
             f for f in ranked
             if f.window.start_year == 1000.0 and f.window.end_year == 1800.0
         )
-        assert within_first.rmse_per_dof < full.rmse_per_dof
-        assert ranked[0].rmse_per_dof < full.rmse_per_dof
+        assert within_first.rmse_reciprocal < full.rmse_reciprocal
+        assert ranked[0].rmse_reciprocal < full.rmse_reciprocal
 
     def test_three_points_single_candidate(self):
         s = hyperbolic_series(years=(0.0, 100.0, 200.0))

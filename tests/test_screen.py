@@ -1,10 +1,11 @@
 """The screened searches equal a plain scan of every candidate with the exact solver.
 
 ``scan_windows``, ``segment_two_hyperbolic`` and ``takeoff_test`` rank their
-candidates from cumulative sums and refit only the near-best exactly.  The
-references below fit every candidate, as the searches did before the screen,
-and the results must agree to the last bit.  Call counts guard the speedup
-without timing anything.
+candidates from cumulative sums and refit only the best exactly.  The
+references below fit every candidate exactly and rank by the same rule, and
+the results must agree to the last bit.  Where every candidate fits an exact
+series to rounding noise, the stated tie rule decides instead.  Call counts
+guard the speedup without timing anything.
 """
 
 import dataclasses
@@ -29,7 +30,7 @@ from hypergrowth import (
     segment_two_hyperbolic,
     takeoff_test,
 )
-from hypergrowth.fit import _centred_line, best_fit
+from hypergrowth.fit import _TIE_RTOL, _centred_line, _RankedFits, best_fit
 from hypergrowth.model import evaluate
 from hypergrowth.regime import _fit_side
 from hypergrowth.takeoff import (
@@ -45,17 +46,32 @@ WEIGHTINGS = ("uniform", "direct")
 
 
 def reference_scan(series, weighting):
-    years = series.years
-    fits = []
-    for i in range(len(years)):
-        for j in range(i + 2, len(years)):
-            try:
-                fits.append(fit_hyperbolic(series, FitWindow(float(years[i]), float(years[j])),
-                                           weighting))
-            except (NonHyperbolicError, SingularityInWindowError):
-                continue
-    fits.sort(key=lambda f: (f.rmse_per_dof, -f.window.span, f.window.start_year))
-    return fits
+    """Every window of the break model fitted exactly, ranked by the same rule."""
+    t, s = series.years, series.values
+    n = len(t)
+    if n < 3:
+        return []
+    logy, ones = np.log(s), np.ones_like(t)
+    tol = _TIE_RTOL * float(((logy - logy.mean()) ** 2).sum())
+
+    def sse(i, j, y, w):
+        slope, tc, ybar = _centred_line(t[i:j + 1], y[i:j + 1], w[i:j + 1])
+        return float((w[i:j + 1] * (y[i:j + 1] - ybar - slope * (t[i:j + 1] - tc)) ** 2).sum())
+
+    candidates = []
+    for b in [*range(2, n - 2), n - 1]:
+        try:
+            fit = fit_hyperbolic(series, FitWindow(float(t[0]), float(t[b])), weighting)
+        except (NonHyperbolicError, SingularityInWindowError):
+            continue
+        total = sse(0, b, 1.0 / s, s**2) + (sse(b + 1, n - 1, logy, ones) if b < n - 1 else 0.0)
+        p = 5 if b < n - 1 else 2
+        candidates.append((max(total, tol) * n ** (p / n), b, fit))
+    if not candidates:
+        return []
+    best = min(c for c, _, _ in candidates)
+    candidates.sort(key=lambda c: (best if c[0] <= best + tol else c[0], -c[1]))
+    return [fit for _, _, fit in candidates]
 
 
 def reference_segment(series, weighting):
@@ -165,19 +181,25 @@ def test_scan_equals_every_window_fitted(series, weighting):
 @pytest.mark.parametrize("series", CASES)
 def test_segment_equals_every_break_fitted(series, weighting):
     seg = segment_two_hyperbolic(series, weighting)
+    if series.label in ("hyperbolic", "constant"):
+        # Every split of an exact hyperbola or constant fits to rounding
+        # noise: all tie, and the earliest break wins.
+        assert seg.breakpoint_year == series.years[2]
+        return
     assert (seg.breakpoint_year, seg.total_sse, seg.k_ratio) == reference_segment(series, weighting)
 
 
 @pytest.mark.parametrize("series", CASES)
 def test_takeoff_equals_every_break_fitted(series):
     hyp = TakeoffHypothesis(float(series.years[len(series) // 2]), 50.0)
-    got, want = takeoff_test(series, hyp), reference_takeoff(series, hyp)
+    got = takeoff_test(series, hyp)
+    if series.label == "constant":
+        # Every hinge of a constant fits to rounding noise: all tie, the
+        # earliest break wins, and both rates read as zero.
+        assert (got.break_year, got.pre_break_rate, got.positive) == (series.years[1], 0.0, False)
+        return
+    want = reference_takeoff(series, hyp)
     names = [f.name for f in dataclasses.fields(want)]
-    if abs(want.pre_break_rate) < 1e-12:
-        # Exactly flat before the break: the rate is rounding noise, which
-        # now reads as zero and cannot make the change look prominent.
-        assert got.pre_break_rate == 0.0 and not got.positive
-        names = ["break_year", "ic_gap", "timing_ok"]
     for name in names:
         a, b = getattr(got, name), getattr(want, name)
         assert a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b)), name
@@ -220,6 +242,18 @@ class TestEdges:
         with pytest.raises(ValueError):
             segment_two_hyperbolic(s, "relative")
 
+    def test_failed_exact_fit_is_dropped(self):
+        # A candidate the screen passed but whose exact fit fails a check.
+        def fit(c):
+            if c == 1:
+                raise NonHyperbolicError("rounding put k on the wrong side of 0")
+            return c
+
+        ranked = _RankedFits([0, 1, 2], fit)
+        assert len(ranked) == 3
+        assert list(ranked) == [0, 2]
+        assert len(ranked) == 2
+
 
 def counted(monkeypatch, module):
     calls = []
@@ -244,7 +278,7 @@ class TestExactSolves:
         calls = counted(monkeypatch, hypergrowth.fit)
         ranked = scan_windows(s)
         assert ranked[0].n_points >= 3
-        assert len(calls) <= 10  # against 7021 windows fitted one by one
+        assert len(calls) <= 10  # against 117 windows fitted one by one
 
     def test_segment_of_long_annual_series(self, monkeypatch):
         s = annual("spliced-two-hyperbolic", SPLICE, 1000, 1950, 2)
@@ -257,6 +291,16 @@ class TestExactSolves:
         s = annual("hyperbolic-then-slower", WORLD, 1000, 1950, 3)
         calls = counted(monkeypatch, hypergrowth.fit)
         assert scan_windows(s)[0].n_points >= 3
-        # Late 3-point windows fit to a few parts in 1e7 here, near the
-        # screen's rounding bound, so a few dozen of the 450,775 are refitted.
         assert len(calls) <= 1000
+
+    def test_scan_top_of_noiseless_series(self, monkeypatch):
+        # Windows ending in 1954 and 1955 both fit exactly (the year 1955 lies
+        # on both the hyperbola and the tail); the tie goes to the longer.
+        params = dict(WORLD, break_year=1955.0)
+        years = tuple(float(y) for y in range(1000, 2001))
+        s = generate(GeneratorSpec("hyperbolic-then-slower", params, years))
+        calls = counted(monkeypatch, hypergrowth.fit)
+        top = scan_windows(s)[0]
+        assert top.window == FitWindow(1000.0, 1955.0)
+        assert top.model.k == pytest.approx(WORLD["k"], rel=1e-9)
+        assert len(calls) <= 2  # one exact fit per window took 7021 at step 8

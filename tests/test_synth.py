@@ -110,6 +110,15 @@ class TestInvalidSpecs:
         with pytest.raises(GeneratorError):
             GeneratorSpec("hyperbolic", {"a": 1.0}, years(0, 1))
 
+    def test_unread_parameter_rejected(self):
+        with pytest.raises(GeneratorError, match="break_year"):
+            GeneratorSpec("hyperbolic", {"a": 1.0, "k": 1e-3, "break_year": 900.0}, years(0, 1))
+
+    def test_exponential_reference_year_allowed(self):
+        spec = GeneratorSpec("exponential", {"level": 2.0, "rate": 0.01, "ref_year": 1.0},
+                             years(0, 1))
+        assert generate(spec).values[1] == pytest.approx(2.0)
+
 
 class TestMaddisonGrid:
     def test_starts_with_sparse_benchmarks(self):

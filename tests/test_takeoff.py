@@ -59,8 +59,9 @@ class TestTakeoffTest:
     def test_exactly_constant_series_never_positive(self):
         # Every break fits a flat series to rounding noise, so the fitted
         # rates are rounding noise too; their sign must not read as a
-        # stagnation followed by growth.
-        grid = [1100.0, 1300.0, 1500.0, 1750.0, 1900.0]
+        # stagnation followed by growth.  All breaks tie and the earliest
+        # wins, so 1050 puts it inside the search window.
+        grid = [1050.0, 1100.0, 1300.0, 1500.0, 1750.0, 1900.0]
         positives = 0
         for step in (5.0, 10.0, 20.0):
             years = np.arange(1000.0, 2000.0 + step / 2, step)
