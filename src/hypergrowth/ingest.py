@@ -84,22 +84,39 @@ def _decode(data: bytes) -> str:
         raise ParseError(f"input is not UTF-8 text ({exc})") from None
 
 
-def _add_cell(table: DatasetTable, entity: str, year: float, value: float, line_no: int):
-    row = table.rows.setdefault(entity, {})
-    if year in row:
-        raise ParseError(f"line {line_no}: duplicate cell for ({entity}, {year:g})")
-    if value <= 0:
-        raise ParseError(
-            f"line {line_no}: value {value:g} for ({entity}, {year:g}) is not positive"
+def _cell_error(
+    line_no: int, entity: str, year: float, value: float, unit_scale: float
+) -> ParseError:
+    """The ParseError for a scaled value outside (0, inf)."""
+    if value > 0:
+        return ParseError(
+            f"line {line_no}: value for ({entity}, {year:g}) is not finite"
+            f" after unit_scale {unit_scale:g}"
         )
-    row[year] = value
+    return ParseError(
+        f"line {line_no}: value {value:g} for ({entity}, {year:g}) is not positive"
+    )
+
+
+def _first_line(text: str) -> str:
+    """``text.splitlines()[0]`` (or ``""``) without splitting the whole text.
+
+    Its first line ends at or before the first ``"\\n"``, so only the text
+    before that is split.
+    """
+    head = text.partition("\n")[0]
+    return head.splitlines()[0] if head else ""
 
 
 def parse_long_csv(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
     """Parse the canonical long format: header ``entity,year,value``.
 
-    Rows with an empty value field are skipped (missing observation); any
-    malformed row raises ParseError naming its line number.
+    Row rules: fields are stripped of surrounding whitespace, and quoted
+    fields are allowed.  A row whose fields are all blank is skipped, and a
+    blank value is a missing observation.  Every other row has exactly three
+    fields, a numeric year and a numeric value, and names a cell not seen
+    before; the value must be positive and finite after multiplying by
+    ``unit_scale``.  The first bad line raises ParseError naming it.
     """
     _check_positive(unit_scale, "unit_scale")
     text = _decode(data)
@@ -110,31 +127,51 @@ def parse_long_csv(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
         raise ParseError("line 1: empty file") from None
     if [h.strip().lower() for h in header] != ["entity", "year", "value"]:
         raise ParseError(f"line 1: expected header entity,year,value, got {header}")
-    table = DatasetTable({})
+    rows: dict[str, dict[float, float]] = {}
+    inf, nan = math.inf, math.nan
     for line_no, row in enumerate(reader, start=2):
-        fields = [c.strip() for c in row]
-        if not any(fields):
+        if len(row) != 3:
+            if any(c.strip() for c in row):
+                raise ParseError(f"line {line_no}: expected 3 fields, got {len(row)}")
             continue
-        if len(fields) != 3:
-            raise ParseError(f"line {line_no}: expected 3 fields, got {len(fields)}")
-        entity, year_s, value_s = fields
+        entity, year_s, value_s = row
+        value_s = value_s.strip()
         if not value_s:
             continue
-        year = _parse_number(year_s, "year", f"line {line_no}")
-        value = _parse_number(value_s, "value", f"line {line_no}") * unit_scale
-        _add_cell(table, entity, year, value, line_no)
-    return table
+        # float() ignores the same surrounding whitespace as str.strip().
+        try:
+            year = float(year_s)
+            value = float(value_s)
+        except ValueError:
+            year = value = nan
+        if not (-inf < year < inf and -inf < value < inf):
+            # The error path: _parse_number words the first bad field's error.
+            year = _parse_number(year_s.strip(), "year", f"line {line_no}")
+            value = _parse_number(value_s, "value", f"line {line_no}")
+        value *= unit_scale
+        entity = entity.strip()
+        cells = rows.get(entity)
+        if cells is None:
+            cells = rows[entity] = {}
+        if year in cells:
+            raise ParseError(f"line {line_no}: duplicate cell for ({entity}, {year:g})")
+        if not 0.0 < value < inf:
+            raise _cell_error(line_no, entity, year, value, unit_scale)
+        cells[year] = value
+    return DatasetTable(rows)
 
 
 def parse_wide_table(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
     """Parse a wide layout: row 1 = ``entity`` plus year headers.
 
     The delimiter (comma or tab) is auto-detected from the header row.
-    Blank cells mean missing; every present cell must be numeric.
+    Blank cells mean missing; the other cells follow the long format's
+    rules (see ``parse_long_csv``).  Rows may be shorter or longer than the
+    header; cells past the last year column are ignored.
     """
     _check_positive(unit_scale, "unit_scale")
     text = _decode(data)
-    first_line = text.splitlines()[0] if text.splitlines() else ""
+    first_line = _first_line(text)
     delimiter = "\t" if first_line.count("\t") >= first_line.count(",") and "\t" in first_line else ","
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     try:
@@ -146,17 +183,30 @@ def parse_wide_table(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
     years = [
         _parse_number(h.strip(), "year header", "line 1") for h in header[1:]
     ]
-    table = DatasetTable({})
+    rows: dict[str, dict[float, float]] = {}
+    inf, nan = math.inf, math.nan
     for line_no, row in enumerate(reader, start=2):
-        fields = [c.strip() for c in row]
-        if not any(fields):
-            continue
-        for year, cell in zip(years, fields[1:]):
+        cells = None
+        for year, cell in zip(years, row[1:]):
+            cell = cell.strip()
             if not cell:
                 continue
-            value = _parse_number(cell, "cell", f"line {line_no}") * unit_scale
-            _add_cell(table, fields[0], year, value, line_no)
-    return table
+            try:
+                value = float(cell)
+            except ValueError:
+                value = nan
+            if not -inf < value < inf:
+                value = _parse_number(cell, "cell", f"line {line_no}")
+            value *= unit_scale
+            if cells is None:
+                entity = row[0].strip()
+                cells = rows.setdefault(entity, {})
+            if year in cells:
+                raise ParseError(f"line {line_no}: duplicate cell for ({entity}, {year:g})")
+            if not 0.0 < value < inf:
+                raise _cell_error(line_no, entity, year, value, unit_scale)
+            cells[year] = value
+    return DatasetTable(rows)
 
 
 def serialize_long_csv(table: DatasetTable) -> bytes:
@@ -193,14 +243,17 @@ def build_region_series(table: DatasetTable, region: RegionDefinition) -> YearVa
         rows.append(table.rows[member])
     if region.require_complete:
         years = sorted(set(rows[0]).intersection(*rows[1:]))
+        columns = [[row[y] for y in years] for row in rows]
     else:
         years = sorted(set().union(*rows))
+        # A missing member adds 0.0, which leaves a positive sum unchanged.
+        columns = [[row.get(y, 0.0) for y in years] for row in rows]
     if not years:
         raise RegionError(f"region {region.name!r} has no usable years")
-    values = [sum(row[y] for row in rows if y in row) for y in years]
+    values = [sum(cells) for cells in zip(*columns)]
     try:
         return YearValueSeries(np.array(years), np.array(values), region.name)
-    except SeriesError as exc:  # pragma: no cover - positivity is inherited
+    except SeriesError as exc:  # a sum that overflows to inf
         raise RegionError(f"region {region.name!r}: {exc}") from exc
 
 

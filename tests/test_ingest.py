@@ -1,5 +1,10 @@
 """Table parsing, unit conversion, region aggregation, config files."""
 
+import csv
+import io
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +14,7 @@ from hypergrowth import (
     RegionDefinition,
     RegionError,
     build_region_series,
+    ingest,
     parse_long_csv,
     parse_region_config,
     parse_wide_table,
@@ -70,6 +76,12 @@ class TestParseLongCsv:
         table = parse_long_csv(b"entity,year,value\r\nWorld,1000,116.8\r\n")
         assert table.value("World", 1000.0) == pytest.approx(116.8)
 
+    def test_value_overflowing_after_unit_scale_names_line(self):
+        data = b"entity,year,value\nWorld,1000,1e307\nWorld,1500,1e308\n"
+        assert parse_long_csv(data, 1.0).value("World", 1500.0) == 1e308
+        with pytest.raises(ParseError, match="line 3: value .* not finite after unit_scale 10"):
+            parse_long_csv(data, 10.0)
+
 
 class TestParseWideTable:
     def test_blank_cells_are_missing(self):
@@ -109,6 +121,17 @@ class TestParseWideTable:
         data = b"entity,1000,1500\nWorld,1,\nAsia,2,3\nWorld,,4\nWorld,5,\n"
         with pytest.raises(ParseError, match="line 5: duplicate cell for \\(World, 1000\\)"):
             parse_wide_table(data)
+
+    def test_value_overflowing_after_unit_scale_names_line(self):
+        data = b"entity,1000,1500\nWorld,1,2\nAsia,3,1e308\n"
+        assert parse_wide_table(data, 1.0).value("Asia", 1500.0) == 1e308
+        with pytest.raises(ParseError, match="line 3: value .* not finite after unit_scale 10"):
+            parse_wide_table(data, 10.0)
+
+    @given(st.text(st.sampled_from("ab,\t \xa0\x1f\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")))
+    @settings(max_examples=200, deadline=None)
+    def test_header_line_ends_where_splitlines_ends_it(self, text):
+        assert ingest._first_line(text) == (text.splitlines() or [""])[0]
 
 
 @st.composite
@@ -161,6 +184,143 @@ class TestRoundTrip:
         assert wide.rows == expected
 
 
+def reference_parse_long_csv(data, unit_scale=1.0):
+    """The long-CSV row loop as first written: every field stripped, every cell
+    parsed and added through helpers.  Returns the rows."""
+
+    def number(text, what, where):
+        try:
+            value = float(text)
+        except ValueError:
+            raise ParseError(f"{where}: {what} {text!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ParseError(f"{where}: {what} {text!r} is not finite")
+        return value
+
+    reader = csv.reader(io.StringIO(data.decode("utf-8")))
+    assert [h.strip().lower() for h in next(reader)] == ["entity", "year", "value"]
+    rows = {}
+    for line_no, row in enumerate(reader, start=2):
+        fields = [c.strip() for c in row]
+        if not any(fields):
+            continue
+        if len(fields) != 3:
+            raise ParseError(f"line {line_no}: expected 3 fields, got {len(fields)}")
+        entity, year_s, value_s = fields
+        if not value_s:
+            continue
+        year = number(year_s, "year", f"line {line_no}")
+        value = number(value_s, "value", f"line {line_no}") * unit_scale
+        cells = rows.setdefault(entity, {})
+        if year in cells:
+            raise ParseError(f"line {line_no}: duplicate cell for ({entity}, {year:g})")
+        if value <= 0:
+            raise ParseError(
+                f"line {line_no}: value {value:g} for ({entity}, {year:g}) is not positive"
+            )
+        cells[year] = value
+    return rows
+
+
+_PADS = ["", " ", "\t", "\x1c", "\xa0", " \t\u2003"]
+_CLEAN = {
+    "entity": ["A", "B", "Korea, Rep.", "C\u00f4te d'Ivoire"],
+    "year": ["1900", "1950", "1950.5", "2e3", "1_901"],
+    "value": ["1", "2.5", "1e-3", "7E2", "1e308"],
+}
+_MESSY = {
+    "entity": ["", "A B"],
+    "year": ["", "x", "19 00", "nan", "inf", "-Infinity", "-0"],
+    "value": ["", "  ", "0", "-0", "-1.5", "nan", "-inf", "abc", "1,5", "1e400", "1e-320"],
+}
+
+
+@st.composite
+def messy_long_csv(draw):
+    """A long CSV whose rows are mostly clean, with blank lines, ``,,`` and
+    whitespace-only rows, padded, quoted, ragged, non-numeric, non-finite,
+    non-positive and duplicate cells mixed in; and a unit scale."""
+
+    def field(kind, messy):
+        pool = _CLEAN[kind] + (_MESSY[kind] if messy else [])
+        pad = st.sampled_from(_PADS)
+        return draw(pad) + draw(st.sampled_from(pool)) + draw(pad)
+
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+                        lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(["entity", "year", "value"])
+    kinds = ["clean"] * 6 + ["messy", "blank", "commas", "whitespace", "ragged"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=25)):
+        if kind == "blank":
+            writer.writerow([])
+        elif kind == "commas":
+            writer.writerow(["", "", ""])
+        elif kind == "whitespace":
+            writer.writerow(draw(st.lists(st.sampled_from(_PADS), min_size=1, max_size=4)))
+        elif kind == "ragged":
+            writer.writerow([field("entity", False)] * draw(st.sampled_from([1, 2, 4])))
+        else:
+            writer.writerow([field(k, kind == "messy") for k in ("entity", "year", "value")])
+    return out.getvalue().encode("utf-8"), draw(st.sampled_from([1.0, 1e-3, 10.0]))
+
+
+class TestLongCsvReference:
+    @staticmethod
+    def outcome(parse, data, unit_scale):
+        """The rows with bitwise-exact keys and values, in order; or the error text."""
+        try:
+            rows = parse(data, unit_scale)
+        except ParseError as exc:
+            return str(exc)
+        return [(e, [(y.hex(), v.hex()) for y, v in cells.items()]) for e, cells in rows.items()]
+
+    @given(messy_long_csv())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_row_loop_as_first_written(self, case):
+        data, unit_scale = case
+        new = self.outcome(lambda d, u: parse_long_csv(d, u).rows, data, unit_scale)
+        old = self.outcome(reference_parse_long_csv, data, unit_scale)
+        if new == old:
+            return
+        # The one intended difference: a value that overflows after scaling
+        # is rejected, where the old loop stored inf and read on.
+        assert isinstance(new, str) and "not finite after unit_scale" in new, (new, old)
+        line = int(re.match(r"line (\d+):", new).group(1))
+        if isinstance(old, str):
+            assert int(re.match(r"line (\d+):", old).group(1)) > line
+        else:
+            assert any(v == "inf" for _, cells in old for _, v in cells)
+
+
+class TestHotLoop:
+    """A clean table is parsed without calling any per-cell helper."""
+
+    @pytest.fixture
+    def helper_calls(self, monkeypatch):
+        calls = []
+        for name in ("_parse_number", "_cell_error"):
+            helper = getattr(ingest, name)
+            monkeypatch.setattr(ingest, name, lambda *a, h=helper: calls.append(1) or h(*a))
+        return calls
+
+    def test_long_table(self, helper_calls):
+        lines = ["entity,year,value"] + [
+            f"E{i // 100},{1000 + i % 100}, {1.5 + i!r}" for i in range(10_000)
+        ]
+        table = parse_long_csv(("\n".join(lines) + "\n").encode(), 1e-3)
+        assert sum(map(len, table.rows.values())) == 10_000
+        assert helper_calls == []
+
+    def test_wide_table(self, helper_calls):
+        lines = ["entity," + ",".join(str(1000 + j) for j in range(100))] + [
+            f"E{i}," + ",".join(f" {1.5 + j!r}" for j in range(100)) for i in range(100)
+        ]
+        table = parse_wide_table(("\n".join(lines) + "\n").encode(), 1e-3)
+        assert sum(map(len, table.rows.values())) == 10_000
+        assert len(helper_calls) == 100  # the year headers, once each
+
+
 class TestBuildRegionSeries:
     TABLE = parse_long_csv(
         b"entity,year,value\n"
@@ -196,6 +356,11 @@ class TestBuildRegionSeries:
     def test_empty_result(self):
         table = parse_long_csv(b"entity,year,value\nN,1900,1\nS,1950,2\n")
         with pytest.raises(RegionError, match="no usable years"):
+            build_region_series(table, RegionDefinition("R", ("N", "S")))
+
+    def test_overflowing_sum_is_region_error(self):
+        table = parse_long_csv(b"entity,year,value\nN,1900,1e308\nS,1900,1e308\n")
+        with pytest.raises(RegionError, match="region 'R': .*finite"):
             build_region_series(table, RegionDefinition("R", ("N", "S")))
 
 
