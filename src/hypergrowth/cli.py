@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -237,7 +238,7 @@ def cmd_plot(args) -> int:
     annotations = [] if breakpoint is None else [("breakpoint", breakpoint)]
     last_fit = fits[-1]
     annotations.append(("singularity", last_fit.model.singularity_year))
-    if series.after(last_fit.window.end_year) is not None:
+    if series.years[-1] > last_fit.window.end_year:
         finding = detect_diversion(series, last_fit)
         if finding is not None:
             annotations.append((f"diversion ({finding.direction})", finding.year))
@@ -389,9 +390,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built once: parse_args writes only to a
+    fresh Namespace, so one parser serves every call of ``main``."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except CliError as exc:

@@ -32,6 +32,7 @@ or no break at all, is chosen by BIC.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -91,8 +92,16 @@ class HyperbolicFit:
         return len(self.years)
 
 
-def _centred_line(t: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """Weighted least-squares line y ~ ybar + slope * (t - tc): (slope, tc, ybar)."""
+def _centred_line(t: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):
+    """Weighted least-squares line y ~ ybar + slope * (t - tc): (slope, tc, ybar).
+
+    ``w=None`` weighs every point 1.  It skips the multiplications by 1.0,
+    which change no bit of the result.
+    """
+    if w is None:
+        tc, ybar = t.sum() / len(t), y.sum() / len(t)
+        dt = t - tc
+        return (dt * (y - ybar)).sum() / (dt**2).sum(), tc, ybar
     wsum = w.sum()
     tc = (w * t).sum() / wsum
     ybar = (w * y).sum() / wsum
@@ -123,7 +132,7 @@ def fit_hyperbolic(
     mask = (series.years >= window.start_year) & (series.years <= window.end_year)
     t = series.years[mask]
     s = series.values[mask]
-    w = _weights(s, weighting)
+    w = None if weighting == "uniform" else _weights(s, weighting)
     if len(t) < 3:
         raise TooFewPointsError(
             f"window [{window.start_year}, {window.end_year}] holds {len(t)} points; need >= 3"
@@ -148,9 +157,11 @@ def fit_hyperbolic(
 
     fitted = reciprocal_line(model, t)
     deltas = y - fitted
-    rmse = float(np.sqrt(np.mean(deltas**2)))
-    ss_tot = float((w * (y - ybar) ** 2).sum())
-    ss_res = float((w * deltas**2).sum())
+    sq_tot, sq_res = (y - ybar) ** 2, deltas**2
+    rmse = math.sqrt(float(sq_res.sum()) / len(t))
+    if w is not None:
+        sq_tot, sq_res = w * sq_tot, w * sq_res
+    ss_tot, ss_res = float(sq_tot.sum()), float(sq_res.sum())
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     rel_dev = 100.0 * np.abs(s - 1.0 / fitted) / (1.0 / fitted)
     for arr in (t, y, deltas):

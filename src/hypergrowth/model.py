@@ -51,7 +51,7 @@ def evaluate(model: HyperbolicModel, t):
     """
     t = np.asarray(t, dtype=float)
     denom = model.a - model.k * t
-    if np.any(denom <= 0):
+    if (denom <= 0).any():
         raise EvaluationDomainError(
             f"model with singularity at {model.singularity_year:.6g} "
             f"evaluated at or past it"

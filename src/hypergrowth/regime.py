@@ -65,9 +65,21 @@ def proximity(model: HyperbolicModel, diversion_year: float) -> int:
     return p
 
 
+def _median(values: list[float]) -> float:
+    """np.median of finite values, bit for bit, from one sort."""
+    s = sorted(values)
+    h = len(s) // 2
+    # np.median averages the middle value or pair with np.mean, whose sum
+    # starts from +0.0.  Starting from it too gives the same signed zeros.
+    if len(s) % 2:
+        return 0.0 + s[h]
+    return (0.0 + s[h - 1] + s[h]) / 2
+
+
 def _robust_scale(deltas: np.ndarray, fallback: float) -> float:
-    mad = float(np.median(np.abs(deltas - np.median(deltas))))
-    scale = _MAD_TO_SIGMA * mad
+    d = deltas.tolist()
+    med = _median(d)
+    scale = _MAD_TO_SIGMA * _median([abs(x - med) for x in d])
     return scale if scale > 0 else fallback
 
 
@@ -90,28 +102,28 @@ def detect_diversion(
         raise ValueError("m must be >= 1")
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and > 0, got {tau}")
-    tail = series.after(fit.window.end_year)
-    if tail is None:
+    first = int(series.years.searchsorted(fit.window.end_year, side="right"))
+    if first == len(series):
         raise TooFewPointsError("series does not extend beyond the fit window")
 
     scale = _robust_scale(fit.deltas, fallback=1e-9 * float(fit.reciprocals.max()))
     threshold = tau * scale
 
-    recips = 1.0 / tail.values
-    fitted = reciprocal_line(fit.model, tail.years)
+    years = series.years[first:]
+    recips = 1.0 / series.values[first:]
+    fitted = reciprocal_line(fit.model, years)
     deltas = recips - fitted
-    signs = np.sign(deltas)
-    exceeds = np.abs(deltas) > threshold
+    # +1/-1 where a residual exceeds the threshold, else 0: a run qualifies
+    # when its m flags equal its first, non-zero flag.
+    flags = np.where(np.abs(deltas) > threshold, np.sign(deltas), 0.0).tolist()
 
-    n = len(deltas)
-    for i in range(n - m + 1):
-        run = slice(i, i + m)
-        if exceeds[run].all() and np.all(signs[run] == signs[i]) and signs[i] != 0:
-            direction = "slower" if signs[i] > 0 else "faster"
-            evidence = tuple(arr[run].copy() for arr in (tail.years, recips, fitted))
+    for i in range(len(flags) - m + 1):
+        if flags[i] and flags[i:i + m].count(flags[i]) == m:
+            direction = "slower" if flags[i] > 0 else "faster"
+            evidence = tuple(arr[i:i + m].copy() for arr in (years, recips, fitted))
             for arr in evidence:
                 arr.setflags(write=False)
-            year = float(tail.years[i])
+            year = float(years[i])
             prox = proximity(fit.model, year) if direction == "slower" else None
             return DiversionFinding(year, direction, evidence, prox)
     return None

@@ -105,7 +105,7 @@ def _analyze(series: YearValueSeries, cfg, weighting) -> list[AnalysisReportRow]
     # Diversion and takeoff are judged against the latest regime only;
     # everything after an earlier regime is the next regime itself.
     prox = None
-    if series.after(last.window.end_year) is not None:
+    if series.years[-1] > last.window.end_year:
         finding = detect_diversion(series, last)
         if finding is not None and finding.direction == "slower":
             prox = finding.proximity_years

@@ -43,11 +43,13 @@ class YearValueSeries:
             raise SeriesError("years and values must have the same length")
         if len(years) < 1:
             raise SeriesError("series must contain at least one observation")
-        if not np.all(np.isfinite(years)) or not np.all(np.isfinite(values)):
+        # Method reductions, not the np.all/np.any/np.diff wrappers: at the
+        # 20-30 points of a Monte-Carlo trial the wrappers' dispatch dominates.
+        if not np.isfinite(years).all() or not np.isfinite(values).all():
             raise SeriesError("years and values must be finite")
-        if np.any(np.diff(years) <= 0):
+        if (years[1:] <= years[:-1]).any():
             raise SeriesError("years must be strictly increasing (no duplicates)")
-        if np.any(values <= 0):
+        if (values <= 0).any():
             raise SeriesError("all values must be strictly positive")
         years.setflags(write=False)
         values.setflags(write=False)

@@ -10,6 +10,7 @@ positive across the four orders of magnitude a GDP series can span.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,10 @@ class GeneratorSpec:
         if self.kind not in KINDS:
             raise GeneratorError(f"unknown generator kind {self.kind!r}")
         years = np.asarray(self.sample_years, dtype=float)
-        if len(years) < 1 or np.any(np.diff(years) <= 0):
+        if len(years) < 1 or (years[1:] <= years[:-1]).any():
             raise GeneratorError("sample_years must be non-empty and strictly increasing")
+        if not np.isfinite(years).all():
+            raise GeneratorError("sample_years must be finite")
         missing = [p for p in _REQUIRED[self.kind] if p not in self.parameters]
         if missing:
             raise GeneratorError(f"{self.kind} requires parameters {missing}")
@@ -76,7 +79,11 @@ class GeneratorSpec:
                 raise GeneratorError(f"parameter {name} must be finite and positive, got {v}")
         if not (self.noise >= 0 and math.isfinite(self.noise)):
             raise GeneratorError("noise sigma must be finite and >= 0")
-        if self.seed < 0:
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise GeneratorError(f"seed must be an integer, got {self.seed!r}") from None
+        if seed < 0:
             raise GeneratorError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "sample_years", tuple(years.tolist()))
 

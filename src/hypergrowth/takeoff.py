@@ -130,15 +130,14 @@ def takeoff_test(series: YearValueSeries, hypothesis: TakeoffHypothesis) -> Take
     # within the search window of the predicted year, not merely be the best
     # compromise inside it.  Each candidate fits logy ~ c + r * max(t - b, 0).
     logy = np.log(series.values)
-    ones = np.ones_like(t)
-    sums = _CumulativeSums(t, logy, ones)
+    sums = _CumulativeSums(t, logy, np.ones_like(t))
     # The earliest break whose screened SSE ties the least, refitted exactly.
     cost = sums.hinges(np.arange(1, n - 2)).sse
     best_i = 1 + int(np.argmax(cost <= cost.min() + sums.tolerance))
     x = np.maximum(t - t[best_i], 0.0)
-    best_r, xc, ybar = _centred_line(x, logy, ones)
+    best_r, xc, ybar = _centred_line(x, logy)
     best_sse = float(((logy - ybar - best_r * (x - xc)) ** 2).sum())
-    pre_rate = _centred_line(t[: best_i + 1], logy[: best_i + 1], ones[: best_i + 1])[0]
+    pre_rate = _centred_line(t[: best_i + 1], logy[: best_i + 1])[0]
     # A rate whose change over the span is within _TIE_RTOL of the largest log
     # value is zero: on an exactly flat stretch its sign is rounding noise and
     # must not decide prominence.

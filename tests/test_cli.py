@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from hypergrowth import build_plot_sheet, parse_long_csv, plot_sheet_csv, segment_two_hyperbolic
+from hypergrowth import cli
 from hypergrowth.cli import main
 
 
@@ -334,6 +335,30 @@ class TestVerify:
         assert passed or "AD 1" in check
         assert summary == ("12/12" if passed else "11/12") + " checks passed"
         assert code == (0 if passed else 1)
+
+
+class TestParserBuiltOnce:
+    def test_successive_calls_match_fresh_parsers(self, spliced_csv, tmp_path, capsys,
+                                                   monkeypatch):
+        cfg = tmp_path / "regions.ini"
+        cfg.write_text("[africa-like]\nmembers = africa-like\ntwo_regime = true\n")
+        argvs = [
+            ("report", "--input", str(spliced_csv), "--regions-config", str(cfg),
+             "--emit", "json"),
+            ("fit", "--input", str(spliced_csv), "--window", "1000:1820"),
+            ("verify", "--trials", "1"),
+        ]
+        builds = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+        cli._parser.cache_clear()
+        cached = [run(capsys, *argv) for argv in argvs + argvs[:2]]
+        assert len(builds) == 1
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run(capsys, *argv) for argv in argvs]
+        assert len(builds) == 4
+        assert cached == fresh + fresh[:2]
+        assert [code for code, _, _ in fresh] == [0, 0, 0]
 
 
 class TestMalformedInput:

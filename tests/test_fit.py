@@ -5,21 +5,77 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypergrowth import (
+    FitError,
     FitWindow,
     GeneratorSpec,
+    HyperbolicModel,
     NonHyperbolicError,
     TooFewPointsError,
     YearValueSeries,
     fit_hyperbolic,
     generate,
+    reciprocal_line,
     relative_deviation,
     scan_windows,
 )
+from hypergrowth.fit import _centred_line
 
 
 def hyperbolic_series(a=1.0, k=0.001, years=None, noise=0.0, seed=0):
     years = years or tuple(float(y) for y in range(0, 901, 100))
     return generate(GeneratorSpec("hyperbolic", {"a": a, "k": k}, years, noise, seed))
+
+
+def reference_uniform_fit(series, window):
+    """The former uniform fit, through explicit unit weights: (a, k, rmse, r2, deltas)."""
+    mask = (series.years >= window.start_year) & (series.years <= window.end_year)
+    t, s = series.years[mask], series.values[mask]
+    w, y = np.ones_like(s), 1.0 / s
+    slope, tc, ybar = _centred_line(t, y, w)
+    k = -slope
+    a = ybar + k * tc
+    deltas = y - reciprocal_line(HyperbolicModel(a, k), t)
+    ss_tot = float((w * (y - ybar) ** 2).sum())
+    ss_res = float((w * deltas**2).sum())
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return a, k, float(np.sqrt(np.mean(deltas**2))), r2, deltas
+
+
+class TestUniformWeightsSkipped:
+    """Uniform fits skip the unit weights and change no bit."""
+
+    def test_fit_matches_explicit_unit_weights(self):
+        compared = 0
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 80))
+            years = np.cumsum(rng.uniform(0.5, 30.0, n)) + rng.uniform(-2000.0, 1500.0)
+            k = 1.0 / (years[-1] - years[0]) / rng.uniform(1.05, 20.0)
+            values = 1.0 / (k * (years[-1] + rng.uniform(1.0, 500.0) - years))
+            values *= np.exp(rng.normal(0.0, (0.0, 1e-3, 0.02)[seed % 3], n))
+            s = YearValueSeries(years, values * 10.0 ** rng.integers(-3, 4))
+            lo = int(rng.integers(0, n - 2))
+            window = FitWindow(float(years[lo]), float(years[rng.integers(lo + 2, n)]))
+            try:
+                fit = fit_hyperbolic(s, window)
+            except FitError:
+                continue
+            compared += 1
+            a, k, rmse, r2, deltas = reference_uniform_fit(s, window)
+            assert (fit.model.a, fit.model.k, fit.rmse_reciprocal, fit.r2_reciprocal) == (
+                a, k, rmse, r2), seed
+            assert fit.deltas.tobytes() == deltas.tobytes()
+        assert compared >= 100
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e3, 1e3)),
+                    min_size=2, max_size=60, unique_by=lambda p: p[0]))
+    def test_centred_line_matches_unit_weights(self, points):
+        t, y = (np.array(c) for c in zip(*sorted(points)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = _centred_line(t, y)
+            want = _centred_line(t, y, np.ones_like(t))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestFitHyperbolic:

@@ -129,3 +129,19 @@ class TestSeriesInvariants:
     def test_rejects_empty(self):
         with pytest.raises(SeriesError):
             YearValueSeries([], [])
+
+    # Two faults at once: the checks run in a fixed order, so the first
+    # fault in that order names the error.
+    @pytest.mark.parametrize("years, values, message", [
+        ([[1900.0, 1910.0]], [1.0], "years and values must be one-dimensional"),
+        ([1900.0, float("nan")], [1.0], "years and values must have the same length"),
+        ([1910.0, float("nan"), 1900.0], [1.0, 2.0, 3.0], "years and values must be finite"),
+        ([1900.0, 1910.0], [float("inf"), 0.0], "years and values must be finite"),
+        ([1900.0, 1900.0], [float("nan"), 1.0], "years and values must be finite"),
+        ([1910.0, 1900.0], [1.0, -2.0], "years must be strictly increasing (no duplicates)"),
+        ([1900.0, 1900.0], [0.0, 1.0], "years must be strictly increasing (no duplicates)"),
+    ])
+    def test_first_of_two_faults_names_the_error(self, years, values, message):
+        with pytest.raises(SeriesError) as exc:
+            YearValueSeries(years, values)
+        assert str(exc.value) == message

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypergrowth import (
+    FitError,
     FitWindow,
     GeneratorSpec,
     HyperbolicModel,
@@ -14,8 +16,11 @@ from hypergrowth import (
     fit_hyperbolic,
     generate,
     proximity,
+    reciprocal_line,
     segment_two_hyperbolic,
 )
+from hypergrowth.acceptance import _diversion_scenario
+from hypergrowth.regime import _MAD_TO_SIGMA, _median
 from hypergrowth.synth import spliced_models
 
 
@@ -164,3 +169,141 @@ class TestSegmentation:
         seg2 = segment_two_hyperbolic(YearValueSeries(s.years, s.values * 1e3))
         assert seg1.breakpoint_year == seg2.breakpoint_year
         assert seg1.k_ratio == pytest.approx(seg2.k_ratio, rel=1e-9)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324])),
+                min_size=1, max_size=60))
+@example([-0.0])
+@example([-0.0, -0.0])
+@example([0.0, -0.0, -0.0])
+@example([1e308, 1e308])
+@example([0.0, 0.0, -1.0, -5e-324])
+def test_median_matches_numpy_bit_for_bit(values):
+    with np.errstate(over="ignore"):
+        expected = np.float64(np.median(np.array(values)))
+    assert np.float64(_median(values)).tobytes() == expected.tobytes()
+
+
+def reference_detect_diversion(series, fit, m, tau):
+    """The former scan, kept as the reference: np.median for the scale, a
+    validated tail sub-series, and three numpy calls per candidate run.
+
+    Returns (finding as a tuple or None, whether the fallback scale fired,
+    the tail residuals).
+    """
+    tail = series.after(fit.window.end_year)
+    scale = _MAD_TO_SIGMA * float(np.median(np.abs(fit.deltas - np.median(fit.deltas))))
+    fell_back = not scale > 0
+    if fell_back:
+        scale = 1e-9 * float(fit.reciprocals.max())
+    threshold = tau * scale
+    recips = 1.0 / tail.values
+    fitted = reciprocal_line(fit.model, tail.years)
+    deltas = recips - fitted
+    signs = np.sign(deltas)
+    exceeds = np.abs(deltas) > threshold
+    for i in range(len(deltas) - m + 1):
+        run = slice(i, i + m)
+        if exceeds[run].all() and np.all(signs[run] == signs[i]) and signs[i] != 0:
+            direction = "slower" if signs[i] > 0 else "faster"
+            evidence = tuple(arr[run] for arr in (tail.years, recips, fitted))
+            year = float(tail.years[i])
+            prox = proximity(fit.model, year) if direction == "slower" else None
+            return (year, direction, evidence, prox), fell_back, deltas
+    return None, fell_back, deltas
+
+
+def diversion_case(seed):
+    """One seeded (series, fit): slower, faster or no departure; noisy, exact,
+    or on a dyadic line whose tail has exactly zero residuals."""
+    rng = np.random.default_rng(seed)
+    noise = (0.0, 0.001, 0.01)[seed % 3]
+    kind = seed % 4
+    if kind == 0:
+        years = tuple(float(y) for y in range(int(rng.integers(960, 985)), 1000))
+        params = {"a": 1.0, "k": 1e-3, "break_year": float(rng.integers(988, 997)),
+                  "slow_factor": float(rng.uniform(0.05, 0.9))}
+        s = generate(GeneratorSpec("hyperbolic-then-slower", params, years, noise, seed))
+        end = params["break_year"] - float(rng.integers(0, 4))
+    elif kind == 1:
+        years = tuple(float(y) for y in range(900, 1000, int(rng.integers(1, 6))))
+        s = generate(GeneratorSpec("hyperbolic", {"a": 1.0, "k": 1e-3}, years, noise, seed))
+        end = float(years[int(rng.integers(4, len(years) - 1))])
+    elif kind == 2:
+        years = tuple(float(y) for y in range(1600, 1951, 10))
+        s = generate(GeneratorSpec("spliced-two-hyperbolic", SPLICE, years, noise, seed))
+        end = float(rng.choice([1780.0, 1800.0, 1820.0, 1840.0]))
+    else:
+        t = np.arange(0.0, float(rng.integers(12, 40)))
+        values = 1.0 / (1.0 - t / 64)  # reciprocals on a dyadic line
+        end = float(rng.integers(5, len(t) - 2))
+        tail = t > end
+        bump = rng.choice([1.0, 1.0, 1.0 + 1e-3, 1.0 - 1e-3, 1.05, 0.95], size=len(t))
+        s = YearValueSeries(t, np.where(tail, values * bump, values))
+    return s, fit_hyperbolic(s, FitWindow(float(s.years[0]), end))
+
+
+class TestDetectDiversionReference:
+    """The single-list scan against the former per-candidate numpy scan."""
+
+    def test_matches_former_scan(self):
+        outcomes, fallbacks, zero_tails, cases = set(), 0, 0, 0
+        for seed in range(240):
+            try:
+                s, fit = diversion_case(seed)
+            except FitError:
+                continue
+            cases += 1
+            for m in (1, 2, 3, 5):
+                for tau in (0.5, 3.0, 10.0):
+                    expected, fell_back, deltas = reference_detect_diversion(s, fit, m, tau)
+                    finding = detect_diversion(s, fit, m=m, tau=tau)
+                    fallbacks += fell_back
+                    zero_tails += bool((deltas == 0).any())
+                    if expected is None:
+                        assert finding is None, (seed, m, tau)
+                        outcomes.add(None)
+                        continue
+                    year, direction, evidence, prox = expected
+                    assert (finding.year, finding.direction, finding.proximity_years) == (
+                        year, direction, prox), (seed, m, tau)
+                    for got, want in zip(finding.evidence, evidence):
+                        assert got.tobytes() == want.tobytes() and not got.flags.writeable
+                    outcomes.add(direction)
+        assert cases >= 200
+        assert outcomes == {None, "slower", "faster"}
+        assert fallbacks > 0 and zero_tails > 0
+
+
+class TestTrialCalls:
+    """A verify-style trial builds one series and never calls np.median."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"series": 0, "median": 0}
+        post_init, median = YearValueSeries.__post_init__, np.median
+
+        def counted_post_init(self):
+            calls["series"] += 1
+            post_init(self)
+
+        def counted_median(*args, **kwargs):
+            calls["median"] += 1
+            return median(*args, **kwargs)
+
+        monkeypatch.setattr(YearValueSeries, "__post_init__", counted_post_init)
+        monkeypatch.setattr(np, "median", counted_median)
+        return calls
+
+    def test_recovery_trial(self, calls):
+        years = tuple(float(y) for y in range(0, 900, 30))
+        s = generate(GeneratorSpec("hyperbolic", {"a": 1.0, "k": 1e-3}, years,
+                                   noise=0.01, seed=5))
+        fit_hyperbolic(s, FitWindow(years[0], years[-1]))
+        assert calls == {"series": 1, "median": 0}
+
+    def test_diversion_trial(self, calls):
+        assert _diversion_scenario(8, spliced=True) is not None
+        assert calls == {"series": 1, "median": 0}

@@ -106,6 +106,23 @@ class TestInvalidSpecs:
         with pytest.raises(GeneratorError):
             GeneratorSpec("constant", {"level": 1.0}, (10.0, 5.0))
 
+    @pytest.mark.parametrize("sample_years", [(0.0, float("nan"), 2.0), (0.0, 1.0, float("inf")),
+                                              (float("-inf"), 0.0, 1.0)])
+    def test_non_finite_years_rejected(self, sample_years):
+        with pytest.raises(GeneratorError, match="finite"):
+            GeneratorSpec("hyperbolic", {"a": 1.0, "k": 1e-4}, sample_years)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(GeneratorError, match="seed must be an integer"):
+            GeneratorSpec("hyperbolic", {"a": 1.0, "k": 1e-3}, years(0, 1), noise=0.01, seed=seed)
+
+    def test_numpy_integer_seed_allowed(self):
+        spec = {"kind": "hyperbolic", "parameters": {"a": 1.0, "k": 1e-3},
+                "sample_years": years(*range(0, 100, 10)), "noise": 0.01}
+        assert generate(GeneratorSpec(**spec, seed=np.int64(7))) == generate(
+            GeneratorSpec(**spec, seed=7))
+
     def test_missing_parameter_rejected(self):
         with pytest.raises(GeneratorError):
             GeneratorSpec("hyperbolic", {"a": 1.0}, years(0, 1))
