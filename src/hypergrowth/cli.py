@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .acceptance import check_world_reproduction, run_all_checks
 from .errors import GeneratorError, HypergrowthError, ParseError
-from .fit import FitWindow, best_fit
+from .fit import WEIGHTINGS, FitWindow, best_fit
 from .ingest import (
     DatasetTable,
     _check_positive,
@@ -34,7 +34,7 @@ from .plots import build_plot_sheet, plot_sheet_csv, plot_sheet_svg
 from .regime import detect_diversion, segment_two_hyperbolic
 from .report import _region_fits, render_report, run_analysis
 from .series import YearValueSeries
-from .synth import GeneratorSpec, generate, maddison_year_grid
+from .synth import KINDS, GeneratorSpec, generate, maddison_year_grid
 from .takeoff import TakeoffHypothesis, takeoff_test
 
 USAGE_ERROR = 2
@@ -42,9 +42,7 @@ ANALYSIS_ERROR = 1
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
+    """A usage error the CLI reports itself (exit 2)."""
 
 
 def _write_output(data: bytes, out: str | None):
@@ -234,14 +232,12 @@ def cmd_report(args) -> int:
 
 def cmd_plot(args) -> int:
     series = _load_series(args)
-    fits, breakpoint = _region_fits(series, _window(args), args.two_regime, args.weighting)
+    fits, breakpoint, finding = _region_fits(series, _window(args), args.two_regime,
+                                             args.weighting)
     annotations = [] if breakpoint is None else [("breakpoint", breakpoint)]
-    last_fit = fits[-1]
-    annotations.append(("singularity", last_fit.model.singularity_year))
-    if series.years[-1] > last_fit.window.end_year:
-        finding = detect_diversion(series, last_fit)
-        if finding is not None:
-            annotations.append((f"diversion ({finding.direction})", finding.year))
+    annotations.append(("singularity", fits[-1].model.singularity_year))
+    if finding is not None:
+        annotations.append((f"diversion ({finding.direction})", finding.year))
     mode = "reciprocal-linear" if args.mode == "reciprocal" else "semilog-direct"
     sheet = build_plot_sheet(series, fits, mode, annotations)
     if args.emit == "svg":
@@ -324,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_input_args(p)
         _add_common_args(p)
         p.add_argument("--window", help="fit window START:END (inclusive years)")
-        p.add_argument("--weighting", choices=("uniform", "direct"), default="uniform")
+        p.add_argument("--weighting", choices=WEIGHTINGS, default="uniform")
         return p
 
     analysis_command("fit", "fit one hyperbolic model and report diagnostics")
@@ -343,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="run the full per-region pipeline")
     _add_input_args(p)
     _add_common_args(p)
-    p.add_argument("--weighting", choices=("uniform", "direct"), default="uniform")
+    p.add_argument("--weighting", choices=WEIGHTINGS, default="uniform")
     p.add_argument("--emit", choices=("json", "csv", "markdown"), default="markdown")
 
     p = analysis_command("plot", "emit figure data as CSV or SVG")
@@ -353,10 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic series as long CSV")
     _add_common_args(p)
-    p.add_argument("--kind", required=True,
-                   choices=("hyperbolic", "constant", "exponential",
-                            "stagnation-then-takeoff", "spliced-two-hyperbolic",
-                            "hyperbolic-then-slower"))
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
                    help="generator parameter, repeatable")
     p.add_argument("--years", help="sample years START:END[:STEP]")
@@ -401,18 +394,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ParseError, GeneratorError) as exc:
+    except (CliError, ParseError, GeneratorError, OSError) as exc:
+        # OSError: an input that cannot be read or an output that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except HypergrowthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ANALYSIS_ERROR
-    except OSError as exc:  # an input that cannot be read or an output that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
 
 
 if __name__ == "__main__":

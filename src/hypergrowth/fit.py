@@ -27,13 +27,13 @@ solver's own.
 The automatic window (``scan_windows``, behind ``best_fit``) is the paper's
 account of a series: hyperbolic growth from the series start up to a
 diversion, then some other growth, modelled as a log-linear tail.  The break,
-or no break at all, is chosen by BIC.
+or no break at all, is chosen by BIC, and the result is that one window's
+fit: a list of one ``HyperbolicFit``, or an empty list when no window fits.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,10 +63,6 @@ class FitWindow:
             raise TooFewPointsError(
                 f"window start {self.start_year} must precede end {self.end_year}"
             )
-
-    @property
-    def span(self) -> float:
-        return self.end_year - self.start_year
 
     def contains(self, year) -> bool:
         return self.start_year <= year <= self.end_year
@@ -260,36 +256,11 @@ class _CumulativeSums:
         return (k > 0) & (a > 0) & (a - k * end_year > 0)
 
 
-class _RankedFits(Sequence):
-    """Candidates in rank order, fitted as they are reached.
-
-    ``fit(c)`` refits candidate c exactly; one whose exact fit fails a check
-    is dropped when reached, so the exact verdict wins.
-    """
-
-    def __init__(self, order, fit):
-        self._order, self._fit, self._fits = list(order), fit, []
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[r] for r in range(len(self))[index]]
-        r = range(len(self))[index]
-        while len(self._fits) <= r < len(self._order):
-            try:
-                self._fits.append(self._fit(self._order[len(self._fits)]))
-            except (NonHyperbolicError, SingularityInWindowError):
-                del self._order[len(self._fits)]
-        return self._fits[r]
-
-
 def scan_windows(
     series: YearValueSeries,
     weighting: str = "uniform",
-) -> Sequence[HyperbolicFit]:
-    """Candidate automatic windows, best first: hyperbolic growth, then a diversion.
+) -> list[HyperbolicFit]:
+    """The automatic window's fit: hyperbolic growth, then a diversion.
 
     Every candidate window starts at the first observed year and ends at an
     observed year t[b].  With a break (K = 2), a hyperbola fits t[0]..t[b]
@@ -304,15 +275,17 @@ def scan_windows(
     screened line under ``weighting`` fails one of fit_hyperbolic's checks
     is no candidate.
 
-    Every cost comes from cumulative sums, O(n) in all.  The result is a
-    lazy sequence of ``fit_hyperbolic(series, window, weighting)``, each
-    made when first reached.
+    Every cost comes from cumulative sums, O(n) in all.  Candidates are
+    refitted exactly by ``fit_hyperbolic(series, window, weighting)`` in rank
+    order, and the first whose exact fit passes is the result, a list of
+    that one fit; one that fails a check is skipped, so the exact verdict
+    wins.  The list is empty when no candidate passes.
     """
     t, s = series.years, series.values
     n = len(t)
     w = _weights(s, weighting)
     if n < 3:
-        return _RankedFits([], None)
+        return []
     y = 1.0 / s
     head = _CumulativeSums(t, y, _weights(s, "direct"))
     logs = _CumulativeSums(t, np.log(s), np.ones_like(t))
@@ -327,11 +300,12 @@ def scan_windows(
     cost, ends = cost[ok], ends[ok]
     if len(ends):
         cost = np.where(cost <= cost.min() + logs.tolerance, cost.min(), cost)
-
-    def fit(b):
-        return fit_hyperbolic(series, FitWindow(float(t[0]), float(t[b])), weighting)
-
-    return _RankedFits(ends[np.lexsort((-ends, cost))], fit)
+    for b in ends[np.lexsort((-ends, cost))]:
+        try:
+            return [fit_hyperbolic(series, FitWindow(float(t[0]), float(t[b])), weighting)]
+        except (NonHyperbolicError, SingularityInWindowError):
+            pass
+    return []
 
 
 def best_fit(series: YearValueSeries, window: FitWindow | None, weighting: str) -> HyperbolicFit:

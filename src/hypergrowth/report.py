@@ -82,33 +82,31 @@ def _takeoff_cell(series: YearValueSeries, takeoff_year, halfwidth: float) -> st
 
 
 def _region_fits(series: YearValueSeries, window: FitWindow | None, two_regime: bool, weighting):
-    """The fitted regimes in time order, and the breakpoint when the split runs.
+    """The fitted regimes in time order, the breakpoint when the split runs, and
+    the latest regime's diversion finding (None if the series ends in its window).
 
     Without ``two_regime`` the one regime is ``best_fit``'s and the breakpoint
     is None; with it, the series is cut to ``window`` and split in two.
     """
     if not two_regime:
-        return [best_fit(series, window, weighting)], None
-    span = series if window is None else series.slice_window(window.start_year, window.end_year)
-    seg = segment_two_hyperbolic(span, weighting=weighting)
-    fits = [s.fit for s in seg.hyperbolic_segments()]
-    if not fits:
-        raise FitError(f"no hyperbolic regime found for {series.label!r}")
-    return fits, seg.breakpoint_year
+        fits, breakpoint = [best_fit(series, window, weighting)], None
+    else:
+        span = series if window is None else series.slice_window(window.start_year, window.end_year)
+        seg = segment_two_hyperbolic(span, weighting=weighting)
+        fits, breakpoint = [s.fit for s in seg.hyperbolic_segments()], seg.breakpoint_year
+        if not fits:
+            raise FitError(f"no hyperbolic regime found for {series.label!r}")
+    last = fits[-1]
+    finding = detect_diversion(series, last) if series.years[-1] > last.window.end_year else None
+    return fits, breakpoint, finding
 
 
 def _analyze(series: YearValueSeries, cfg, weighting) -> list[AnalysisReportRow]:
     window = None if cfg.window is None else FitWindow(*cfg.window)
-    fits, _ = _region_fits(series, window, cfg.two_regime, weighting)
+    fits, _, finding = _region_fits(series, window, cfg.two_regime, weighting)
     *earlier, last = fits
     rows = [AnalysisReportRow.from_fit(series.label, fit) for fit in earlier]
-    # Diversion and takeoff are judged against the latest regime only;
-    # everything after an earlier regime is the next regime itself.
-    prox = None
-    if series.years[-1] > last.window.end_year:
-        finding = detect_diversion(series, last)
-        if finding is not None and finding.direction == "slower":
-            prox = finding.proximity_years
+    prox = finding.proximity_years if finding is not None else None
     takeoff = _takeoff_cell(series, cfg.takeoff_year, cfg.takeoff_halfwidth)
     rows.append(AnalysisReportRow.from_fit(series.label, last, prox, takeoff))
     return rows

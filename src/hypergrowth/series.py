@@ -33,8 +33,9 @@ class YearValueSeries:
     label: str = ""
 
     def __post_init__(self):
-        years = np.asarray(self.years, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        # Copies: freezing the caller's own arrays would make them read-only.
+        years = np.array(self.years, dtype=float)
+        values = np.array(self.values, dtype=float)
         object.__setattr__(self, "years", years)
         object.__setattr__(self, "values", values)
         if years.ndim != 1 or values.ndim != 1:

@@ -42,6 +42,14 @@ _REQUIRED = {
 _OPTIONAL = {"exponential": ("ref_year",)}
 
 
+def _finite(v) -> bool:
+    """Whether ``v`` is a finite real number; False for anything else."""
+    try:
+        return math.isfinite(v)
+    except (TypeError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Recipe for one synthetic series.
@@ -61,7 +69,12 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise GeneratorError(f"unknown generator kind {self.kind!r}")
-        years = np.asarray(self.sample_years, dtype=float)
+        try:
+            years = np.asarray(self.sample_years, dtype=float)
+        except (TypeError, ValueError):
+            raise GeneratorError("sample_years must be a sequence of numbers") from None
+        if years.ndim != 1:
+            raise GeneratorError("sample_years must be a sequence of numbers")
         if len(years) < 1 or (years[1:] <= years[:-1]).any():
             raise GeneratorError("sample_years must be non-empty and strictly increasing")
         if not np.isfinite(years).all():
@@ -75,9 +88,13 @@ class GeneratorSpec:
             raise GeneratorError(f"{self.kind} takes no parameters {unknown}")
         for name in _REQUIRED[self.kind]:
             v = self.parameters[name]
-            if not (math.isfinite(v) and v > 0):
-                raise GeneratorError(f"parameter {name} must be finite and positive, got {v}")
-        if not (self.noise >= 0 and math.isfinite(self.noise)):
+            if not (_finite(v) and v > 0):
+                raise GeneratorError(f"parameter {name} must be finite and positive, got {v!r}")
+        for name in _OPTIONAL.get(self.kind, ()):
+            v = self.parameters.get(name, 0.0)
+            if not _finite(v):
+                raise GeneratorError(f"parameter {name} must be finite, got {v!r}")
+        if not (_finite(self.noise) and self.noise >= 0):
             raise GeneratorError("noise sigma must be finite and >= 0")
         try:
             seed = operator.index(self.seed)

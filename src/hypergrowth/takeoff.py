@@ -43,6 +43,14 @@ class TakeoffHypothesis:
     predicted_year: float
     search_halfwidth: float = 50.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.predicted_year):
+            raise ValueError(f"predicted_year must be finite, got {self.predicted_year}")
+        if not (math.isfinite(self.search_halfwidth) and self.search_halfwidth > 0):
+            raise ValueError(
+                f"search_halfwidth must be finite and > 0, got {self.search_halfwidth}"
+            )
+
 
 # Decision thresholds, chosen so verdicts are stable over a wide threshold
 # range (verified by the Monte-Carlo suite).

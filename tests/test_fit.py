@@ -183,16 +183,13 @@ class TestScanWindows:
         # On exact data the whole series fits to rounding noise, so the top
         # candidate is the full range, and it recovers the true model.
         s = hyperbolic_series()
-        ranked = scan_windows(s)
-        top = ranked[0]
+        (top,) = scan_windows(s)
         assert top.model.a == pytest.approx(1.0, rel=1e-6)
         assert top.model.k == pytest.approx(0.001, rel=1e-6)
-        full = next(
-            f for f in ranked
-            if f.window.start_year == 0.0 and f.window.end_year == 900.0
-        )
+        full = fit_hyperbolic(s, FitWindow(0.0, 900.0))
         assert full.rmse_reciprocal == pytest.approx(0.0, abs=1e-12)
-        assert top is full
+        assert top.window == full.window
+        assert (top.model.a, top.model.k) == (full.model.a, full.model.k)
 
     def test_spliced_series_full_range_not_on_top(self):
         params = {"a": 0.242, "k": 1e-4, "break_year": 1820.0, "k_ratio": 4.2}
@@ -202,17 +199,11 @@ class TestScanWindows:
                 tuple(float(y) for y in range(1000, 1951, 50)),
             )
         )
-        ranked = scan_windows(s)
-        full = next(
-            f for f in ranked
-            if f.window.start_year == 1000.0 and f.window.end_year == 1950.0
-        )
-        within_first = next(
-            f for f in ranked
-            if f.window.start_year == 1000.0 and f.window.end_year == 1800.0
-        )
+        (top,) = scan_windows(s)
+        full = fit_hyperbolic(s, FitWindow(1000.0, 1950.0))
+        within_first = fit_hyperbolic(s, FitWindow(1000.0, 1800.0))
         assert within_first.rmse_reciprocal < full.rmse_reciprocal
-        assert ranked[0].rmse_reciprocal < full.rmse_reciprocal
+        assert top.rmse_reciprocal < full.rmse_reciprocal
 
     def test_three_points_single_candidate(self):
         s = hyperbolic_series(years=(0.0, 100.0, 200.0))

@@ -130,6 +130,13 @@ class TestSeriesInvariants:
         with pytest.raises(SeriesError):
             YearValueSeries([], [])
 
+    def test_caller_arrays_stay_writable(self):
+        years, values = np.array([1900.0, 1910.0]), np.array([1.0, 2.0])
+        s = YearValueSeries(years, values)
+        years[0], values[0] = 1800.0, 5.0
+        assert (s.years.tolist(), s.values.tolist()) == ([1900.0, 1910.0], [1.0, 2.0])
+        assert not (s.years.flags.writeable or s.values.flags.writeable)
+
     # Two faults at once: the checks run in a fixed order, so the first
     # fault in that order names the error.
     @pytest.mark.parametrize("years, values, message", [

@@ -131,6 +131,20 @@ class TestInvalidSpecs:
         with pytest.raises(GeneratorError, match="break_year"):
             GeneratorSpec("hyperbolic", {"a": 1.0, "k": 1e-3, "break_year": 900.0}, years(0, 1))
 
+    @pytest.mark.parametrize("kind, parameters, sample_years, noise", [
+        pytest.param("constant", {"level": 1.0}, ("a", "b"), 0.0, id="sample-years-text"),
+        pytest.param("constant", {"level": 1.0}, 1900.0, 0.0, id="sample-years-scalar"),
+        pytest.param("constant", {"level": "1"}, (0.0, 1.0), 0.0, id="parameter-text"),
+        pytest.param("constant", {"level": 1.0}, (0.0, 1.0), "x", id="noise-text"),
+        pytest.param("exponential", {"level": 1.0, "rate": 0.01, "ref_year": float("nan")},
+                     (0.0, 1.0), 0.0, id="ref-year-nan"),
+        pytest.param("exponential", {"level": 1.0, "rate": 0.01, "ref_year": "x"},
+                     (0.0, 1.0), 0.0, id="ref-year-text"),
+    ])
+    def test_malformed_field_rejected(self, kind, parameters, sample_years, noise):
+        with pytest.raises(GeneratorError):
+            GeneratorSpec(kind, parameters, sample_years, noise)
+
     def test_exponential_reference_year_allowed(self):
         spec = GeneratorSpec("exponential", {"level": 2.0, "rate": 0.01, "ref_year": 1.0},
                              years(0, 1))

@@ -99,6 +99,20 @@ class TestTakeoffTest:
         assert r2.break_year == r1.break_year + 100.0
 
 
+class TestHypothesis:
+    @pytest.mark.parametrize("predicted_year, halfwidth, field", [
+        (math.nan, 50.0, "predicted_year"),
+        (-math.inf, 50.0, "predicted_year"),
+        (1750.0, math.inf, "search_halfwidth"),
+        (1750.0, math.nan, "search_halfwidth"),
+        (1750.0, 0.0, "search_halfwidth"),
+        (1750.0, -5.0, "search_halfwidth"),
+    ])
+    def test_invalid_field_rejected(self, predicted_year, halfwidth, field):
+        with pytest.raises(ValueError, match=field):
+            TakeoffHypothesis(predicted_year, halfwidth)
+
+
 class TestTakeoffScan:
     SCAN_GRID = [1000.0, 1500.0, 1600.0, 1700.0, 1750.0, 1820.0, 1900.0]
 
