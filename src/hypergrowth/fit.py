@@ -15,14 +15,15 @@ over-weights the early, small-value points.
 
 The searches over many candidate lines (``scan_windows`` here, the
 two-regime split in ``regime`` and the takeoff break in ``takeoff``) screen,
-then refit.  Cumulative sums of 1, t, y, t^2, t*y and y^2 (weighted for the
-line, plain for the plain residual sum of squares) give every contiguous
-run's line and cost in closed form, O(1) per run.  Each search takes the best
-screened candidate under one tie rule: costs within ``_TIE_RTOL`` times the
-series' total sum of squares about its mean tie, so rounding noise on exact
-data cannot decide.  Only the chosen candidate is refitted, by
-``fit_hyperbolic`` or ``_centred_line``, so every returned fit is the exact
-solver's own.
+then refit.  One 6-row table of cumulative sums of 1, t, y, t^2, t*y and
+y^2, weighted as the line is, gives every contiguous run's line and costs in
+closed form, O(1) per run; a plain table is built only where a search reads
+a plain cost of a weighted line.  Each search computes only the costs it
+ranks by and takes the best under one tie rule: costs within ``_TIE_RTOL``
+times the series' total sum of squares about its mean tie, so rounding
+noise on exact data cannot decide.  Only the chosen candidate is refitted,
+by ``fit_hyperbolic`` or ``_centred_line``, so every returned fit is the
+exact solver's own.
 
 The automatic window (``scan_windows``, behind ``best_fit``) is the paper's
 account of a series: hyperbolic growth from the series start up to a
@@ -35,16 +36,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    FitError,
-    NonHyperbolicError,
-    SingularityInWindowError,
-    TooFewPointsError,
-)
+from .errors import FitError, NonHyperbolicError, SingularityInWindowError, TooFewPointsError
 from .model import HyperbolicModel, reciprocal_line
 from .series import YearValueSeries
 
@@ -106,11 +101,11 @@ def _centred_line(t: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):
     return slope, tc, ybar
 
 
-def _weights(values: np.ndarray, weighting: str) -> np.ndarray:
-    """Least-squares weight of each reciprocal; ValueError for an unknown weighting."""
+def _weights(values: np.ndarray, weighting: str) -> np.ndarray | None:
+    """Each reciprocal's least-squares weight, None if all are 1; ValueError if unknown."""
     if weighting not in WEIGHTINGS:
         raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
-    return values**2 if weighting == "direct" else np.ones_like(values)
+    return values**2 if weighting == "direct" else None
 
 
 def fit_hyperbolic(
@@ -128,7 +123,7 @@ def fit_hyperbolic(
     mask = (series.years >= window.start_year) & (series.years <= window.end_year)
     t = series.years[mask]
     s = series.values[mask]
-    w = None if weighting == "uniform" else _weights(s, weighting)
+    w = _weights(s, weighting)
     if len(t) < 3:
         raise TooFewPointsError(
             f"window [{window.start_year}, {window.end_year}] holds {len(t)} points; need >= 3"
@@ -175,85 +170,88 @@ def fit_hyperbolic(
     )
 
 
-# Rows of _CumulativeSums.P: w-weighted 1, t, y, t^2, t*y, y^2 (0-5), then plain.
-_N, _T, _Y, _TT, _TY, _YY = range(6, 12)
+# Rows of a _CumulativeSums table: sums of 1, t, y, t^2, t*y and y^2.
+_N, _T, _Y, _TT, _TY, _YY = range(6)
 # Screened costs within this share of the total sum of squares about the mean tie.
 _TIE_RTOL = 1e-12
 
 
-class _Lines(NamedTuple):
-    """Screened weighted lines y = mu_y + level + slope * (t - mu_t) of many runs.
-
-    ``sse`` is the plain (unweighted) squared residual about the line, ``wsse``
-    the weighted one, and ``mean_sse`` the plain one about the run's plain mean.
-    """
-
-    slope: np.ndarray
-    level: np.ndarray
-    sse: np.ndarray
-    wsse: np.ndarray
-    mean_sse: np.ndarray
+# Helpers on the six sums of many runs; a degenerate run divides by zero, so
+# callers run them under np.errstate(divide="ignore", invalid="ignore").
+def _prefix(P: np.ndarray, ends: slice) -> np.ndarray:
+    """Sums over the runs 0..e, one column per end e: P's own, as column 0 is zero."""
+    return P[:, 1:][:, ends]
 
 
-def _screen_lines(S: np.ndarray) -> _Lines:
-    """The weighted line and its residual sums of squares from (12, m) run sums."""
-    W, Wt, Wy, Wtt, Wty, Wyy, N, St, Sy, Stt, Sty, Syy = S
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tc, yc = Wt / W, Wy / W
-        cty = Wty - Wt * yc
-        slope = cty / (Wtt - Wt * tc)
-        level = yc - slope * tc
-        sse = (Syy - 2 * level * Sy - 2 * slope * Sty + N * level**2
-               + 2 * level * slope * St + slope**2 * Stt)
-        return _Lines(slope, level, sse, Wyy - Wy * yc - slope * cty, Syy - Sy**2 / N)
+def _suffix(P: np.ndarray, starts: slice) -> np.ndarray:
+    """Sums over the runs s..n-1, one column per start s."""
+    return P[:, -1:] - P[:, starts]
+
+
+def _line(W):
+    """Slope and level of each run's weighted line y = mu_y + level + slope * (t - mu_t)."""
+    tc, yc = W[_T] / W[_N], W[_Y] / W[_N]
+    slope = (W[_TY] - W[_T] * yc) / (W[_TT] - W[_T] * tc)
+    return slope, yc - slope * tc
+
+
+def _sse(S, slope, level):
+    """Plain squared residual of each run about the line (slope, level)."""
+    return (S[_YY] - 2 * level * S[_Y] - 2 * slope * S[_TY] + S[_N] * level**2
+            + 2 * level * slope * S[_T] + slope**2 * S[_TT])
+
+
+def _wsse(W):
+    """Weighted squared residual of each run about its weighted line."""
+    yc = W[_Y] / W[_N]
+    return W[_YY] - W[_Y] * yc - _line(W)[0] * (W[_TY] - W[_T] * yc)
+
+
+def _mean_sse(S):
+    """Plain squared residual of each run about its plain mean."""
+    return S[_YY] - S[_Y] ** 2 / S[_N]
 
 
 class _CumulativeSums:
     """Running sums of one series, behind the least-squares line of any run.
 
-    ``P[:, j + 1] - P[:, i]`` sums the rows (w-weighted 1, t, y, t^2, t*y,
-    y^2, then the plain ones) over points i..j.  t and y are centred on their
-    plain means ``mu_t`` and ``mu_y`` first, which keeps the cancellation in a
-    run's centred moments small.  ``tolerance`` is _TIE_RTOL times the plain
-    total sum of squares of y about its mean: screened costs closer than that
-    tie.
+    ``P[:, j + 1] - P[:, i]`` sums the rows, w-weighted or plain for w=None,
+    over points i..j.  t and y are centred on their plain means ``mu_t`` and
+    ``mu_y`` first, which keeps the cancellation in a run's centred moments
+    small.  Screened costs closer than ``tolerance``, _TIE_RTOL times a plain
+    table's total sum of squares of y about its mean, tie.
     """
 
-    def __init__(self, t: np.ndarray, y: np.ndarray, w: np.ndarray):
+    def __init__(self, t: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):
         self.mu_t, self.mu_y = t.mean(), y.mean()
         self.tc, yc = t - self.mu_t, y - self.mu_y
         terms = np.stack([np.ones_like(t), self.tc, yc, self.tc**2, self.tc * yc, yc**2])
-        self.P = np.zeros((12, len(t) + 1))
-        np.cumsum(terms * w, axis=1, out=self.P[:6, 1:])
-        np.cumsum(terms, axis=1, out=self.P[6:, 1:])
-        self.tolerance = _TIE_RTOL * float(self.P[_YY, -1] - self.P[_Y, -1] ** 2 / len(t))
+        self.P = np.zeros((6, len(t) + 1))
+        np.cumsum(terms if w is None else terms * w, axis=1, out=self.P[:, 1:])
 
-    def runs(self, i, j) -> _Lines:
-        """Screened lines of the runs i..j (index arrays or integers, broadcast)."""
-        i, j = np.broadcast_arrays(i, j)
-        return _screen_lines(self.P[:, j + 1] - self.P[:, i])
+    @property
+    def tolerance(self) -> float:
+        return _TIE_RTOL * float(self.P[_YY, -1] - self.P[_Y, -1] ** 2 / len(self.tc))
 
-    def hinges(self, breaks: np.ndarray) -> _Lines:
-        """Screened lines y ~ c + r * max(t - t[b], 0), one per break index b.
+    def hinges(self, breaks: slice) -> np.ndarray:
+        """Plain SSE of the lines y ~ c + r * max(t - t[b], 0), one per break index b.
 
         The hinge regressor is 0 up to the break and t - t[b] after it, so its
         sums come from the suffix sums of 1, t, t^2, t*y and y, O(1) per break.
         """
-        n = self.P.shape[1] - 1
-        S = self.P[:, n:] - self.P[:, breaks + 1]
-        m, b = S[_N], self.tc[breaks]
-        x = S[_T] - b * m
-        xx = S[_TT] - 2 * b * S[_T] + b**2 * m
+        P, n, b = self.P, len(self.tc), self.tc[breaks]
+        S = _suffix(P, slice(breaks.start + 1, breaks.stop + 1))
+        x = S[_T] - b * S[_N]
+        xx = S[_TT] - 2 * b * S[_T] + b**2 * S[_N]
         xy = S[_TY] - b * S[_Y]
-        ones = np.ones_like(x)
-        rows = [n * ones, x, self.P[_Y, n] * ones, xx, xy, self.P[_YY, n] * ones]
-        return _screen_lines(np.stack(rows * 2))
+        rows = (n, x, P[_Y, n], xx, xy, P[_YY, n])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _sse(rows, *_line(rows))
 
-    def passes(self, lines: _Lines, end_year) -> np.ndarray:
-        """fit_hyperbolic's checks as signs of the screened k, a and a - k * end_year."""
-        k = -lines.slope
-        a = self.mu_y + lines.level + k * self.mu_t
-        return (k > 0) & (a > 0) & (a - k * end_year > 0)
+    def passes(self, slope, level, end_year) -> np.ndarray:
+        """fit_hyperbolic's checks as signs of the screened k = -slope, a and a - k * end_year."""
+        a = self.mu_y + level - slope * self.mu_t
+        return (slope < 0) & (a > 0) & (a + slope * end_year > 0)
 
 
 def scan_windows(
@@ -288,15 +286,17 @@ def scan_windows(
         return []
     y = 1.0 / s
     head = _CumulativeSums(t, y, _weights(s, "direct"))
-    logs = _CumulativeSums(t, np.log(s), np.ones_like(t))
-    ends = np.arange(2, n - 2)  # head ends that leave a tail of 2 points or more
-    tail = logs.runs(ends + 1, n - 1).sse
-    ends = np.append(ends, n - 1)
-    sse = head.runs(0, ends).wsse + np.append(tail, 0.0)
+    logs = _CumulativeSums(t, np.log(s))
+    line = head if weighting == "direct" else _CumulativeSums(t, y, w)
+    ends = np.arange(2, n)  # head ends; n - 2 leaves a 1-point tail and is no candidate
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = _suffix(logs.P, slice(3, n))
+        tail = _sse(tail, *_line(tail))
+        sse = _wsse(_prefix(head.P, slice(2, None))) + np.append(tail, 0.0)
+        slope, level = _line(_prefix(line.P, slice(2, None)))
     # BIC, n * log(SSE / n) + p * log(n), rises with SSE * n**(p / n).
     cost = np.maximum(sse, logs.tolerance) * float(n) ** (np.where(ends < n - 1, 5, 2) / n)
-    line = head if weighting == "direct" else _CumulativeSums(t, y, w)
-    ok = line.passes(line.runs(0, ends), t[ends])
+    ok = line.passes(slope, level, t[2:]) & (ends != n - 2)
     cost, ends = cost[ok], ends[ok]
     if len(ends):
         cost = np.where(cost <= cost.min() + logs.tolerance, cost.min(), cost)

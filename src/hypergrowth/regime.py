@@ -26,6 +26,11 @@ from .fit import (
     FitWindow,
     HyperbolicFit,
     _CumulativeSums,
+    _line,
+    _mean_sse,
+    _prefix,
+    _sse,
+    _suffix,
     _weights,
     fit_hyperbolic,
 )
@@ -100,7 +105,11 @@ def detect_diversion(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not (math.isfinite(tau) and tau > 0):
+    try:
+        tau_ok = math.isfinite(tau) and tau > 0
+    except TypeError:  # math.isfinite of a non-number
+        tau_ok = False
+    if not tau_ok:
         raise ValueError(f"tau must be finite and > 0, got {tau}")
     first = int(series.years.searchsorted(fit.window.end_year, side="right"))
     if first == len(series):
@@ -178,9 +187,10 @@ def segment_two_hyperbolic(
     the squared residual about its mean reciprocal and contributes nothing to
     the k-ratio.
 
-    One set of cumulative sums screens every break in O(n): both side lines,
-    fit_hyperbolic's checks as signs, and each side's cost.  Only the chosen
-    break's sides are fitted exactly, and those fits are returned.
+    Cumulative sums screen every break in O(n): both side lines,
+    fit_hyperbolic's checks as signs, and each side's cost (a plain table
+    joins the weighted one under ``direct``).  Only the chosen break's sides
+    are fitted exactly, and those fits are returned.
     """
     if len(series) < 6:
         raise TooFewPointsError(
@@ -188,13 +198,20 @@ def segment_two_hyperbolic(
         )
     years, s = series.years, series.values
     n = len(years)
-    sums = _CumulativeSums(years, 1.0 / s, _weights(s, weighting))
-    breaks = np.arange(2, n - 2)
+    y, weights = 1.0 / s, _weights(s, weighting)
+    sums = _CumulativeSums(years, y, weights)
+    # A side costs the plain squared residual about its weighted line.
+    plain = sums if weights is None else _CumulativeSums(years, y)
+    breaks = slice(2, n - 2)
     cost = 0.0
-    for i, j in ((0, breaks), (breaks, n - 1)):
-        lines = sums.runs(i, j)
-        cost = cost + np.where(sums.passes(lines, years[j]), lines.sse, lines.mean_sse)
-    b = float(years[breaks[np.argmax(cost <= cost.min() + sums.tolerance)]])
+    for runs, end_year in ((_prefix, years[breaks]), (_suffix, years[-1])):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            W = runs(sums.P, breaks)
+            S = W if plain is sums else runs(plain.P, breaks)
+            slope, level = _line(W)
+            fitted, unfitted = _sse(S, slope, level), _mean_sse(S)
+        cost = cost + np.where(sums.passes(slope, level, end_year), fitted, unfitted)
+    b = float(years[2 + np.argmax(cost <= cost.min() + plain.tolerance)])
     windows = (FitWindow(float(years[0]), b), FitWindow(b, float(years[-1])))
     (left, left_sse), (right, right_sse) = (_fit_side(series, w, weighting) for w in windows)
     segments = tuple(

@@ -50,6 +50,21 @@ def _finite(v) -> bool:
         return False
 
 
+def _real_array(v) -> np.ndarray | None:
+    """``v`` as a float array if it holds real numbers only, else None.
+
+    Text is no number, even where float() would parse it, as in ``_finite``.
+    """
+    try:
+        a = np.asarray(v)
+        if a.dtype.kind in "biuf" or a.dtype.kind == "O" and not any(
+                isinstance(x, (str, bytes)) for x in a.flat):
+            return np.asarray(a, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return None
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Recipe for one synthetic series.
@@ -69,11 +84,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise GeneratorError(f"unknown generator kind {self.kind!r}")
-        try:
-            years = np.asarray(self.sample_years, dtype=float)
-        except (TypeError, ValueError):
-            raise GeneratorError("sample_years must be a sequence of numbers") from None
-        if years.ndim != 1:
+        years = _real_array(self.sample_years)
+        if years is None or years.ndim != 1:
             raise GeneratorError("sample_years must be a sequence of numbers")
         if len(years) < 1 or (years[1:] <= years[:-1]).any():
             raise GeneratorError("sample_years must be non-empty and strictly increasing")

@@ -44,9 +44,15 @@ class TakeoffHypothesis:
     search_halfwidth: float = 50.0
 
     def __post_init__(self):
-        if not math.isfinite(self.predicted_year):
+        year_ok = width_ok = False
+        try:  # math.isfinite raises TypeError for a non-number: its check fails
+            year_ok = math.isfinite(self.predicted_year)
+            width_ok = math.isfinite(self.search_halfwidth) and self.search_halfwidth > 0
+        except TypeError:
+            pass
+        if not year_ok:
             raise ValueError(f"predicted_year must be finite, got {self.predicted_year}")
-        if not (math.isfinite(self.search_halfwidth) and self.search_halfwidth > 0):
+        if not width_ok:
             raise ValueError(
                 f"search_halfwidth must be finite and > 0, got {self.search_halfwidth}"
             )
@@ -138,9 +144,9 @@ def takeoff_test(series: YearValueSeries, hypothesis: TakeoffHypothesis) -> Take
     # within the search window of the predicted year, not merely be the best
     # compromise inside it.  Each candidate fits logy ~ c + r * max(t - b, 0).
     logy = np.log(series.values)
-    sums = _CumulativeSums(t, logy, np.ones_like(t))
+    sums = _CumulativeSums(t, logy)
     # The earliest break whose screened SSE ties the least, refitted exactly.
-    cost = sums.hinges(np.arange(1, n - 2)).sse
+    cost = sums.hinges(slice(1, n - 2))
     best_i = 1 + int(np.argmax(cost <= cost.min() + sums.tolerance))
     x = np.maximum(t - t[best_i], 0.0)
     best_r, xc, ybar = _centred_line(x, logy)
@@ -190,17 +196,23 @@ def takeoff_scan(
     Years where the test is infeasible (no data on both sides, empty search
     window) yield a plain negative result, so the list always matches the
     grid and "no takeoff anywhere" is simply "every verdict is negative".
+    Feasibility is decided for the whole grid in one pass: each year's
+    hypothesis is built first, then two ``searchsorted`` calls over the
+    observed years count the points in every search window at once.
     """
+    hyps = [TakeoffHypothesis(float(year), search_halfwidth) for year in year_grid]
+    t = series.years
+    p = [h.predicted_year for h in hyps]
+    lo = t.searchsorted([h.predicted_year - h.search_halfwidth for h in hyps], side="left")
+    hi = t.searchsorted([h.predicted_year + h.search_halfwidth for h in hyps], side="right")
+    # _require_feasible: a point on each side of p, 2 or more in the window.
+    feasible = (t[0] < p) & (t[-1] > p) & (hi - lo >= 2)
     results = []
     first = None
-    for year in year_grid:
-        hyp = TakeoffHypothesis(float(year), search_halfwidth)
-        try:
-            _require_feasible(series.years, hyp)
-        except TooFewPointsError:
+    for hyp, ok in zip(hyps, feasible.tolist()):
+        if not ok:
             results.append(_negative(hyp))
-            continue
-        if first is None:
+        elif first is None:
             first = takeoff_test(series, hyp)
             results.append(first)
         else:

@@ -1,5 +1,7 @@
 """Synthetic-series generators: exactness, determinism, grid structure."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,22 @@ class TestInvalidSpecs:
     def test_malformed_field_rejected(self, kind, parameters, sample_years, noise):
         with pytest.raises(GeneratorError):
             GeneratorSpec(kind, parameters, sample_years, noise)
+
+    # Numeric text parsed as years, while a parameter "1" was rejected.
+    @pytest.mark.parametrize("sample_years", [
+        pytest.param(("1", "2"), id="str"),
+        pytest.param((b"1", b"2"), id="bytes"),
+        pytest.param((1.0, "2"), id="mixed"),
+        pytest.param(np.array(["1", "2"]), id="numpy-str"),
+        pytest.param((Fraction(1), "2"), id="object-with-str"),
+    ])
+    def test_text_sample_years_rejected(self, sample_years):
+        with pytest.raises(GeneratorError, match="sample_years must be a sequence of numbers"):
+            GeneratorSpec("constant", {"level": 1.0}, sample_years)
+
+    def test_numeric_sample_years_allowed(self):
+        for sample_years in ((1, 2), (Fraction(1), 2), np.array([1.0, 2.0]), (True, 2)):
+            assert GeneratorSpec("constant", {"level": 1.0}, sample_years).sample_years == (1.0, 2.0)
 
     def test_exponential_reference_year_allowed(self):
         spec = GeneratorSpec("exponential", {"level": 2.0, "rate": 0.01, "ref_year": 1.0},

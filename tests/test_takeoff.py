@@ -17,6 +17,7 @@ from hypergrowth import (
     takeoff_scan,
     takeoff_test,
 )
+from hypergrowth.takeoff import _negative, _require_feasible
 
 GRID = tuple(sorted(set(maddison_year_grid()) | {1750.0}))
 
@@ -107,6 +108,8 @@ class TestHypothesis:
         (1750.0, math.nan, "search_halfwidth"),
         (1750.0, 0.0, "search_halfwidth"),
         (1750.0, -5.0, "search_halfwidth"),
+        ("1750", 50.0, "predicted_year"),
+        (1750.0, "50", "search_halfwidth"),
     ])
     def test_invalid_field_rejected(self, predicted_year, halfwidth, field):
         with pytest.raises(ValueError, match=field):
@@ -169,3 +172,68 @@ class TestTakeoffScan:
         )
         takeoff_scan(stagnation_series(noise=0.01, seed=3), self.SCAN_GRID)
         assert len(calls) == 1
+
+
+class TestOnePassFeasibility:
+    """takeoff_scan decides feasibility for the whole grid at once; it must
+    equal _require_feasible and takeoff_test run year by year."""
+
+    SERIES = generate(GeneratorSpec(
+        "stagnation-then-takeoff", {"level": 1.0, "break_year": 1050.0, "rate": 0.02},
+        tuple(float(y) for y in range(1000, 1101, 10)), noise=0.01, seed=4))
+
+    @staticmethod
+    def per_year(series, grid, halfwidth):
+        results = []
+        for year in grid:
+            hyp = TakeoffHypothesis(float(year), halfwidth)
+            try:
+                _require_feasible(series.years, hyp)
+            except TooFewPointsError:
+                results.append(_negative(hyp))
+                continue
+            results.append(takeoff_test(series, hyp))
+        return results
+
+    @pytest.mark.parametrize("grid, halfwidth", [
+        # The first and last observed years, and years outside the series.
+        pytest.param([1000.0, 1100.0, 990.0, 1110.0, 500.0, 2000.0, 1050.0], 50.0, id="edges"),
+        # p - hw and p + hw land on observed years: exactly 2 points at 1045,
+        # 1005 and 1095 with hw 5, exactly 1 at 1042.5 and 1047.5 with hw 2.5.
+        pytest.param([1045.0, 1005.0, 1095.0, 1040.0, 1044.0], 5.0, id="two-in-window"),
+        pytest.param([1042.5, 1047.5, 1045.0, 1040.0], 2.5, id="one-in-window"),
+        pytest.param([1060.0, 1020.0, 1060.0, 1000.0, 1020.0, 1100.0, 1030.0], 10.0,
+                     id="unsorted-repeats"),
+        pytest.param([], 50.0, id="empty"),
+    ])
+    def test_equals_per_year_check(self, grid, halfwidth):
+        self.assert_same(takeoff_scan(self.SERIES, grid, halfwidth),
+                         self.per_year(self.SERIES, grid, halfwidth), len(grid))
+
+    def test_generator_grid_read_once(self):
+        grid = [1060.0, 1020.0, 990.0]
+        self.assert_same(takeoff_scan(self.SERIES, (y for y in grid), 10.0),
+                         self.per_year(self.SERIES, grid, 10.0), len(grid))
+
+    @staticmethod
+    def assert_same(got, want, n):
+        assert len(got) == len(want) == n
+        for g, w in zip(got, want):
+            for f in dataclasses.fields(w):
+                a, b = getattr(g, f.name), getattr(w, f.name)
+                both_nan = isinstance(b, float) and math.isnan(b) and math.isnan(a)
+                assert both_nan or a == b, (g.hypothesis, f.name)
+
+    def test_window_edges_hold_the_stated_points(self):
+        t = self.SERIES.years
+
+        def count(p, hw):
+            return int(((t >= p - hw) & (t <= p + hw)).sum())
+
+        assert [count(p, 5.0) for p in (1045.0, 1005.0, 1095.0)] == [2, 2, 2]
+        assert [count(p, 2.5) for p in (1042.5, 1047.5)] == [1, 1]
+
+    def test_text_years_convert_and_bad_years_raise(self):
+        assert takeoff_scan(self.SERIES, ["1050"]) == takeoff_scan(self.SERIES, [1050.0])
+        with pytest.raises(ValueError, match="predicted_year"):
+            takeoff_scan(self.SERIES, [1050.0, math.nan])
