@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, NonHyperbolicError, SingularityInWindowError, TooFewPointsError
-from .model import HyperbolicModel, reciprocal_line
+from .model import HyperbolicModel
 from .series import YearValueSeries
 
 WEIGHTINGS = ("uniform", "direct")
@@ -65,8 +65,12 @@ class FitWindow:
 
 @dataclass(frozen=True)
 class HyperbolicFit:
-    """A fitted model plus in-window diagnostics; ``years``, ``reciprocals`` and
-    ``deltas`` (observed minus fitted reciprocal) are read-only per-point arrays."""
+    """A fitted model plus in-window diagnostics, as read-only per-point arrays.
+
+    ``years`` is a view of the series' own years over the window;
+    ``reciprocals`` and ``deltas`` (observed minus fitted reciprocal) are the
+    fit's own arrays.
+    """
 
     model: HyperbolicModel
     window: FitWindow
@@ -120,9 +124,11 @@ def fit_hyperbolic(
     SingularityInWindowError (fitted a/k falls inside the window, i.e. the
     model cannot describe the data it was fitted to).
     """
-    mask = (series.years >= window.start_year) & (series.years <= window.end_year)
-    t = series.years[mask]
-    s = series.values[mask]
+    # Years are strictly increasing, so the window is one contiguous run.
+    years = series.years
+    lo = years.searchsorted(window.start_year, side="left")
+    hi = years.searchsorted(window.end_year, side="right")
+    t, s = years[lo:hi], series.values[lo:hi]
     w = _weights(s, weighting)
     if len(t) < 3:
         raise TooFewPointsError(
@@ -146,7 +152,7 @@ def fit_hyperbolic(
             f"window ending {window.end_year}"
         )
 
-    fitted = reciprocal_line(model, t)
+    fitted = a - k * t
     deltas = y - fitted
     sq_tot, sq_res = (y - ybar) ** 2, deltas**2
     rmse = math.sqrt(float(sq_res.sum()) / len(t))
@@ -154,7 +160,9 @@ def fit_hyperbolic(
         sq_tot, sq_res = w * sq_tot, w * sq_res
     ss_tot, ss_res = float(sq_tot.sum()), float(sq_res.sum())
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    rel_dev = 100.0 * np.abs(s - 1.0 / fitted) / (1.0 / fitted)
+    inv = 1.0 / fitted
+    # 100 * |s - 1/f| / (1/f), multiplied before dividing: the order sets the bits.
+    max_dev = float((100.0 * np.abs(s - inv) / inv).max())
     for arr in (t, y, deltas):
         arr.setflags(write=False)
     return HyperbolicFit(
@@ -165,7 +173,7 @@ def fit_hyperbolic(
         deltas=deltas,
         rmse_reciprocal=rmse,
         r2_reciprocal=r2,
-        max_abs_relative_deviation=float(rel_dev.max()),
+        max_abs_relative_deviation=max_dev,
         weighting=weighting,
     )
 
@@ -223,11 +231,24 @@ class _CumulativeSums:
     """
 
     def __init__(self, t: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):
-        self.mu_t, self.mu_y = t.mean(), y.mean()
-        self.tc, yc = t - self.mu_t, y - self.mu_y
-        terms = np.stack([np.ones_like(t), self.tc, yc, self.tc**2, self.tc * yc, yc**2])
-        self.P = np.zeros((6, len(t) + 1))
-        np.cumsum(terms if w is None else terms * w, axis=1, out=self.P[:, 1:])
+        n = len(t)
+        # sum / n is ndarray.mean's own arithmetic, without its Python wrapper.
+        self.mu_t, self.mu_y = t.sum() / n, y.sum() / n
+        self.tc = tc = t - self.mu_t
+        # The rows are filled in place: 1 (or w), t, y, then the products,
+        # which are formed before weighting, as (t * t) * w, for their bits.
+        self.P = np.empty((6, n + 1))
+        self.P[:, 0] = 0.0
+        R = self.P[:, 1:]
+        R[_N] = 1.0 if w is None else w
+        R[_T] = tc
+        yc = np.subtract(y, self.mu_y, out=R[_Y])
+        np.multiply(tc, tc, out=R[_TT])
+        np.multiply(tc, yc, out=R[_TY])
+        np.multiply(yc, yc, out=R[_YY])
+        if w is not None:
+            R[_T:] *= w
+        np.cumsum(R, axis=1, out=R)
 
     @property
     def tolerance(self) -> float:

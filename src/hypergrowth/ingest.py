@@ -11,6 +11,7 @@ missing from a source stay missing.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import io
 import math
@@ -98,6 +99,16 @@ def _cell_error(
     )
 
 
+@contextlib.contextmanager
+def _csv_errors(reader):
+    """Turn the csv module's own errors (a field over its size limit, say)
+    into a ParseError naming the reader's line."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+
+
 def _first_line(text: str) -> str:
     """``text.splitlines()[0]`` (or ``""``) without splitting the whole text.
 
@@ -121,43 +132,44 @@ def parse_long_csv(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
     _check_positive(unit_scale, "unit_scale")
     text = _decode(data)
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("line 1: empty file") from None
-    if [h.strip().lower() for h in header] != ["entity", "year", "value"]:
-        raise ParseError(f"line 1: expected header entity,year,value, got {header}")
-    rows: dict[str, dict[float, float]] = {}
-    inf, nan = math.inf, math.nan
-    for line_no, row in enumerate(reader, start=2):
-        if len(row) != 3:
-            if any(c.strip() for c in row):
-                raise ParseError(f"line {line_no}: expected 3 fields, got {len(row)}")
-            continue
-        entity, year_s, value_s = row
-        value_s = value_s.strip()
-        if not value_s:
-            continue
-        # float() ignores the same surrounding whitespace as str.strip().
+    with _csv_errors(reader):
         try:
-            year = float(year_s)
-            value = float(value_s)
-        except ValueError:
-            year = value = nan
-        if not (-inf < year < inf and -inf < value < inf):
-            # The error path: _parse_number words the first bad field's error.
-            year = _parse_number(year_s.strip(), "year", f"line {line_no}")
-            value = _parse_number(value_s, "value", f"line {line_no}")
-        value *= unit_scale
-        entity = entity.strip()
-        cells = rows.get(entity)
-        if cells is None:
-            cells = rows[entity] = {}
-        if year in cells:
-            raise ParseError(f"line {line_no}: duplicate cell for ({entity}, {year:g})")
-        if not 0.0 < value < inf:
-            raise _cell_error(line_no, entity, year, value, unit_scale)
-        cells[year] = value
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("line 1: empty file") from None
+        if [h.strip().lower() for h in header] != ["entity", "year", "value"]:
+            raise ParseError(f"line 1: expected header entity,year,value, got {header}")
+        rows: dict[str, dict[float, float]] = {}
+        inf, nan = math.inf, math.nan
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != 3:
+                if any(c.strip() for c in row):
+                    raise ParseError(f"line {line_no}: expected 3 fields, got {len(row)}")
+                continue
+            entity, year_s, value_s = row
+            value_s = value_s.strip()
+            if not value_s:
+                continue
+            # float() ignores the same surrounding whitespace as str.strip().
+            try:
+                year = float(year_s)
+                value = float(value_s)
+            except ValueError:
+                year = value = nan
+            if not (-inf < year < inf and -inf < value < inf):
+                # The error path: _parse_number words the first bad field's error.
+                year = _parse_number(year_s.strip(), "year", f"line {line_no}")
+                value = _parse_number(value_s, "value", f"line {line_no}")
+            value *= unit_scale
+            entity = entity.strip()
+            cells = rows.get(entity)
+            if cells is None:
+                cells = rows[entity] = {}
+            if year in cells:
+                raise ParseError(f"line {line_no}: duplicate cell for ({entity}, {year:g})")
+            if not 0.0 < value < inf:
+                raise _cell_error(line_no, entity, year, value, unit_scale)
+            cells[year] = value
     return DatasetTable(rows)
 
 
@@ -174,38 +186,39 @@ def parse_wide_table(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
     first_line = _first_line(text)
     delimiter = "\t" if first_line.count("\t") >= first_line.count(",") and "\t" in first_line else ","
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("line 1: empty file") from None
-    if len(header) < 2:
-        raise ParseError("line 1: wide table needs an entity column plus year columns")
-    years = [
-        _parse_number(h.strip(), "year header", "line 1") for h in header[1:]
-    ]
-    rows: dict[str, dict[float, float]] = {}
-    inf, nan = math.inf, math.nan
-    for line_no, row in enumerate(reader, start=2):
-        cells = None
-        for year, cell in zip(years, row[1:]):
-            cell = cell.strip()
-            if not cell:
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                value = nan
-            if not -inf < value < inf:
-                value = _parse_number(cell, "cell", f"line {line_no}")
-            value *= unit_scale
-            if cells is None:
-                entity = row[0].strip()
-                cells = rows.setdefault(entity, {})
-            if year in cells:
-                raise ParseError(f"line {line_no}: duplicate cell for ({entity}, {year:g})")
-            if not 0.0 < value < inf:
-                raise _cell_error(line_no, entity, year, value, unit_scale)
-            cells[year] = value
+    with _csv_errors(reader):
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("line 1: empty file") from None
+        if len(header) < 2:
+            raise ParseError("line 1: wide table needs an entity column plus year columns")
+        years = [
+            _parse_number(h.strip(), "year header", "line 1") for h in header[1:]
+        ]
+        rows: dict[str, dict[float, float]] = {}
+        inf, nan = math.inf, math.nan
+        for line_no, row in enumerate(reader, start=2):
+            cells = None
+            for year, cell in zip(years, row[1:]):
+                cell = cell.strip()
+                if not cell:
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = nan
+                if not -inf < value < inf:
+                    value = _parse_number(cell, "cell", f"line {line_no}")
+                value *= unit_scale
+                if cells is None:
+                    entity = row[0].strip()
+                    cells = rows.setdefault(entity, {})
+                if year in cells:
+                    raise ParseError(f"line {line_no}: duplicate cell for ({entity}, {year:g})")
+                if not 0.0 < value < inf:
+                    raise _cell_error(line_no, entity, year, value, unit_scale)
+                cells[year] = value
     return DatasetTable(rows)
 
 

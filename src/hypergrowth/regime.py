@@ -17,6 +17,7 @@ only the best is fitted exactly (see ``fit``).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +104,12 @@ def detect_diversion(
     falls back to 1e-9 times the largest in-window reciprocal.  Returns None
     when no qualifying run exists.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    try:
+        m_ok = operator.index(m) >= 1
+    except TypeError:  # a float, text or None is no run length
+        m_ok = False
+    if not m_ok:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
     try:
         tau_ok = math.isfinite(tau) and tau > 0
     except TypeError:  # math.isfinite of a non-number

@@ -26,7 +26,7 @@ verdict stays negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,11 +118,17 @@ def _judged(result: TakeoffTestResult, hypothesis: TakeoffHypothesis) -> Takeoff
     """``result`` with timing and verdict judged at ``hypothesis``."""
     if result.break_year is None:
         return _negative(hypothesis)
-    timing_ok = abs(result.break_year - hypothesis.predicted_year) <= hypothesis.search_halfwidth
-    positive = (result.stagnation_ok and result.prominence_ok and timing_ok
-                and result.ic_gap > IC_MIN_GAP)
-    verdict = "positive" if positive else "negative"
-    return replace(result, verdict=verdict, timing_ok=timing_ok, hypothesis=hypothesis)
+    return _verdict(result.prominence_ok, result.prominence_score, result.stagnation_ok,
+                    result.pre_break_rate, result.break_year, result.ic_gap, hypothesis)
+
+
+def _verdict(prominence_ok, score, stagnation_ok, pre_rate, break_year, ic_gap,
+             hypothesis: TakeoffHypothesis) -> TakeoffTestResult:
+    """The result for a series' break evidence, with timing judged at ``hypothesis``."""
+    timing_ok = abs(break_year - hypothesis.predicted_year) <= hypothesis.search_halfwidth
+    positive = stagnation_ok and prominence_ok and timing_ok and ic_gap > IC_MIN_GAP
+    return TakeoffTestResult("positive" if positive else "negative", prominence_ok, score,
+                             stagnation_ok, pre_rate, timing_ok, break_year, ic_gap, hypothesis)
 
 
 def takeoff_test(series: YearValueSeries, hypothesis: TakeoffHypothesis) -> TakeoffTestResult:
@@ -178,12 +184,8 @@ def takeoff_test(series: YearValueSeries, hypothesis: TakeoffHypothesis) -> Take
         # veto the takeoff model.
         ic_gap = math.inf
 
-    evidence = replace(
-        _negative(hypothesis), prominence_ok=prominence_ok, prominence_score=score,
-        stagnation_ok=stagnation_ok, pre_break_rate=pre_rate,
-        break_year=float(t[best_i]), ic_gap=ic_gap,
-    )
-    return _judged(evidence, hypothesis)
+    return _verdict(prominence_ok, score, stagnation_ok, pre_rate, float(t[best_i]), ic_gap,
+                    hypothesis)
 
 
 def takeoff_scan(

@@ -385,11 +385,14 @@ class TestMalformedInput:
         ("takeoff", "--input", "{csv}", "--predicted-year", "nan"),
         ("fit", "--input", "{overflow}", "--unit-scale", "10"),
         ("fit", "--input", "{overflow_wide}", "--format", "wide", "--unit-scale", "10"),
+        ("report", "--input", "{big_field}", "--regions-config", "{config}"),
+        ("fit", "--input", "{big_field_wide}", "--format", "wide"),
     ], ids=["run-length-0", "tau-negative", "tau-nan", "trials-0", "trials-negative",
             "seed-negative", "input-dir", "maddison-dir", "input-not-utf8",
             "maddison-not-utf8", "config-not-utf8", "window-start-inf", "window-end-inf",
             "halfwidth-negative", "halfwidth-nan", "halfwidth-inf", "predicted-year-nan",
-            "value-overflows-after-scale", "wide-value-overflows-after-scale"])
+            "value-overflows-after-scale", "wide-value-overflows-after-scale",
+            "field-over-csv-limit", "wide-field-over-csv-limit"])
     def test_usage_error(self, hyperbolic_csv, tmp_path, capsys, argv):
         latin1 = tmp_path / "latin1.txt"
         latin1.write_bytes("entity,year,value\nM\u00fcnchen,1900,1\n".encode("latin-1"))
@@ -397,8 +400,16 @@ class TestMalformedInput:
         overflow.write_text("entity,year,value\nW,1800,1e307\nW,1900,1e308\nW,2000,1e308\n")
         overflow_wide = tmp_path / "overflow-wide.csv"
         overflow_wide.write_text("entity,1800,1900,2000\nW,1e307,1e308,1e308\n")
+        # A field longer than the csv module's limit of 131,072 characters.
+        big_field = tmp_path / "big.csv"
+        big_field.write_text("entity,year,value\nW,1800,1\nW,1900," + "9" * 200_000 + "\n")
+        big_field_wide = tmp_path / "big-wide.csv"
+        big_field_wide.write_text("entity,1800,1900\nW,1," + "9" * 200_000 + "\n")
+        config = tmp_path / "regions.ini"
+        config.write_text("[W]\nmembers = W\n")
         paths = {"csv": hyperbolic_csv, "dir": tmp_path, "latin1": latin1,
-                 "overflow": overflow, "overflow_wide": overflow_wide}
+                 "overflow": overflow, "overflow_wide": overflow_wide,
+                 "big_field": big_field, "big_field_wide": big_field_wide, "config": config}
         code, _, err = run(capsys, *(a.format(**paths) for a in argv))
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error: ")

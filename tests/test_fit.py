@@ -1,5 +1,7 @@
 """Reciprocal-space regression: recovery, equivariances, window scanning."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,7 @@ from hypergrowth import (
     relative_deviation,
     scan_windows,
 )
-from hypergrowth.fit import _centred_line
+from hypergrowth.fit import _centred_line, _CumulativeSums
 
 
 def hyperbolic_series(a=1.0, k=0.001, years=None, noise=0.0, seed=0):
@@ -76,6 +78,106 @@ class TestUniformWeightsSkipped:
             got = _centred_line(t, y)
             want = _centred_line(t, y, np.ones_like(t))
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def reference_masked_fit(series, window, weighting):
+    """fit_hyperbolic as first written: boolean masks copy the window out.
+
+    Returns the fit's fields, or None where fit_hyperbolic must raise.
+    """
+    mask = (series.years >= window.start_year) & (series.years <= window.end_year)
+    t, s = series.years[mask], series.values[mask]
+    if len(t) < 3:
+        return None
+    w = s**2 if weighting == "direct" else None
+    y = 1.0 / s
+    slope, tc, ybar = _centred_line(t, y, w)
+    k = -slope
+    a = ybar + k * tc
+    if k <= 0 or a <= 0 or a / k <= window.end_year:
+        return None
+    fitted = reciprocal_line(HyperbolicModel(a, k), t)
+    deltas = y - fitted
+    sq_tot, sq_res = (y - ybar) ** 2, deltas**2
+    rmse = math.sqrt(float(sq_res.sum()) / len(t))
+    if w is not None:
+        sq_tot, sq_res = w * sq_tot, w * sq_res
+    ss_tot, ss_res = float(sq_tot.sum()), float(sq_res.sum())
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    rel_dev = 100.0 * np.abs(s - 1.0 / fitted) / (1.0 / fitted)
+    return a, k, rmse, r2, float(rel_dev.max()), t, y, deltas
+
+
+class TestWindowSlice:
+    """fit_hyperbolic slices its window out of the sorted years; no bit changes."""
+
+    @pytest.mark.parametrize("weighting", ["uniform", "direct"])
+    def test_matches_masked_reference(self, weighting):
+        compared = rejected = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 120))
+            years = np.cumsum(rng.uniform(0.5, 30.0, n)) + rng.uniform(-2000.0, 1500.0)
+            k = 1.0 / (years[-1] - years[0]) / rng.uniform(1.05, 20.0)
+            values = 1.0 / (k * (years[-1] + rng.uniform(1.0, 500.0) - years))
+            values *= np.exp(rng.normal(0.0, (0.0, 1e-3, 0.05)[seed % 3], n))
+            s = YearValueSeries(years, values * 10.0 ** rng.integers(-3, 4))
+            i, j = sorted(int(x) for x in rng.integers(0, n, 2))
+            # Edges on an observed year, between two years, or beyond the series.
+            start, end = (
+                (years[i], years[j]),
+                (years[i] - rng.uniform(0.01, 0.49), years[j] + rng.uniform(0.01, 0.49)),
+                (years[0] - 100.0, years[j]),
+                (years[i], years[-1] + 100.0),
+            )[seed % 4]
+            if not start < end:
+                continue
+            window = FitWindow(float(start), float(end))
+            want = reference_masked_fit(s, window, weighting)
+            try:
+                fit = fit_hyperbolic(s, window, weighting)
+            except FitError:
+                assert want is None, seed
+                rejected += 1
+                continue
+            assert want is not None, seed
+            compared += 1
+            a, k, rmse, r2, max_dev, t, y, deltas = want
+            assert (fit.model.a, fit.model.k, fit.rmse_reciprocal, fit.r2_reciprocal,
+                    fit.max_abs_relative_deviation) == (a, k, rmse, r2, max_dev), seed
+            for got, arr in ((fit.years, t), (fit.reciprocals, y), (fit.deltas, deltas)):
+                assert got.dtype == arr.dtype and got.tobytes() == arr.tobytes(), seed
+                assert not got.flags.writeable
+        assert compared >= 100 and rejected >= 5
+
+    def test_years_view_keeps_series_intact(self):
+        s = hyperbolic_series()
+        fit = fit_hyperbolic(s, FitWindow(150.0, 750.0))
+        np.testing.assert_array_equal(fit.years, [200.0, 300.0, 400.0, 500.0, 600.0, 700.0])
+        assert np.shares_memory(fit.years, s.years)
+        assert not np.shares_memory(fit.reciprocals, s.values)
+        assert not s.years.flags.writeable and not s.values.flags.writeable
+
+
+class TestCumulativeSums:
+    """The table, filled in place, equals the stacked terms' cumulative sums."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_stacked_reference(self, weighted):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 300))
+            t = np.cumsum(rng.uniform(0.5, 30.0, n)) + rng.uniform(-2000.0, 1500.0)
+            y = rng.lognormal(0.0, 2.0, n) * 10.0 ** rng.integers(-6, 3)
+            w = rng.lognormal(0.0, 3.0, n) if weighted else None
+            sums = _CumulativeSums(t, y, w)
+            tc, yc = t - t.mean(), y - y.mean()
+            terms = np.stack([np.ones_like(t), tc, yc, tc**2, tc * yc, yc**2])
+            want = np.zeros((6, n + 1))
+            np.cumsum(terms if w is None else terms * w, axis=1, out=want[:, 1:])
+            assert sums.P.tobytes() == want.tobytes(), seed
+            assert sums.tc.tobytes() == tc.tobytes(), seed
+            assert (sums.mu_t, sums.mu_y) == (t.mean(), y.mean()), seed
 
 
 class TestFitHyperbolic:

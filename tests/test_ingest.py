@@ -76,6 +76,15 @@ class TestParseLongCsv:
         table = parse_long_csv(b"entity,year,value\r\nWorld,1000,116.8\r\n")
         assert table.value("World", 1000.0) == pytest.approx(116.8)
 
+    # A field over the csv module's size limit raised a raw _csv.Error.
+    @pytest.mark.parametrize("data, match", [
+        (b"entity,year,value\nWorld,1000,5\nWorld,1500," + b"9" * 200_000 + b"\n", "line 3: "),
+        (b"entity,year," + b"v" * 200_000 + b"\nWorld,1000,5\n", "line 1: "),
+    ], ids=["row", "header"])
+    def test_oversized_field_names_line(self, data, match):
+        with pytest.raises(ParseError, match=match + "field larger than field limit"):
+            parse_long_csv(data)
+
     def test_value_overflowing_after_unit_scale_names_line(self):
         data = b"entity,year,value\nWorld,1000,1e307\nWorld,1500,1e308\n"
         assert parse_long_csv(data, 1.0).value("World", 1500.0) == 1e308
@@ -120,6 +129,14 @@ class TestParseWideTable:
     def test_repeated_entity_row_names_second_line(self):
         data = b"entity,1000,1500\nWorld,1,\nAsia,2,3\nWorld,,4\nWorld,5,\n"
         with pytest.raises(ParseError, match="line 5: duplicate cell for \\(World, 1000\\)"):
+            parse_wide_table(data)
+
+    @pytest.mark.parametrize("data, match", [
+        (b"entity,1000,1500\nWorld,1,2\nAsia,3," + b"9" * 200_000 + b"\n", "line 3: "),
+        (b"entity,1000," + b"1" * 200_000 + b"\nWorld,1,2\n", "line 1: "),
+    ], ids=["row", "header"])
+    def test_oversized_field_names_line(self, data, match):
+        with pytest.raises(ParseError, match=match + "field larger than field limit"):
             parse_wide_table(data)
 
     def test_value_overflowing_after_unit_scale_names_line(self):

@@ -109,6 +109,17 @@ class TestDetectDiversion:
         with pytest.raises(ValueError, match="tau"):
             detect_diversion(s, fit, tau=tau)
 
+    # A float, text or None run length raised a raw TypeError.
+    @pytest.mark.parametrize("m", [0, -1, 2.0, "2", None])
+    def test_m_must_be_a_positive_integer(self, m):
+        years = tuple(float(y) for y in range(0, 900, 30))
+        s = generate(GeneratorSpec("hyperbolic", {"a": 1.0, "k": 1e-3}, years,
+                                   noise=0.01, seed=3))
+        fit = fit_hyperbolic(s, FitWindow(0.0, 600.0))
+        assert detect_diversion(s, fit, m=np.int64(2)) is None
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            detect_diversion(s, fit, m=m)
+
     def test_requires_points_beyond_window(self):
         s = generate(
             GeneratorSpec("hyperbolic", {"a": 1.0, "k": 0.001},
