@@ -14,6 +14,7 @@ exercised only when such a file is supplied.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,10 +136,20 @@ def check_parameter_recovery_exact() -> CheckResult:
     )
 
 
+def _trial_count(trials) -> int:
+    """``trials`` as an int >= 1; a float, text or smaller count is a ValueError."""
+    try:
+        count = operator.index(trials)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    return count
+
+
 def check_parameter_recovery_noisy(trials: int = 1000) -> CheckResult:
     """1% multiplicative noise, 30 points: (a, k) within 2% in >= 95% of trials."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _trial_count(trials)
     a, k = 1.0, 1.0e-3
     years = tuple(float(y) for y in range(0, 900, 30))  # 30 points, well clear of 1000
     window = FitWindow(years[0], years[-1])
@@ -173,8 +184,7 @@ def _diversion_scenario(seed: int, spliced: bool):
 def check_diversion_detection(trials: int = 1000) -> CheckResult:
     """Spliced series: detection within one year of the splice, >= 95%;
     pure hyperbolic: no finding in >= 99%; direction always slower."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _trial_count(trials)
     detected = 0
     wrong_direction = 0
     for seed in range(trials):

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types, and the number check behind many of them, shared across the package."""
+
+import math
+
+
+def _finite(v) -> bool:
+    """Whether ``v`` is a finite real number; False for anything else, text included."""
+    try:
+        return math.isfinite(v)
+    except (TypeError, OverflowError):
+        return False
 
 
 class HypergrowthError(Exception):

@@ -39,7 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, NonHyperbolicError, SingularityInWindowError, TooFewPointsError
+from .errors import (
+    FitError, NonHyperbolicError, SingularityInWindowError, TooFewPointsError, _finite,
+)
 from .model import HyperbolicModel
 from .series import YearValueSeries
 
@@ -54,7 +56,8 @@ class FitWindow:
     end_year: float
 
     def __post_init__(self):
-        if not self.start_year < self.end_year:
+        if not (_finite(self.start_year) and _finite(self.end_year)
+                and self.start_year < self.end_year):
             raise TooFewPointsError(
                 f"window start {self.start_year} must precede end {self.end_year}"
             )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, RegionError, SeriesError
+from .errors import ParseError, RegionError, SeriesError, _finite
 from .series import YearValueSeries
 
 
@@ -32,6 +32,9 @@ class RegionDefinition:
     require_complete: bool = True
 
     def __post_init__(self):
+        if isinstance(self.members, str):
+            raise RegionError(f"region {self.name!r} members must be a sequence of names, "
+                              f"not the text {self.members!r}")
         if not self.members:
             raise RegionError(f"region {self.name!r} has no members")
         object.__setattr__(self, "members", tuple(self.members))
@@ -53,13 +56,13 @@ class DatasetTable:
     def value(self, entity: str, year: float) -> float | None:
         return self.rows.get(entity, {}).get(year)
 
-    def entity_series(self, entity: str, label: str | None = None) -> YearValueSeries:
+    def entity_series(self, entity: str) -> YearValueSeries:
         row = self.rows.get(entity)
         if row is None:
             raise RegionError(f"unknown entity {entity!r}")
         years = sorted(row)
         return YearValueSeries(
-            np.array(years), np.array([row[y] for y in years]), label or entity
+            np.array(years), np.array([row[y] for y in years]), entity
         )
 
 
@@ -74,8 +77,9 @@ def _parse_number(text: str, what: str, where: str) -> float:
 
 
 def _check_positive(value: float, what: str):
-    if not (value > 0 and math.isfinite(value)):
-        raise ParseError(f"{what} {value:g} is not a positive finite number")
+    if not (_finite(value) and value > 0):
+        shown = f"{value:g}" if isinstance(value, float) else repr(value)
+        raise ParseError(f"{what} {shown} is not a positive finite number")
 
 
 def _decode(data: bytes) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationDomainError, SeriesError
+from .errors import EvaluationDomainError, SeriesError, _finite
 
 
 def round_half_up(x: float) -> int:
@@ -30,9 +30,9 @@ class HyperbolicModel:
     k: float
 
     def __post_init__(self):
-        if not (self.a > 0 and math.isfinite(self.a)):
+        if not (_finite(self.a) and self.a > 0):
             raise SeriesError(f"parameter a must be finite and positive, got {self.a}")
-        if not (self.k > 0 and math.isfinite(self.k)):
+        if not (_finite(self.k) and self.k > 0):
             raise SeriesError(f"parameter k must be finite and positive, got {self.k}")
 
     @property

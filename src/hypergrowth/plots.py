@@ -23,6 +23,7 @@ from .model import evaluate, reciprocal_line
 from .series import YearValueSeries
 
 MODES = ("reciprocal-linear", "semilog-direct")
+CURVE_POINTS = 200  # samples per dense fitted curve
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,6 @@ def build_plot_sheet(
     fits,
     mode: str = "reciprocal-linear",
     annotations=(),
-    curve_points: int = 200,
 ) -> PlotSheet:
     """Assemble observed/fitted columns and dense fitted curves.
 
@@ -92,7 +92,7 @@ def build_plot_sheet(
         end = min(float(years[-1]), f.model.singularity_year - 1.0)
         if end <= start:
             continue
-        grid = np.linspace(start, end, curve_points)
+        grid = np.linspace(start, end, CURVE_POINTS)
         if mode == "reciprocal-linear":
             curves.append((grid, np.asarray(reciprocal_line(f.model, grid))))
         else:

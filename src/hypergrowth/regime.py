@@ -16,13 +16,12 @@ only the best is fitted exactly (see ``fit``).
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, NegativeProximityError, TooFewPointsError
+from .errors import FitError, NegativeProximityError, TooFewPointsError, _finite
 from .fit import (
     FitWindow,
     HyperbolicFit,
@@ -110,11 +109,7 @@ def detect_diversion(
         m_ok = False
     if not m_ok:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
-    try:
-        tau_ok = math.isfinite(tau) and tau > 0
-    except TypeError:  # math.isfinite of a non-number
-        tau_ok = False
-    if not tau_ok:
+    if not (_finite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and > 0, got {tau}")
     first = int(series.years.searchsorted(fit.window.end_year, side="right"))
     if first == len(series):

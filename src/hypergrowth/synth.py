@@ -9,13 +9,12 @@ positive across the four orders of magnitude a GDP series can span.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeneratorError
+from .errors import GeneratorError, _finite
 from .model import HyperbolicModel, evaluate
 from .series import YearValueSeries
 
@@ -40,14 +39,6 @@ _REQUIRED = {
 }
 # Parameters a kind reads when given; any other parameter is an error.
 _OPTIONAL = {"exponential": ("ref_year",)}
-
-
-def _finite(v) -> bool:
-    """Whether ``v`` is a finite real number; False for anything else."""
-    try:
-        return math.isfinite(v)
-    except (TypeError, OverflowError):
-        return False
 
 
 def _real_array(v) -> np.ndarray | None:

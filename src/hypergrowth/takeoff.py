@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, TooFewPointsError
+from .errors import FitError, TooFewPointsError, _finite
 from .fit import _TIE_RTOL, FitWindow, _centred_line, _CumulativeSums, fit_hyperbolic
 from .model import evaluate
 from .series import YearValueSeries
@@ -44,15 +44,9 @@ class TakeoffHypothesis:
     search_halfwidth: float = 50.0
 
     def __post_init__(self):
-        year_ok = width_ok = False
-        try:  # math.isfinite raises TypeError for a non-number: its check fails
-            year_ok = math.isfinite(self.predicted_year)
-            width_ok = math.isfinite(self.search_halfwidth) and self.search_halfwidth > 0
-        except TypeError:
-            pass
-        if not year_ok:
+        if not _finite(self.predicted_year):
             raise ValueError(f"predicted_year must be finite, got {self.predicted_year}")
-        if not width_ok:
+        if not (_finite(self.search_halfwidth) and self.search_halfwidth > 0):
             raise ValueError(
                 f"search_halfwidth must be finite and > 0, got {self.search_halfwidth}"
             )
@@ -82,20 +76,6 @@ class TakeoffTestResult:
         return self.verdict == "positive"
 
 
-def _negative(hypothesis: TakeoffHypothesis) -> TakeoffTestResult:
-    return TakeoffTestResult(
-        verdict="negative",
-        prominence_ok=False,
-        prominence_score=0.0,
-        stagnation_ok=False,
-        pre_break_rate=math.nan,
-        timing_ok=False,
-        break_year=None,
-        ic_gap=0.0,
-        hypothesis=hypothesis,
-    )
-
-
 def _aicc(n: int, sse: float, n_params: int) -> float:
     # Gaussian log-likelihood up to constants; sse floored to keep the
     # comparison finite on exact synthetic data.
@@ -105,26 +85,31 @@ def _aicc(n: int, sse: float, n_params: int) -> float:
     return aic + (2 * n_params * (n_params + 1) / denom if denom > 0 else math.inf)
 
 
-def _require_feasible(t: np.ndarray, hypothesis: TakeoffHypothesis):
-    p = hypothesis.predicted_year
-    hw = hypothesis.search_halfwidth
-    if not ((t < p).any() and (t > p).any()):
-        raise TooFewPointsError("series needs observations on both sides of the predicted year")
-    if ((t >= p - hw) & (t <= p + hw)).sum() < 2:
-        raise TooFewPointsError("search window contains fewer than 2 observed points")
+_ONE_SIDED = "series needs observations on both sides of the predicted year"
+_TOO_FEW = "search window contains fewer than 2 observed points"
 
 
-def _judged(result: TakeoffTestResult, hypothesis: TakeoffHypothesis) -> TakeoffTestResult:
-    """``result`` with timing and verdict judged at ``hypothesis``."""
-    if result.break_year is None:
-        return _negative(hypothesis)
-    return _verdict(result.prominence_ok, result.prominence_score, result.stagnation_ok,
-                    result.pre_break_rate, result.break_year, result.ic_gap, hypothesis)
+def _infeasible(t: np.ndarray, hyps) -> list[str | None]:
+    """Per hypothesis, the first unmet need of a test on the sorted years ``t``
+    (a point on each side of the predicted year, then 2 in the search window),
+    or None; two ``searchsorted`` calls count the points in every window."""
+    p = np.array([h.predicted_year for h in hyps], dtype=float)
+    hw = np.array([h.search_halfwidth for h in hyps], dtype=float)
+    enough = (t.searchsorted(p + hw, side="right") - t.searchsorted(p - hw) >= 2).tolist()
+    sides = ((t[0] < p) & (t[-1] > p)).tolist()
+    return [None if s and e else _TOO_FEW if s else _ONE_SIDED for s, e in zip(sides, enough)]
 
 
-def _verdict(prominence_ok, score, stagnation_ok, pre_rate, break_year, ic_gap,
-             hypothesis: TakeoffHypothesis) -> TakeoffTestResult:
-    """The result for a series' break evidence, with timing judged at ``hypothesis``."""
+def _judged(evidence, hypothesis: TakeoffHypothesis) -> TakeoffTestResult:
+    """The result for a series' break evidence, with timing judged at ``hypothesis``.
+
+    ``evidence`` is (prominence_ok, score, stagnation_ok, pre_rate, break_year,
+    ic_gap), or None when the series has no candidate break.
+    """
+    if evidence is None:
+        return TakeoffTestResult("negative", False, 0.0, False, math.nan, False, None, 0.0,
+                                 hypothesis)
+    prominence_ok, score, stagnation_ok, pre_rate, break_year, ic_gap = evidence
     timing_ok = abs(break_year - hypothesis.predicted_year) <= hypothesis.search_halfwidth
     positive = stagnation_ok and prominence_ok and timing_ok and ic_gap > IC_MIN_GAP
     return TakeoffTestResult("positive" if positive else "negative", prominence_ok, score,
@@ -134,15 +119,16 @@ def _verdict(prominence_ok, score, stagnation_ok, pre_rate, break_year, ic_gap,
 def takeoff_test(series: YearValueSeries, hypothesis: TakeoffHypothesis) -> TakeoffTestResult:
     """Evaluate the three-feature takeoff signature at the predicted year.
 
-    Raises TooFewPointsError when the series has no observations on both
-    sides of the predicted year or fewer than 2 points inside the search
-    window.
+    Raises TooFewPointsError naming the first unmet need: an observation on
+    each side of the predicted year, then 2 points in the search window.
     """
     t = series.years
-    _require_feasible(t, hypothesis)
+    why = _infeasible(t, [hypothesis])[0]
+    if why is not None:
+        raise TooFewPointsError(why)
     n = len(series)
     if n < 4:
-        return _negative(hypothesis)
+        return _judged(None, hypothesis)
 
     # Candidate breaks: any observed year with at least 2 points on each side
     # (a pre-break growth rate needs a slope).  The search is global so the
@@ -184,39 +170,30 @@ def takeoff_test(series: YearValueSeries, hypothesis: TakeoffHypothesis) -> Take
         # veto the takeoff model.
         ic_gap = math.inf
 
-    return _verdict(prominence_ok, score, stagnation_ok, pre_rate, float(t[best_i]), ic_gap,
-                    hypothesis)
+    return _judged((prominence_ok, score, stagnation_ok, pre_rate, float(t[best_i]), ic_gap),
+                   hypothesis)
 
 
-def takeoff_scan(
-    series: YearValueSeries,
-    year_grid,
-    search_halfwidth: float = 50.0,
-) -> list[TakeoffTestResult]:
+def takeoff_scan(series: YearValueSeries, year_grid,
+                 search_halfwidth: float = 50.0) -> list[TakeoffTestResult]:
     """takeoff_test at every grid year, run once and re-judged for timing.
 
-    Years where the test is infeasible (no data on both sides, empty search
-    window) yield a plain negative result, so the list always matches the
-    grid and "no takeoff anywhere" is simply "every verdict is negative".
-    Feasibility is decided for the whole grid in one pass: each year's
-    hypothesis is built first, then two ``searchsorted`` calls over the
-    observed years count the points in every search window at once.
+    Years where the test is infeasible (no data on one side, fewer than 2
+    points in the search window) yield a plain negative result, so the list
+    always matches the grid and "no takeoff anywhere" is simply "every
+    verdict is negative".  Feasibility is decided for the whole grid at once.
     """
     hyps = [TakeoffHypothesis(float(year), search_halfwidth) for year in year_grid]
-    t = series.years
-    p = [h.predicted_year for h in hyps]
-    lo = t.searchsorted([h.predicted_year - h.search_halfwidth for h in hyps], side="left")
-    hi = t.searchsorted([h.predicted_year + h.search_halfwidth for h in hyps], side="right")
-    # _require_feasible: a point on each side of p, 2 or more in the window.
-    feasible = (t[0] < p) & (t[-1] > p) & (hi - lo >= 2)
-    results = []
-    first = None
-    for hyp, ok in zip(hyps, feasible.tolist()):
-        if not ok:
-            results.append(_negative(hyp))
+    results, first, evidence = [], None, None
+    for hyp, why in zip(hyps, _infeasible(series.years, hyps)):
+        if why is not None:
+            results.append(_judged(None, hyp))
         elif first is None:
             first = takeoff_test(series, hyp)
             results.append(first)
+            if first.break_year is not None:
+                evidence = (first.prominence_ok, first.prominence_score, first.stagnation_ok,
+                            first.pre_break_rate, first.break_year, first.ic_gap)
         else:
-            results.append(_judged(first, hyp))
+            results.append(_judged(evidence, hyp))
     return results

@@ -62,8 +62,9 @@ def test_diversion_detection():
     assert_check(check_diversion_detection(TRIALS))
 
 
-# trials = 0 divided by zero; a negative count ran no trial and scored 0%.
-@pytest.mark.parametrize("trials", [0, -3])
+# trials = 0 divided by zero; a negative count ran no trial and scored 0%;
+# text and a float raised a raw TypeError.
+@pytest.mark.parametrize("trials", [0, -3, "5", 2.5])
 @pytest.mark.parametrize("check", [check_parameter_recovery_noisy, check_diversion_detection,
                                    run_all_checks])
 def test_trials_must_be_positive(check, trials):

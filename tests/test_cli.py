@@ -133,6 +133,19 @@ class TestTakeoff:
         assert code == 0
         assert json.loads(out)["verdict"] == "negative"
 
+    @pytest.mark.parametrize("year, halfwidth, message", [
+        ("2000", "50", "series needs observations on both sides of the predicted year"),
+        ("-300", "500", "series needs observations on both sides of the predicted year"),
+        ("425", "10", "search window contains fewer than 2 observed points"),
+    ])
+    def test_infeasible_year_exits_1_with_reason(self, hyperbolic_csv, capsys, year,
+                                                 halfwidth, message):
+        code, out, err = run(
+            capsys, "takeoff", "--input", str(hyperbolic_csv),
+            "--predicted-year", year, "--halfwidth", halfwidth,
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestReport:
     def test_markdown_report(self, spliced_csv, tmp_path, capsys):

@@ -193,6 +193,16 @@ class TestFitHyperbolic:
         with pytest.raises(NonHyperbolicError):
             fit_hyperbolic(s, FitWindow(0.0, 2.0))
 
+    # Text windows were accepted, and fit_hyperbolic then failed inside numpy;
+    # None raised a raw TypeError, and an infinite end was accepted.
+    @pytest.mark.parametrize("start, end", [
+        ("0", "600"), (0.0, "600"), (None, 600.0), (0.0, math.inf), (-math.inf, 600.0),
+        pytest.param(0.0, 10**400, id="0.0-10**400"),
+    ])
+    def test_window_years_must_be_finite_numbers(self, start, end):
+        with pytest.raises(TooFewPointsError, match="window start"):
+            FitWindow(start, end)
+
     def test_too_few_points(self):
         s = YearValueSeries([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(TooFewPointsError):

@@ -61,10 +61,13 @@ class TestParseLongCsv:
         with pytest.raises(ParseError, match=match):
             parse_long_csv(b"entity,year,value\n" + row + b"\n")
 
-    @pytest.mark.parametrize("unit_scale", [float("nan"), float("inf"), 0.0, -1e-3])
+    # Text and None raised a raw TypeError from the comparison with 0.
+    @pytest.mark.parametrize("unit_scale", [float("nan"), float("inf"), 0.0, -1e-3, "1", None])
     def test_bad_unit_scale(self, unit_scale):
         with pytest.raises(ParseError, match="unit_scale"):
             parse_long_csv(b"entity,year,value\nWorld,1000,5\n", unit_scale)
+        with pytest.raises(ParseError, match="unit_scale"):
+            parse_wide_table(b"entity,1000\nWorld,5\n", unit_scale)
 
     def test_entities_keep_first_seen_order(self):
         table = parse_long_csv(
@@ -365,6 +368,11 @@ class TestBuildRegionSeries:
         a = build_region_series(self.TABLE, RegionDefinition("R", ("N", "S")))
         b = build_region_series(self.TABLE, RegionDefinition("R", ("S", "N")))
         np.testing.assert_array_equal(a.values, b.values)
+
+    def test_text_members_rejected(self):
+        # "abc" became the three members 'a', 'b' and 'c'.
+        with pytest.raises(RegionError, match="region 'x' members must be a sequence of names"):
+            RegionDefinition("x", "abc")
 
     def test_unknown_member(self):
         with pytest.raises(RegionError, match="not in table"):

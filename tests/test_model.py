@@ -68,6 +68,16 @@ class TestSingularity:
         with pytest.raises(SeriesError):
             HyperbolicModel(1.0, 0.0)
 
+    # These raised a raw OverflowError or TypeError.
+    @pytest.mark.parametrize("a, k, name", [
+        pytest.param(10**400, 1.0, "a", id="10**400-1.0-a"),
+        pytest.param(1.0, 10**400, "k", id="1.0-10**400-k"),
+        ("1", 1e-3, "a"), (1.0, None, "k"),
+    ])
+    def test_parameters_must_be_finite_numbers(self, a, k, name):
+        with pytest.raises(SeriesError, match=f"parameter {name} must be finite and positive"):
+            HyperbolicModel(a, k)
+
 
 class TestReciprocalTransform:
     def test_model_series_is_collinear(self):

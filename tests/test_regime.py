@@ -98,8 +98,10 @@ class TestDetectDiversion:
 
     # tau = -1 made any two same-sign residuals a diversion (a "faster" one
     # at 630 on this pure hyperbolic series); nan silently found nothing; the
-    # text "3" raised a raw TypeError from math.isfinite.
-    @pytest.mark.parametrize("tau", [-1.0, 0.0, float("nan"), float("inf"), "3"])
+    # text "3" raised a raw TypeError from math.isfinite, and an int too large
+    # for a float a raw OverflowError.
+    @pytest.mark.parametrize("tau", [-1.0, 0.0, float("nan"), float("inf"), "3",
+                                     pytest.param(10**400, id="10**400")])
     def test_tau_must_be_finite_and_positive(self, tau):
         years = tuple(float(y) for y in range(0, 900, 30))
         s = generate(GeneratorSpec("hyperbolic", {"a": 1.0, "k": 1e-3}, years,

@@ -23,6 +23,7 @@ from hypergrowth import (
     NonHyperbolicError,
     SingularityInWindowError,
     TakeoffHypothesis,
+    TooFewPointsError,
     YearValueSeries,
     fit_hyperbolic,
     generate,
@@ -34,12 +35,11 @@ from hypergrowth.fit import _TIE_RTOL, _centred_line, best_fit
 from hypergrowth.model import evaluate
 from hypergrowth.regime import _fit_side
 from hypergrowth.takeoff import (
+    IC_MIN_GAP,
     PROMINENCE_MIN_RATIO,
     STAGNATION_MAX_RATE,
+    TakeoffTestResult,
     _aicc,
-    _judged,
-    _negative,
-    _require_feasible,
 )
 
 WEIGHTINGS = ("uniform", "direct")
@@ -86,6 +86,49 @@ def reference_segment(series, weighting):
             best = (cand, (left, right))
     (sse, _, b), (left, right) = best
     return b, sse, None if left is None or right is None else right.model.k / left.model.k
+
+
+# Kept apart from the takeoff module so the reference shares none of its
+# code: a feasibility check by boolean masks, one hypothesis at a time, and
+# results built field by field.
+def _negative(hypothesis: TakeoffHypothesis) -> TakeoffTestResult:
+    return TakeoffTestResult(
+        verdict="negative",
+        prominence_ok=False,
+        prominence_score=0.0,
+        stagnation_ok=False,
+        pre_break_rate=math.nan,
+        timing_ok=False,
+        break_year=None,
+        ic_gap=0.0,
+        hypothesis=hypothesis,
+    )
+
+
+def _require_feasible(t: np.ndarray, hypothesis: TakeoffHypothesis):
+    p = hypothesis.predicted_year
+    hw = hypothesis.search_halfwidth
+    if not ((t < p).any() and (t > p).any()):
+        raise TooFewPointsError("series needs observations on both sides of the predicted year")
+    if ((t >= p - hw) & (t <= p + hw)).sum() < 2:
+        raise TooFewPointsError("search window contains fewer than 2 observed points")
+
+
+def _judged(result: TakeoffTestResult, hypothesis: TakeoffHypothesis) -> TakeoffTestResult:
+    """``result`` with timing and verdict judged at ``hypothesis``."""
+    if result.break_year is None:
+        return _negative(hypothesis)
+    return _verdict(result.prominence_ok, result.prominence_score, result.stagnation_ok,
+                    result.pre_break_rate, result.break_year, result.ic_gap, hypothesis)
+
+
+def _verdict(prominence_ok, score, stagnation_ok, pre_rate, break_year, ic_gap,
+             hypothesis: TakeoffHypothesis) -> TakeoffTestResult:
+    """The result for a series' break evidence, with timing judged at ``hypothesis``."""
+    timing_ok = abs(break_year - hypothesis.predicted_year) <= hypothesis.search_halfwidth
+    positive = stagnation_ok and prominence_ok and timing_ok and ic_gap > IC_MIN_GAP
+    return TakeoffTestResult("positive" if positive else "negative", prominence_ok, score,
+                             stagnation_ok, pre_rate, timing_ok, break_year, ic_gap, hypothesis)
 
 
 def reference_takeoff(series, hypothesis):

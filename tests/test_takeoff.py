@@ -10,6 +10,7 @@ import hypergrowth.takeoff
 from hypergrowth import (
     GeneratorSpec,
     TakeoffHypothesis,
+    TakeoffTestResult,
     TooFewPointsError,
     YearValueSeries,
     generate,
@@ -17,7 +18,6 @@ from hypergrowth import (
     takeoff_scan,
     takeoff_test,
 )
-from hypergrowth.takeoff import _negative, _require_feasible
 
 GRID = tuple(sorted(set(maddison_year_grid()) | {1750.0}))
 
@@ -110,10 +110,62 @@ class TestHypothesis:
         (1750.0, -5.0, "search_halfwidth"),
         ("1750", 50.0, "predicted_year"),
         (1750.0, "50", "search_halfwidth"),
+        # An int too large for a float raised a raw OverflowError.
+        pytest.param(10**400, 50.0, "predicted_year", id="10**400-50.0-predicted_year"),
+        pytest.param(1750.0, 10**400, "search_halfwidth", id="1750.0-10**400-search_halfwidth"),
     ])
     def test_invalid_field_rejected(self, predicted_year, halfwidth, field):
         with pytest.raises(ValueError, match=field):
             TakeoffHypothesis(predicted_year, halfwidth)
+
+
+ONE_SIDED = "series needs observations on both sides of the predicted year"
+TOO_FEW = "search window contains fewer than 2 observed points"
+
+
+class TestFeasibility:
+    """takeoff_test needs a point on each side of the predicted year, then 2
+    points in the search window; the first unmet need is the message."""
+
+    SERIES = YearValueSeries([1800.0, 1900.0, 2000.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("predicted_year, halfwidth, message", [
+        (2000.0, 500.0, ONE_SIDED),  # three points in the window, none after
+        (1700.0, 500.0, ONE_SIDED),  # none before
+        (1850.0, 10.0, TOO_FEW),  # no point in the window
+        (1900.0, 50.0, TOO_FEW),  # one point in the window
+        (1800.0, 50.0, ONE_SIDED),  # both needs unmet: the sides are named
+        (2500.0, 10.0, ONE_SIDED),
+    ])
+    def test_message_names_first_unmet_need(self, predicted_year, halfwidth, message):
+        with pytest.raises(TooFewPointsError) as exc:
+            takeoff_test(self.SERIES, TakeoffHypothesis(predicted_year, halfwidth))
+        assert str(exc.value) == message
+
+    def test_feasible_at_two_points_in_window(self):
+        result = takeoff_test(self.SERIES, TakeoffHypothesis(1850.0, 50.0))
+        assert result.break_year is None  # fewer than 4 points: no candidate break
+
+    @staticmethod
+    def count_tests(monkeypatch):
+        calls = []
+        test = hypergrowth.takeoff.takeoff_test
+        monkeypatch.setattr(hypergrowth.takeoff, "takeoff_test",
+                            lambda *args: calls.append(args[1]) or test(*args))
+        return calls
+
+    def test_scan_tests_once_at_first_feasible_year(self, monkeypatch):
+        calls = self.count_tests(monkeypatch)
+        grid = [500.0, 2100.0, 1750.0, 1820.0, 1500.0]
+        results = takeoff_scan(stagnation_series(), grid)
+        assert [h.predicted_year for h in calls] == [1750.0]
+        assert len(results) == len(grid)
+
+    def test_scan_never_tests_without_a_feasible_year(self, monkeypatch):
+        calls = self.count_tests(monkeypatch)
+        results = takeoff_scan(stagnation_series(), [500.0, 2100.0, 3000.0])
+        assert calls == []
+        assert [r.break_year for r in results] == [None, None, None]
 
 
 class TestTakeoffScan:
@@ -172,6 +224,31 @@ class TestTakeoffScan:
         )
         takeoff_scan(stagnation_series(noise=0.01, seed=3), self.SCAN_GRID)
         assert len(calls) == 1
+
+
+# Kept apart from the takeoff module so the reference shares none of its
+# code: a feasibility check by boolean masks, one hypothesis at a time.
+def _negative(hypothesis: TakeoffHypothesis) -> TakeoffTestResult:
+    return TakeoffTestResult(
+        verdict="negative",
+        prominence_ok=False,
+        prominence_score=0.0,
+        stagnation_ok=False,
+        pre_break_rate=math.nan,
+        timing_ok=False,
+        break_year=None,
+        ic_gap=0.0,
+        hypothesis=hypothesis,
+    )
+
+
+def _require_feasible(t: np.ndarray, hypothesis: TakeoffHypothesis):
+    p = hypothesis.predicted_year
+    hw = hypothesis.search_halfwidth
+    if not ((t < p).any() and (t > p).any()):
+        raise TooFewPointsError("series needs observations on both sides of the predicted year")
+    if ((t >= p - hw) & (t <= p + hw)).sum() < 2:
+        raise TooFewPointsError("search window contains fewer than 2 observed points")
 
 
 class TestOnePassFeasibility:
