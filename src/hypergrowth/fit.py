@@ -16,14 +16,15 @@ over-weights the early, small-value points.
 The searches over many candidate lines (``scan_windows`` here, the
 two-regime split in ``regime`` and the takeoff break in ``takeoff``) screen,
 then refit.  One 6-row table of cumulative sums of 1, t, y, t^2, t*y and
-y^2, weighted as the line is, gives every contiguous run's line and costs in
-closed form, O(1) per run; a plain table is built only where a search reads
-a plain cost of a weighted line.  Each search computes only the costs it
-ranks by and takes the best under one tie rule: costs within ``_TIE_RTOL``
-times the series' total sum of squares about its mean tie, so rounding
-noise on exact data cannot decide.  Only the chosen candidate is refitted,
-by ``fit_hyperbolic`` or ``_centred_line``, so every returned fit is the
-exact solver's own.
+y^2, weighted as the line is, gives every contiguous run's line, and its
+cost about that line by one centred closed form (``_line``), O(1) per run.
+``_sse``, a plain cost about another line, serves only the plain cost of a
+weighted line, from a plain table: the split under ``direct``.  Each search
+ranks by its own costs alone and takes the best under one tie rule: costs
+within ``_TIE_RTOL`` times the series' total sum of squares about its mean
+tie, so rounding noise on exact data cannot decide.  Only the chosen
+candidate is refitted, by ``fit_hyperbolic`` or ``_centred_line``, so every
+returned fit is the exact solver's own.
 
 The automatic window (``scan_windows``, behind ``best_fit``) is the paper's
 account of a series: hyperbolic growth from the series start up to a
@@ -46,6 +47,7 @@ from .model import HyperbolicModel
 from .series import YearValueSeries
 
 WEIGHTINGS = ("uniform", "direct")
+_sum = np.add.reduce  # ndarray.sum() without its Python wrapper; the same bits on 1-d floats
 
 
 @dataclass(frozen=True)
@@ -56,11 +58,11 @@ class FitWindow:
     end_year: float
 
     def __post_init__(self):
-        if not (_finite(self.start_year) and _finite(self.end_year)
-                and self.start_year < self.end_year):
-            raise TooFewPointsError(
-                f"window start {self.start_year} must precede end {self.end_year}"
-            )
+        start, end = self.start_year, self.end_year
+        if not (_finite(start) and _finite(end)):
+            raise TooFewPointsError(f"window start {start!r} and end {end!r} must be finite numbers")
+        if not start < end:
+            raise TooFewPointsError(f"window start {start} must precede end {end}")
 
     def contains(self, year) -> bool:
         return self.start_year <= year <= self.end_year
@@ -97,15 +99,31 @@ def _centred_line(t: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):
     which change no bit of the result.
     """
     if w is None:
-        tc, ybar = t.sum() / len(t), y.sum() / len(t)
+        tc, ybar = _sum(t) / len(t), _sum(y) / len(t)
         dt = t - tc
-        return (dt * (y - ybar)).sum() / (dt**2).sum(), tc, ybar
-    wsum = w.sum()
-    tc = (w * t).sum() / wsum
-    ybar = (w * y).sum() / wsum
+        return _sum(dt * (y - ybar)) / _sum(dt**2), tc, ybar
+    wsum = _sum(w)
+    tc = _sum(w * t) / wsum
+    ybar = _sum(w * y) / wsum
     dt = t - tc
-    slope = (w * dt * (y - ybar)).sum() / (w * dt**2).sum()
+    slope = _sum(w * dt * (y - ybar)) / _sum(w * dt**2)
     return slope, tc, ybar
+
+
+def _solve(t: np.ndarray, y: np.ndarray, w: np.ndarray | None, end_year: float):
+    """(model, ybar) of the line through (t, y): fit_hyperbolic's solve and checks."""
+    slope, tc, ybar = _centred_line(t, y, w)
+    k = -slope
+    a = ybar + k * tc
+    if k <= 0:
+        raise NonHyperbolicError(f"fitted reciprocal slope {slope:.3e} is not decreasing")
+    if a <= 0:
+        raise NonHyperbolicError(f"fitted intercept a = {a:.3e} is not positive")
+    model = HyperbolicModel(a, k)
+    if model.singularity_year <= end_year:
+        raise SingularityInWindowError(f"fitted singularity {model.singularity_year:.6g} lies "
+                                       f"inside the window ending {end_year}")
+    return model, ybar
 
 
 def _weights(values: np.ndarray, weighting: str) -> np.ndarray | None:
@@ -115,11 +133,8 @@ def _weights(values: np.ndarray, weighting: str) -> np.ndarray | None:
     return values**2 if weighting == "direct" else None
 
 
-def fit_hyperbolic(
-    series: YearValueSeries,
-    window: FitWindow,
-    weighting: str = "uniform",
-) -> HyperbolicFit:
+def fit_hyperbolic(series: YearValueSeries, window: FitWindow,
+                   weighting: str = "uniform") -> HyperbolicFit:
     """Least-squares line through the in-window reciprocals.
 
     Raises TooFewPointsError (< 3 points in window), NonHyperbolicError
@@ -138,30 +153,15 @@ def fit_hyperbolic(
             f"window [{window.start_year}, {window.end_year}] holds {len(t)} points; need >= 3"
         )
     y = 1.0 / s
+    model, ybar = _solve(t, y, w, window.end_year)
 
-    slope, tc, ybar = _centred_line(t, y, w)
-    k = -slope
-    a = ybar + k * tc
-    if k <= 0:
-        raise NonHyperbolicError(
-            f"fitted reciprocal slope {slope:.3e} is not decreasing"
-        )
-    if a <= 0:
-        raise NonHyperbolicError(f"fitted intercept a = {a:.3e} is not positive")
-    model = HyperbolicModel(a, k)
-    if model.singularity_year <= window.end_year:
-        raise SingularityInWindowError(
-            f"fitted singularity {model.singularity_year:.6g} lies inside the "
-            f"window ending {window.end_year}"
-        )
-
-    fitted = a - k * t
+    fitted = model.a - model.k * t
     deltas = y - fitted
     sq_tot, sq_res = (y - ybar) ** 2, deltas**2
-    rmse = math.sqrt(float(sq_res.sum()) / len(t))
+    rmse = math.sqrt(float(_sum(sq_res)) / len(t))
     if w is not None:
         sq_tot, sq_res = w * sq_tot, w * sq_res
-    ss_tot, ss_res = float(sq_tot.sum()), float(sq_res.sum())
+    ss_tot, ss_res = float(_sum(sq_tot)), float(_sum(sq_res))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     inv = 1.0 / fitted
     # 100 * |s - 1/f| / (1/f), multiplied before dividing: the order sets the bits.
@@ -200,22 +200,19 @@ def _suffix(P: np.ndarray, starts: slice) -> np.ndarray:
 
 
 def _line(W):
-    """Slope and level of each run's weighted line y = mu_y + level + slope * (t - mu_t)."""
+    """(slope, level, sse) of each run's weighted line y = mu_y + level + slope * (t - mu_t).
+
+    sse, the weighted SSE about it, is S_yy - S_y*ybar - slope*(S_ty - S_t*ybar)."""
     tc, yc = W[_T] / W[_N], W[_Y] / W[_N]
-    slope = (W[_TY] - W[_T] * yc) / (W[_TT] - W[_T] * tc)
-    return slope, yc - slope * tc
+    ty = W[_TY] - W[_T] * yc
+    slope = ty / (W[_TT] - W[_T] * tc)
+    return slope, yc - slope * tc, W[_YY] - W[_Y] * yc - slope * ty
 
 
 def _sse(S, slope, level):
     """Plain squared residual of each run about the line (slope, level)."""
     return (S[_YY] - 2 * level * S[_Y] - 2 * slope * S[_TY] + S[_N] * level**2
             + 2 * level * slope * S[_T] + slope**2 * S[_TT])
-
-
-def _wsse(W):
-    """Weighted squared residual of each run about its weighted line."""
-    yc = W[_Y] / W[_N]
-    return W[_YY] - W[_Y] * yc - _line(W)[0] * (W[_TY] - W[_T] * yc)
 
 
 def _mean_sse(S):
@@ -229,14 +226,15 @@ class _CumulativeSums:
     ``P[:, j + 1] - P[:, i]`` sums the rows, w-weighted or plain for w=None,
     over points i..j.  t and y are centred on their plain means ``mu_t`` and
     ``mu_y`` first, which keeps the cancellation in a run's centred moments
-    small.  Screened costs closer than ``tolerance``, _TIE_RTOL times a plain
-    table's total sum of squares of y about its mean, tie.
+    small.  Screened costs closer than ``tolerance`` tie: _TIE_RTOL times a
+    plain table's sum of squares of the centred y, so a constant series, whose
+    centred values all carry the mean's rounding, still gets a tolerance.
     """
 
     def __init__(self, t: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):
         n = len(t)
         # sum / n is ndarray.mean's own arithmetic, without its Python wrapper.
-        self.mu_t, self.mu_y = t.sum() / n, y.sum() / n
+        self.mu_t, self.mu_y = _sum(t) / n, _sum(y) / n
         self.tc = tc = t - self.mu_t
         # The rows are filled in place: 1 (or w), t, y, then the products,
         # which are formed before weighting, as (t * t) * w, for their bits.
@@ -255,7 +253,7 @@ class _CumulativeSums:
 
     @property
     def tolerance(self) -> float:
-        return _TIE_RTOL * float(self.P[_YY, -1] - self.P[_Y, -1] ** 2 / len(self.tc))
+        return _TIE_RTOL * float(self.P[_YY, -1])
 
     def hinges(self, breaks: slice) -> np.ndarray:
         """Plain SSE of the lines y ~ c + r * max(t - t[b], 0), one per break index b.
@@ -270,7 +268,7 @@ class _CumulativeSums:
         xy = S[_TY] - b * S[_Y]
         rows = (n, x, P[_Y, n], xx, xy, P[_YY, n])
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _sse(rows, *_line(rows))
+            return _line(rows)[2]
 
     def passes(self, slope, level, end_year) -> np.ndarray:
         """fit_hyperbolic's checks as signs of the screened k = -slope, a and a - k * end_year."""
@@ -314,10 +312,11 @@ def scan_windows(
     line = head if weighting == "direct" else _CumulativeSums(t, y, w)
     ends = np.arange(2, n)  # head ends; n - 2 leaves a 1-point tail and is no candidate
     with np.errstate(divide="ignore", invalid="ignore"):
-        tail = _suffix(logs.P, slice(3, n))
-        tail = _sse(tail, *_line(tail))
-        sse = _wsse(_prefix(head.P, slice(2, None))) + np.append(tail, 0.0)
-        slope, level = _line(_prefix(line.P, slice(2, None)))
+        tail = _line(_suffix(logs.P, slice(3, n)))[2]
+        slope, level, head_sse = _line(_prefix(head.P, slice(2, None)))
+        if line is not head:
+            slope, level, _ = _line(_prefix(line.P, slice(2, None)))
+        sse = head_sse + np.append(tail, 0.0)
     # BIC, n * log(SSE / n) + p * log(n), rises with SSE * n**(p / n).
     cost = np.maximum(sse, logs.tolerance) * float(n) ** (np.where(ends < n - 1, 5, 2) / n)
     ok = line.passes(slope, level, t[2:]) & (ends != n - 2)

@@ -31,6 +31,7 @@ from .fit import (
     _prefix,
     _sse,
     _suffix,
+    _sum,
     _weights,
     fit_hyperbolic,
 )
@@ -168,14 +169,12 @@ def _fit_side(series: YearValueSeries, window: FitWindow, weighting: str):
         # An unfittable side is penalized by the residuals around its own
         # mean reciprocal, so fully-modeled splits win when they exist.
         r = 1.0 / series.slice_window(window.start_year, window.end_year).values
-        return None, float(((r - r.mean()) ** 2).sum())
-    return fit, float((fit.deltas**2).sum())
+        return None, float(_sum((r - r.mean()) ** 2))
+    return fit, float(_sum(fit.deltas**2))
 
 
-def segment_two_hyperbolic(
-    series: YearValueSeries,
-    weighting: str = "uniform",
-) -> RegimeSegmentation:
+def segment_two_hyperbolic(series: YearValueSeries,
+                           weighting: str = "uniform") -> RegimeSegmentation:
     """Best split of the series into two hyperbolic regimes.
 
     Exhaustive search over breakpoints at observed years, each side holding
@@ -187,30 +186,32 @@ def segment_two_hyperbolic(
     the squared residual about its mean reciprocal and contributes nothing to
     the k-ratio.
 
-    Cumulative sums screen every break in O(n): both side lines,
-    fit_hyperbolic's checks as signs, and each side's cost (a plain table
-    joins the weighted one under ``direct``).  Only the chosen break's sides
-    are fitted exactly, and those fits are returned.
+    Cumulative sums screen every break in O(n), in one stacked pass over all
+    prefix runs, then all suffix runs: each side's line, fit_hyperbolic's
+    checks as signs, and its cost, the line's own closed form under
+    ``uniform``, else the plain cost from a plain table stacked below.  Only
+    the chosen break's sides are fitted exactly, and those fits are returned.
     """
     if len(series) < 6:
-        raise TooFewPointsError(
-            f"two-regime segmentation needs >= 6 points, got {len(series)}"
-        )
+        raise TooFewPointsError(f"two-regime segmentation needs >= 6 points, got {len(series)}")
     years, s = series.years, series.values
     n = len(years)
     y, weights = 1.0 / s, _weights(s, weighting)
     sums = _CumulativeSums(years, y, weights)
     # A side costs the plain squared residual about its weighted line.
     plain = sums if weights is None else _CumulativeSums(years, y)
-    breaks = slice(2, n - 2)
-    cost = 0.0
-    for runs, end_year in ((_prefix, years[breaks]), (_suffix, years[-1])):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            W = runs(sums.P, breaks)
-            S = W if plain is sums else runs(plain.P, breaks)
-            slope, level = _line(W)
-            fitted, unfitted = _sse(S, slope, level), _mean_sse(S)
-        cost = cost + np.where(sums.passes(slope, level, end_year), fitted, unfitted)
+    P = sums.P if plain is sums else np.vstack((sums.P, plain.P))
+    breaks, m = slice(2, n - 2), n - 4
+    with np.errstate(divide="ignore", invalid="ignore"):
+        W = np.concatenate((_prefix(P, breaks), _suffix(P, breaks)), axis=1)
+        S = W[-6:]  # the plain rows: W itself under uniform
+        slope, level, fitted = _line(W)
+        if plain is not sums:
+            fitted = _sse(S, slope, level)
+        unfitted = _mean_sse(S)
+    end_year = np.append(years[breaks], np.full(m, years[-1]))
+    cost = np.where(sums.passes(slope, level, end_year), fitted, unfitted)
+    cost = cost[:m] + cost[m:]
     b = float(years[2 + np.argmax(cost <= cost.min() + plain.tolerance)])
     windows = (FitWindow(float(years[0]), b), FitWindow(b, float(years[-1])))
     (left, left_sse), (right, right_sse) = (_fit_side(series, w, weighting) for w in windows)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, TooFewPointsError, _finite
-from .fit import _TIE_RTOL, FitWindow, _centred_line, _CumulativeSums, fit_hyperbolic
+from .fit import _TIE_RTOL, _centred_line, _CumulativeSums, _solve, _sum
 from .model import evaluate
 from .series import YearValueSeries
 
@@ -142,7 +142,7 @@ def takeoff_test(series: YearValueSeries, hypothesis: TakeoffHypothesis) -> Take
     best_i = 1 + int(np.argmax(cost <= cost.min() + sums.tolerance))
     x = np.maximum(t - t[best_i], 0.0)
     best_r, xc, ybar = _centred_line(x, logy)
-    best_sse = float(((logy - ybar - best_r * (x - xc)) ** 2).sum())
+    best_sse = float(_sum((logy - ybar - best_r * (x - xc)) ** 2))
     pre_rate = _centred_line(t[: best_i + 1], logy[: best_i + 1])[0]
     # A rate whose change over the span is within _TIE_RTOL of the largest log
     # value is zero: on an exactly flat stretch its sign is rounding noise and
@@ -161,9 +161,9 @@ def takeoff_test(series: YearValueSeries, hypothesis: TakeoffHypothesis) -> Take
 
     aicc_take = _aicc(n, best_sse, 3)  # level, break, rate
     try:
-        hyp_fit = fit_hyperbolic(series, FitWindow(float(t[0]), float(t[-1])))
-        fitted = np.asarray(evaluate(hyp_fit.model, t))
-        sse_hyp = float(((logy - np.log(fitted)) ** 2).sum())
+        # The single hyperbola's model alone: uniform weights over the whole span.
+        model = _solve(t, 1.0 / series.values, None, t[-1])[0]
+        sse_hyp = float(_sum((logy - np.log(evaluate(model, t))) ** 2))
         ic_gap = _aicc(n, sse_hyp, 2) - aicc_take
     except FitError:
         # No competing hyperbolic description exists; the comparison cannot

@@ -203,6 +203,25 @@ class TestFitHyperbolic:
         with pytest.raises(TooFewPointsError, match="window start"):
             FitWindow(start, end)
 
+    # A year that is no finite number was reported as an empty window,
+    # "window start 0 must precede end 600"; the message now names the values.
+    @pytest.mark.parametrize("start, end, message", [
+        ("0", "600", "window start '0' and end '600' must be finite numbers"),
+        (0.0, math.inf, "window start 0.0 and end inf must be finite numbers"),
+        (math.nan, 5.0, "window start nan and end 5.0 must be finite numbers"),
+        (None, 600.0, "window start None and end 600.0 must be finite numbers"),
+    ])
+    def test_non_number_window_message_names_the_values(self, start, end, message):
+        with pytest.raises(TooFewPointsError) as err:
+            FitWindow(start, end)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("start, end", [(600.0, 0.0), (5.0, 5.0), (5, 5)])
+    def test_empty_window_message_unchanged(self, start, end):
+        with pytest.raises(TooFewPointsError) as err:
+            FitWindow(start, end)
+        assert str(err.value) == f"window start {start} must precede end {end}"
+
     def test_too_few_points(self):
         s = YearValueSeries([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(TooFewPointsError):

@@ -31,7 +31,10 @@ from hypergrowth import (
     segment_two_hyperbolic,
     takeoff_test,
 )
-from hypergrowth.fit import _TIE_RTOL, _centred_line, best_fit
+from hypergrowth.fit import (
+    _N, _T, _TIE_RTOL, _TT, _TY, _Y, _YY, _centred_line, _CumulativeSums, _line, _prefix,
+    _suffix, best_fit,
+)
 from hypergrowth.model import evaluate
 from hypergrowth.regime import _fit_side
 from hypergrowth.takeoff import (
@@ -348,3 +351,193 @@ class TestExactSolves:
         assert top.window == FitWindow(1000.0, 1955.0)
         assert top.model.k == pytest.approx(WORLD["k"], rel=1e-9)
         assert len(calls) <= 2  # one exact fit per window took 7021 at step 8
+
+
+# The screen's costs before the one closed form, kept as the reference: each
+# run's plain SSE about its own line by the expanded formula, and the split's
+# prefix and suffix runs screened in two separate passes.
+def _expanded_line(W):
+    tc, yc = W[_T] / W[_N], W[_Y] / W[_N]
+    slope = (W[_TY] - W[_T] * yc) / (W[_TT] - W[_T] * tc)
+    return slope, yc - slope * tc
+
+
+def _expanded_sse(S, slope, level):
+    return (S[_YY] - 2 * level * S[_Y] - 2 * slope * S[_TY] + S[_N] * level**2
+            + 2 * level * slope * S[_T] + slope**2 * S[_TT])
+
+
+def _own_sse(W):
+    return _expanded_sse(W, *_expanded_line(W))
+
+
+def _wide_sse(W):
+    """The same cost from the same sums, in extended precision where numpy has it."""
+    N, T, Y, TT, TY, YY = (np.asarray(r, dtype=np.longdouble) for r in W)
+    return YY - Y * Y / N - (TY - T * Y / N) ** 2 / (TT - T * T / N)
+
+
+def hinge_rows(sums, breaks):
+    P, n, b = sums.P, len(sums.tc), sums.tc[breaks]
+    S = _suffix(P, slice(breaks.start + 1, breaks.stop + 1))
+    x = S[_T] - b * S[_N]
+    xx = S[_TT] - 2 * b * S[_T] + b**2 * S[_N]
+    xy = S[_TY] - b * S[_Y]
+    return (n, x, P[_Y, n], xx, xy, P[_YY, n])
+
+
+def ranked_ends(series, weighting, tail_cost):
+    """scan_windows' candidate ends in rank order, with its log tail's costs given."""
+    t, s = series.years, series.values
+    n = len(t)
+    y = 1.0 / s
+    head = _CumulativeSums(t, y, s**2)
+    logs = _CumulativeSums(t, np.log(s))
+    line = _CumulativeSums(t, y, s**2 if weighting == "direct" else None)
+    ends = np.arange(2, n)
+    W = _prefix(head.P, slice(2, None))
+    yc = W[_Y] / W[_N]
+    sse = (W[_YY] - W[_Y] * yc - _expanded_line(W)[0] * (W[_TY] - W[_T] * yc)
+           + np.append(tail_cost(_suffix(logs.P, slice(3, n))), 0.0))
+    slope, level = _expanded_line(_prefix(line.P, slice(2, None)))
+    cost = np.maximum(sse, logs.tolerance) * float(n) ** (np.where(ends < n - 1, 5, 2) / n)
+    ok = line.passes(slope, level, t[2:]) & (ends != n - 2)
+    cost, ends = cost[ok], ends[ok]
+    if len(ends):
+        cost = np.where(cost <= cost.min() + logs.tolerance, cost.min(), cost)
+    return ends[np.lexsort((-ends, cost))].tolist()
+
+
+def two_pass_split(series, weighting):
+    """The split's screened cost per break, prefix and suffix runs in two passes."""
+    years, s = series.years, series.values
+    n = len(years)
+    y = 1.0 / s
+    sums = _CumulativeSums(years, y, s**2 if weighting == "direct" else None)
+    plain = _CumulativeSums(years, y)
+    breaks = slice(2, n - 2)
+    cost = 0.0
+    for runs, end_year in ((_prefix, years[breaks]), (_suffix, years[-1])):
+        W, S = runs(sums.P, breaks), runs(plain.P, breaks)
+        slope, level = _expanded_line(W)
+        fitted, unfitted = _expanded_sse(S, slope, level), S[_YY] - S[_Y] ** 2 / S[_N]
+        cost = cost + np.where(sums.passes(slope, level, end_year), fitted, unfitted)
+    return cost, plain
+
+
+def tie_ruled_first(cost, tolerance):
+    return int(np.argmax(cost <= cost.min() + tolerance))
+
+
+def assert_within_rounding(W, seed):
+    """The closed form's cost is within a first-order bound on its rounding error
+    of the same sums' cost in wide precision.  The bound counts each term's size
+    and the slope's sensitivity to cancellation in the centred sums S_ty and S_tt."""
+    N, T, Y, TT, TY, YY = (np.asarray(r, dtype=float) for r in W)
+    tc, yc = T / N, Y / N
+    ty, tt = TY - T * yc, TT - T * tc
+    slope = ty / tt
+    bound = 16 * np.finfo(float).eps * (
+        abs(YY) + abs(Y * yc) + abs(slope) * (abs(TY) + abs(T * yc))
+        + abs(slope * ty) * (abs(TT) + abs(T * tc)) / abs(tt))
+    assert (np.abs(_line(W)[2] - _wide_sse(W)) <= bound).all(), seed
+
+
+def screen_series(seed):
+    """Seeded series of 6 to 999 points: rising and falling, noiseless and noisy."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 1000))
+    step = rng.choice([1.0, 10.0, 25.0])
+    years = 1000.0 + step * np.arange(n) + (rng.uniform(0.0, 0.5, n) if seed % 3 else 0.0)
+    u = (years - years[0]) / (years[-1] - years[0])
+    kind = seed % 6
+    if kind == 0:  # hyperbolic
+        values = 1.0 / (1.0 - 0.9 * u)
+    elif kind == 1:  # hyperbolic, then a steeper reciprocal slope
+        values = 1.0 / (1.0 - 0.3 * u - 0.6 * np.maximum(u - rng.uniform(0.2, 0.8), 0.0))
+    elif kind == 2:  # stagnation, then exponential growth
+        values = np.exp(3.0 * np.maximum(u - rng.uniform(0.2, 0.8), 0.0))
+    elif kind == 3:  # hyperbolic, then log-linear
+        c = rng.uniform(0.3, 0.9)
+        values = np.where(u < c, 1.0 / (1.0 - 0.9 * np.minimum(u, c)),
+                          np.exp(u - c) / (1.0 - 0.9 * c))
+    elif kind == 4:  # falling
+        values = 1.0 / (0.1 + 0.9 * u)
+    else:  # no structure at all
+        values = rng.lognormal(0.0, 1.0, n)
+    noise = 0.0 if seed % 4 == 0 else rng.choice([1e-6, 1e-3, 1e-2, 5e-2])
+    values = values * np.exp(noise * rng.standard_normal(n)) * 10.0 ** rng.integers(-3, 4)
+    return YearValueSeries(years, values)
+
+
+class TestOneClosedForm:
+    """Each run's cost about its own line, by the centred closed form, is the
+    same sums' cost to within rounding, and every search picks what the
+    expanded formula and separate prefix and suffix passes pick."""
+
+    SEEDS = range(320)
+
+    def test_hinges(self):
+        for seed in self.SEEDS:
+            s = screen_series(seed)
+            n, logy = len(s), np.log(s.values)
+            sums = _CumulativeSums(s.years, logy)
+            rows = hinge_rows(sums, slice(1, n - 2))
+            got, tol = sums.hinges(slice(1, n - 2)), sums.tolerance
+            assert got.tobytes() == _line(rows)[2].tobytes(), seed
+            assert_within_rounding(rows, seed)
+            first = tie_ruled_first(_own_sse(rows), tol)
+            assert tie_ruled_first(got, tol) == first, seed
+            hyp = TakeoffHypothesis(float(s.years[n // 2]), 50.0)
+            assert takeoff_test(s, hyp).break_year == s.years[1 + first], seed
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_scan(self, weighting):
+        for seed in self.SEEDS:
+            s = screen_series(seed)
+            n, t = len(s), s.years
+            logs = _CumulativeSums(t, np.log(s.values))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # Tails of at least 2 points; a 1-point tail is no candidate.
+                assert_within_rounding(_suffix(logs.P, slice(3, n - 1)), seed)
+                want = ranked_ends(s, weighting, _own_sse)
+                assert ranked_ends(s, weighting, lambda W: _line(W)[2]) == want, seed
+            for b in want:  # the first candidate whose exact fit passes is the result
+                try:
+                    fit_hyperbolic(s, FitWindow(float(t[0]), float(t[b])), weighting)
+                except (NonHyperbolicError, SingularityInWindowError):
+                    continue
+                assert [f.window.end_year for f in scan_windows(s, weighting)] == [t[b]], seed
+                break
+            else:
+                assert scan_windows(s, weighting) == [], seed
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_split(self, weighting):
+        for seed in self.SEEDS:
+            s = screen_series(seed)
+            n, years = len(s), s.years
+            want, plain = two_pass_split(s, weighting)
+            if weighting == "uniform":  # a side's cost about its own line
+                for runs in (_prefix, _suffix):
+                    assert_within_rounding(runs(plain.P, slice(2, n - 2)), seed)
+            b = years[2 + tie_ruled_first(want, plain.tolerance)]
+            assert segment_two_hyperbolic(s, weighting).breakpoint_year == b, seed
+
+
+class TestConstantSeries:
+    """On a constant series every candidate fits to rounding noise.  Centred
+    values that all carry the mean's rounding offset gave a tie tolerance of
+    exactly 0, so that noise picked the break; now all tie, and the earliest wins."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_earliest_break_wins(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(100, 1000))
+        years = 1000.0 + np.arange(n) + rng.uniform(0.0, 0.5, n)
+        for level in (0.00037, 37.0, 0.037):
+            s = YearValueSeries(years, np.full(n, level))
+            hyp = TakeoffHypothesis(float(years[n // 2]), 50.0)
+            assert takeoff_test(s, hyp).break_year == years[1]
+            for weighting in WEIGHTINGS:
+                assert segment_two_hyperbolic(s, weighting).breakpoint_year == years[2]

@@ -8,16 +8,25 @@ import pytest
 
 import hypergrowth.takeoff
 from hypergrowth import (
+    FitError,
+    FitWindow,
     GeneratorSpec,
+    NonHyperbolicError,
+    SingularityInWindowError,
     TakeoffHypothesis,
     TakeoffTestResult,
     TooFewPointsError,
     YearValueSeries,
+    evaluate,
+    fit_hyperbolic,
     generate,
     maddison_year_grid,
     takeoff_scan,
     takeoff_test,
 )
+
+from hypergrowth.fit import _centred_line
+from hypergrowth.takeoff import _aicc
 
 GRID = tuple(sorted(set(maddison_year_grid()) | {1750.0}))
 
@@ -217,10 +226,10 @@ class TestTakeoffScan:
 
     def test_one_hyperbolic_fit_per_scan(self, monkeypatch):
         calls = []
-        fit = hypergrowth.takeoff.fit_hyperbolic
+        solve = hypergrowth.takeoff._solve
         monkeypatch.setattr(
-            hypergrowth.takeoff, "fit_hyperbolic",
-            lambda *args, **kwargs: calls.append(1) or fit(*args, **kwargs),
+            hypergrowth.takeoff, "_solve",
+            lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs),
         )
         takeoff_scan(stagnation_series(noise=0.01, seed=3), self.SCAN_GRID)
         assert len(calls) == 1
@@ -314,3 +323,48 @@ class TestOnePassFeasibility:
         assert takeoff_scan(self.SERIES, ["1050"]) == takeoff_scan(self.SERIES, [1050.0])
         with pytest.raises(ValueError, match="predicted_year"):
             takeoff_scan(self.SERIES, [1050.0, math.nan])
+
+
+def former_ic_gap(series, break_year):
+    """The IC gap as computed before the bare solve: a whole-span HyperbolicFit."""
+    t, logy = series.years, np.log(series.values)
+    n = len(t)
+    x = np.maximum(t - break_year, 0.0)
+    best_r, xc, ybar = _centred_line(x, logy)
+    best_sse = float(((logy - ybar - best_r * (x - xc)) ** 2).sum())
+    try:
+        hyp_fit = fit_hyperbolic(series, FitWindow(float(t[0]), float(t[-1])))
+    except FitError:
+        return math.inf
+    fitted = np.asarray(evaluate(hyp_fit.model, t))
+    sse_hyp = float(((logy - np.log(fitted)) ** 2).sum())
+    return _aicc(n, sse_hyp, 2) - _aicc(n, best_sse, 3)
+
+
+class TestICGap:
+    """takeoff_test's IC gap equals the former whole-span fit's, bit for bit."""
+
+    def test_seeded_series(self):
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 400))
+            years = 1000.0 + np.cumsum(rng.uniform(0.5, 10.0, n))
+            u = (years - years[0]) / (years[-1] - years[0])
+            shapes = (1.0 / (1.0 - 0.9 * u), np.exp(3.0 * np.maximum(u - 0.5, 0.0)),
+                      1.0 / (0.1 + 0.9 * u), rng.lognormal(0.0, 1.0, n))
+            values = shapes[seed % 4] * rng.lognormal(0.0, rng.choice([1e-6, 1e-2, 5e-2]), n)
+            s = YearValueSeries(years, values)
+            got = takeoff_test(s, TakeoffHypothesis(float(years[n // 2]), 50.0))
+            assert got.ic_gap == former_ic_gap(s, got.break_year), seed
+
+    @pytest.mark.parametrize("values, error", [
+        (np.full(60, 5.0), NonHyperbolicError),  # a constant level: no decreasing line
+        ((1.0 - 0.99 * np.linspace(0.0, 1.0, 60)) ** -3, SingularityInWindowError),
+    ], ids=["constant", "singularity-inside"])
+    def test_failed_solve_gives_inf(self, values, error):
+        years = np.arange(1700.0, 1760.0)
+        s = YearValueSeries(years, values)
+        with pytest.raises(error):
+            fit_hyperbolic(s, FitWindow(float(years[0]), float(years[-1])))
+        got = takeoff_test(s, TakeoffHypothesis(1730.0, 50.0))
+        assert got.ic_gap == math.inf == former_ic_gap(s, got.break_year)
