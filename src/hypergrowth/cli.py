@@ -74,7 +74,7 @@ def _load_config(args):
     if not args.regions_config:
         return None
     try:
-        text = Path(args.regions_config).read_text(encoding="utf-8")
+        text = Path(args.regions_config).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CliError(f"{args.regions_config}: not UTF-8 text ({exc})") from None
     return parse_region_config(text)

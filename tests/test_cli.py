@@ -180,6 +180,19 @@ class TestReport:
         assert code == 2
         assert "[africa-like]: takeoff_year" in err
 
+    # A BOM-prefixed config said "File contains no section headers", and a
+    # BOM-prefixed long CSV failed on its header.
+    @pytest.mark.parametrize("bom_input, bom_config", [(True, False), (False, True), (True, True)])
+    def test_utf8_bom_accepted(self, spliced_csv, tmp_path, capsys, bom_input, bom_config):
+        cfg = tmp_path / "regions.ini"
+        cfg.write_text("[africa-like]\nmembers = africa-like\ntakeoff_year = 1800\n")
+        plain = run(capsys, "report", "--input", str(spliced_csv), "--regions-config", str(cfg))
+        for path, bom in ((spliced_csv, bom_input), (cfg, bom_config)):
+            if bom:
+                path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run(capsys, "report", "--input", str(spliced_csv), "--regions-config", str(cfg)) == plain
+        assert plain[0] == 0
+
     def test_missing_config_is_usage_error(self, spliced_csv, capsys):
         code, _, _ = run(capsys, "report", "--input", str(spliced_csv))
         assert code == 2

@@ -88,6 +88,67 @@ class TestParseLongCsv:
         with pytest.raises(ParseError, match=match + "field larger than field limit"):
             parse_long_csv(data)
 
+    # The row count, not the line count, was named: "line 3".
+    def test_line_number_counts_a_quoted_field_spanning_lines(self):
+        with pytest.raises(ParseError, match="^line 4: value -1 for \\(C, 1000\\) is not positive$"):
+            parse_long_csv(b'entity,year,value\n"A\nB",1000,5\nC,1000,-1\n')
+
+    # "expected header entity,year,value, got ['\ufeffentity', ...]"
+    def test_utf8_bom_accepted(self):
+        data = b"entity,year,value\nWorld,1000,116.8\n"
+        assert parse_long_csv(b"\xef\xbb\xbf" + data).rows == parse_long_csv(data).rows
+        assert parse_wide_table(b"\xef\xbb\xbfentity,1000\nWorld,5\n").rows == {"World": {1000.0: 5.0}}
+
+    def test_year_major_table_matches_entity_major(self):
+        rng = np.random.default_rng(7)
+        names = [f"E{i}" for i in rng.permutation(12)]
+        rows = [(e, y, "" if y > 1000 and rng.random() < 0.1 else repr(float(rng.lognormal())))
+                for e in names for y in range(1000, 1060)]
+        by_entity, by_year = (
+            ("entity,year,value\n" + "".join(f"{e},{y},{v}\n" for e, y, v in order)).encode()
+            for order in (rows, sorted(rows, key=lambda r: r[1]))
+        )
+        table = parse_long_csv(by_year, 1e-3)
+        assert table.entities == names
+        assert table.rows == parse_long_csv(by_entity, 1e-3).rows
+        assert table.rows == reference_parse_long_csv(by_year, 1e-3)
+
+    def test_duplicate_across_runs_of_one_entity_names_its_line(self):
+        data = b"entity,year,value\nA,1000,1\nA,1001,2\nB,1000,3\nA,1002,4\nA,1001,5\n"
+        with pytest.raises(ParseError, match="^line 6: duplicate cell for \\(A, 1001\\)$"):
+            parse_long_csv(data)
+
+    def test_adjacent_padded_names_are_one_entity(self):
+        table = parse_long_csv(b'entity,year,value\n A,1000,1\nA,1001,2\n"A\t",1002,3\n')
+        assert table.rows == {"A": {1000.0: 1.0, 1001.0: 2.0, 1002.0: 3.0}}
+        with pytest.raises(ParseError, match="^line 3: duplicate cell for \\(A, 1000\\)$"):
+            parse_long_csv(b"entity,year,value\nA,1000,1\n A ,1000,2\n")
+
+    # float() rejects the separators \x1c-\x1f that str.strip() removes.
+    def test_field_padded_with_separator_stored(self):
+        table = parse_long_csv(b"entity,year,value\nA,1000,1\x1c\nA,\x1f1001,2\nB\x1e,1000,3\n")
+        assert table.rows == {"A": {1000.0: 1.0, 1001.0: 2.0}, "B": {1000.0: 3.0}}
+
+    @pytest.mark.parametrize("row, match", [
+        (b"A,x,y,", "^line 3: expected 3 fields, got 4$"),
+        (b"A,x, ", None),  # a blank value skips the row before the year is read
+        (b"A,x,y", "^line 3: year 'x' is not a number$"),
+        (b"A,1000,y", "^line 3: value 'y' is not a number$"),
+        (b"A,1000,-1", "^line 3: duplicate cell for \\(A, 1000\\)$"),
+        (b"A,1000,1e308", "^line 3: duplicate cell for \\(A, 1000\\)$"),
+    ])
+    def test_first_broken_rule_names_the_row(self, row, match):
+        data = b"entity,year,value\nA,1000,1\n" + row + b"\n"
+        if match is None:
+            assert parse_long_csv(data, 10.0).rows == {"A": {1000.0: 10.0}}
+        else:
+            with pytest.raises(ParseError, match=match):
+                parse_long_csv(data, 10.0)
+
+    def test_skipped_row_adds_no_entity(self):
+        table = parse_long_csv(b"entity,year,value\nA,1000,\nB,1000,1\nC,1000,\x1c\nA,1001,2\n,,\n")
+        assert table.entities == ["B", "A"]
+
     def test_value_overflowing_after_unit_scale_names_line(self):
         data = b"entity,year,value\nWorld,1000,1e307\nWorld,1500,1e308\n"
         assert parse_long_csv(data, 1.0).value("World", 1500.0) == 1e308
@@ -141,6 +202,11 @@ class TestParseWideTable:
     def test_oversized_field_names_line(self, data, match):
         with pytest.raises(ParseError, match=match + "field larger than field limit"):
             parse_wide_table(data)
+
+    # The row count, not the line count, was named: "line 3".
+    def test_line_number_counts_a_quoted_field_spanning_lines(self):
+        with pytest.raises(ParseError, match="^line 4: cell 'x' is not a number$"):
+            parse_wide_table(b'entity,1000\n"A\nB",5\nC,x\n')
 
     def test_value_overflowing_after_unit_scale_names_line(self):
         data = b"entity,1000,1500\nWorld,1,2\nAsia,3,1e308\n"
@@ -319,7 +385,7 @@ class TestHotLoop:
     @pytest.fixture
     def helper_calls(self, monkeypatch):
         calls = []
-        for name in ("_parse_number", "_cell_error"):
+        for name in ("_parse_number", "_slow_row"):
             helper = getattr(ingest, name)
             monkeypatch.setattr(ingest, name, lambda *a, h=helper: calls.append(1) or h(*a))
         return calls
