@@ -22,6 +22,7 @@ from .fit import WEIGHTINGS, FitWindow, best_fit
 from .ingest import (
     DatasetTable,
     _check_positive,
+    _utf8,
     build_region_series,
     parse_long_csv,
     parse_region_config,
@@ -74,10 +75,11 @@ def _load_config(args):
     if not args.regions_config:
         return None
     try:
-        text = Path(args.regions_config).read_text(encoding="utf-8-sig")
+        text = _utf8(Path(args.regions_config).read_bytes())
     except UnicodeDecodeError as exc:
         raise CliError(f"{args.regions_config}: not UTF-8 text ({exc})") from None
-    return parse_region_config(text)
+    # Universal newlines, as a text-mode read gives: CRLF and CR end lines too.
+    return parse_region_config(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _load_table(args, config) -> DatasetTable:

@@ -13,6 +13,11 @@ approximates relative-error fitting of the original values: the reciprocal
 difference -(dS)/(S1*S2) blows up at small S, so uniform weighting
 over-weights the early, small-value points.
 
+A fit keeps its window's arrays (years, values, reciprocals and residuals);
+its summary diagnostics (reciprocal RMSE, R^2 and the largest relative
+deviation) are computed from them when read, so a fit whose diagnostics
+nobody reads does not pay for them.
+
 The searches over many candidate lines (``scan_windows`` here, the
 two-regime split in ``regime`` and the takeoff break in ``takeoff``) screen,
 then refit.  One 6-row table of cumulative sums of 1, t, y, t^2, t*y and
@@ -72,24 +77,48 @@ class FitWindow:
 class HyperbolicFit:
     """A fitted model plus in-window diagnostics, as read-only per-point arrays.
 
-    ``years`` is a view of the series' own years over the window;
-    ``reciprocals`` and ``deltas`` (observed minus fitted reciprocal) are the
-    fit's own arrays.
+    ``years`` and ``values`` are views of the series' own years and values
+    over the window; ``reciprocals`` and ``deltas`` (observed minus fitted
+    reciprocal) are the fit's own arrays.  The summary diagnostics
+    (``rmse_reciprocal``, ``r2_reciprocal``, ``max_abs_relative_deviation``)
+    are computed from these arrays each time they are read, not by the fit.
     """
 
     model: HyperbolicModel
     window: FitWindow
     years: np.ndarray
+    values: np.ndarray
     reciprocals: np.ndarray
     deltas: np.ndarray
-    rmse_reciprocal: float
-    r2_reciprocal: float
-    max_abs_relative_deviation: float
     weighting: str
 
     @property
     def n_points(self) -> int:
         return len(self.years)
+
+    @property
+    def rmse_reciprocal(self) -> float:
+        """Root mean square of the plain reciprocal residuals."""
+        return math.sqrt(float(_sum(self.deltas**2)) / len(self.years))
+
+    @property
+    def r2_reciprocal(self) -> float:
+        """R^2 of the reciprocal line, weighted as the fit was."""
+        y = self.reciprocals
+        w = _weights(self.values, self.weighting)
+        ybar = _centred_line(self.years, y, w)[2]
+        sq_tot, sq_res = (y - ybar) ** 2, self.deltas**2
+        if w is not None:
+            sq_tot, sq_res = w * sq_tot, w * sq_res
+        ss_tot, ss_res = float(_sum(sq_tot)), float(_sum(sq_res))
+        return 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+
+    @property
+    def max_abs_relative_deviation(self) -> float:
+        """Largest |observed - fitted| in percent of the fitted value."""
+        inv = 1.0 / (self.model.a - self.model.k * self.years)
+        # 100 * |s - 1/f| / (1/f), multiplied before dividing: the order sets the bits.
+        return float(np.maximum.reduce(100.0 * np.abs(self.values - inv) / inv))
 
 
 def _centred_line(t: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):
@@ -111,7 +140,7 @@ def _centred_line(t: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):
 
 
 def _solve(t: np.ndarray, y: np.ndarray, w: np.ndarray | None, end_year: float):
-    """(model, ybar) of the line through (t, y): fit_hyperbolic's solve and checks."""
+    """The model of the line through (t, y): fit_hyperbolic's solve and checks."""
     slope, tc, ybar = _centred_line(t, y, w)
     k = -slope
     a = ybar + k * tc
@@ -123,7 +152,7 @@ def _solve(t: np.ndarray, y: np.ndarray, w: np.ndarray | None, end_year: float):
     if model.singularity_year <= end_year:
         raise SingularityInWindowError(f"fitted singularity {model.singularity_year:.6g} lies "
                                        f"inside the window ending {end_year}")
-    return model, ybar
+    return model
 
 
 def _weights(values: np.ndarray, weighting: str) -> np.ndarray | None:
@@ -153,30 +182,17 @@ def fit_hyperbolic(series: YearValueSeries, window: FitWindow,
             f"window [{window.start_year}, {window.end_year}] holds {len(t)} points; need >= 3"
         )
     y = 1.0 / s
-    model, ybar = _solve(t, y, w, window.end_year)
-
-    fitted = model.a - model.k * t
-    deltas = y - fitted
-    sq_tot, sq_res = (y - ybar) ** 2, deltas**2
-    rmse = math.sqrt(float(_sum(sq_res)) / len(t))
-    if w is not None:
-        sq_tot, sq_res = w * sq_tot, w * sq_res
-    ss_tot, ss_res = float(_sum(sq_tot)), float(_sum(sq_res))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    inv = 1.0 / fitted
-    # 100 * |s - 1/f| / (1/f), multiplied before dividing: the order sets the bits.
-    max_dev = float((100.0 * np.abs(s - inv) / inv).max())
-    for arr in (t, y, deltas):
+    model = _solve(t, y, w, window.end_year)
+    deltas = y - (model.a - model.k * t)
+    for arr in (t, s, y, deltas):
         arr.setflags(write=False)
     return HyperbolicFit(
         model=model,
         window=window,
         years=t,
+        values=s,
         reciprocals=y,
         deltas=deltas,
-        rmse_reciprocal=rmse,
-        r2_reciprocal=r2,
-        max_abs_relative_deviation=max_dev,
         weighting=weighting,
     )
 

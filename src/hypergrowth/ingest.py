@@ -82,9 +82,20 @@ def _check_positive(value: float, what: str):
         raise ParseError(f"{what} {shown} is not a positive finite number")
 
 
+def _utf8(data: bytes) -> str:
+    """``data`` decoded as UTF-8, less one leading byte order mark.
+
+    Decoding before the mark is dropped keeps the byte position in a
+    UnicodeDecodeError an offset into ``data``; the "utf-8-sig" codec counts
+    from after the mark.
+    """
+    text = data.decode("utf-8")
+    return text[1:] if text.startswith("\ufeff") else text
+
+
 def _decode(data: bytes) -> str:
     try:
-        return data.decode("utf-8-sig")
+        return _utf8(data)
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8 text ({exc})") from None
 

@@ -51,7 +51,8 @@ def evaluate(model: HyperbolicModel, t):
     """
     t = np.asarray(t, dtype=float)
     denom = model.a - model.k * t
-    if (denom <= 0).any():
+    # axis=None: a scalar t makes denom 0-d.
+    if np.logical_or.reduce(denom <= 0, axis=None):
         raise EvaluationDomainError(
             f"model with singularity at {model.singularity_year:.6g} "
             f"evaluated at or past it"

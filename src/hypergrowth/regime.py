@@ -116,7 +116,7 @@ def detect_diversion(
     if first == len(series):
         raise TooFewPointsError("series does not extend beyond the fit window")
 
-    scale = _robust_scale(fit.deltas, fallback=1e-9 * float(fit.reciprocals.max()))
+    scale = _robust_scale(fit.deltas, fallback=1e-9 * float(np.maximum.reduce(fit.reciprocals)))
     threshold = tau * scale
 
     years = series.years[first:]

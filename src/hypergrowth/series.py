@@ -13,6 +13,9 @@ import numpy as np
 
 from .errors import SeriesError
 
+_INF = float("inf")
+_all, _any = np.logical_and.reduce, np.logical_or.reduce
+
 
 @dataclass(frozen=True)
 class YearValueSeries:
@@ -44,13 +47,16 @@ class YearValueSeries:
             raise SeriesError("years and values must have the same length")
         if len(years) < 1:
             raise SeriesError("series must contain at least one observation")
-        # Method reductions, not the np.all/np.any/np.diff wrappers: at the
-        # 20-30 points of a Monte-Carlo trial the wrappers' dispatch dominates.
-        if not np.isfinite(years).all() or not np.isfinite(values).all():
-            raise SeriesError("years and values must be finite")
-        if (years[1:] <= years[:-1]).any():
-            raise SeriesError("years must be strictly increasing (no duplicates)")
-        if (values <= 0).any():
+        # One comparison pass per array on clean input.  Strictly increasing
+        # years with finite ends are all finite, and a NaN fails every
+        # comparison, so only a faulty series reaches the checks that name
+        # its first fault.  The ufunc reductions skip ndarray.all's wrapper.
+        if not (_all(years[1:] > years[:-1]) and -_INF < years[0] and years[-1] < _INF
+                and _all((values > 0) & (values < _INF))):
+            if not (_all(np.isfinite(years)) and _all(np.isfinite(values))):
+                raise SeriesError("years and values must be finite")
+            if _any(years[1:] <= years[:-1]):
+                raise SeriesError("years must be strictly increasing (no duplicates)")
             raise SeriesError("all values must be strictly positive")
         years.setflags(write=False)
         values.setflags(write=False)
@@ -73,16 +79,19 @@ class YearValueSeries:
 
     def slice_window(self, start_year: float, end_year: float) -> "YearValueSeries":
         """Sub-series with start_year <= year <= end_year (inclusive)."""
-        mask = (self.years >= start_year) & (self.years <= end_year)
-        if not mask.any():
+        lo = self.years.searchsorted(start_year, side="left")
+        hi = self.years.searchsorted(end_year, side="right")
+        # searchsorted places a NaN bound after every year; a NaN window holds none.
+        if not (lo < hi and start_year <= end_year):
             raise SeriesError(
                 f"no observations in window [{start_year}, {end_year}]"
             )
-        return YearValueSeries(self.years[mask], self.values[mask], self.label)
+        return YearValueSeries(self.years[lo:hi], self.values[lo:hi], self.label)
 
     def after(self, year: float) -> "YearValueSeries | None":
         """Sub-series strictly after ``year``, or None if empty."""
-        mask = self.years > year
-        if not mask.any():
+        # A NaN year sorts after every year, so it leaves nothing, as ``>`` does.
+        lo = self.years.searchsorted(year, side="right")
+        if lo == len(self.years):
             return None
-        return YearValueSeries(self.years[mask], self.values[mask], self.label)
+        return YearValueSeries(self.years[lo:], self.values[lo:], self.label)

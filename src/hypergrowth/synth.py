@@ -78,9 +78,9 @@ class GeneratorSpec:
         years = _real_array(self.sample_years)
         if years is None or years.ndim != 1:
             raise GeneratorError("sample_years must be a sequence of numbers")
-        if len(years) < 1 or (years[1:] <= years[:-1]).any():
+        if len(years) < 1 or np.logical_or.reduce(years[1:] <= years[:-1]):
             raise GeneratorError("sample_years must be non-empty and strictly increasing")
-        if not np.isfinite(years).all():
+        if not np.logical_and.reduce(np.isfinite(years)):
             raise GeneratorError("sample_years must be finite")
         missing = [p for p in _REQUIRED[self.kind] if p not in self.parameters]
         if missing:
@@ -134,14 +134,14 @@ def _exact_values(spec: GeneratorSpec, years: np.ndarray) -> np.ndarray:
 
 def _spliced_values(p: dict, years: np.ndarray) -> np.ndarray:
     m1, m2 = spliced_models(p)
-    left = years <= p["break_year"]
-    if left.any() and years[left][-1] >= m1.singularity_year:
+    i = years.searchsorted(p["break_year"], side="right")  # years[:i] <= break_year
+    if i and years[i - 1] >= m1.singularity_year:
         raise GeneratorError("first-regime sample years reach its singularity")
     if years[-1] >= m2.singularity_year:
         raise GeneratorError("second-regime sample years reach its singularity")
     out = np.empty_like(years)
-    out[left] = evaluate(m1, years[left]) if left.any() else []
-    out[~left] = evaluate(m2, years[~left]) if (~left).any() else []
+    out[:i] = evaluate(m1, years[:i])
+    out[i:] = evaluate(m2, years[i:])
     return out
 
 
@@ -152,18 +152,16 @@ def _slower_values(p: dict, years: np.ndarray) -> np.ndarray:
     model = HyperbolicModel(a, k)
     if b >= model.singularity_year:
         raise GeneratorError("break_year must precede the singularity")
-    left = years <= b
-    if left.any() and years[left][-1] >= model.singularity_year:
+    i = years.searchsorted(b, side="right")  # years[:i] <= b
+    if i and years[i - 1] >= model.singularity_year:
         raise GeneratorError("sample years reach the singularity before the break")
     s_b = evaluate(model, b)
     # Post-break growth continues exponentially at a fraction of the model's
     # instantaneous log-growth rate k/(a - k*b) at the break.
     r = f * k / (a - k * b)
     out = np.empty_like(years)
-    if left.any():
-        out[left] = evaluate(model, years[left])
-    if (~left).any():
-        out[~left] = s_b * np.exp(r * (years[~left] - b))
+    out[:i] = evaluate(model, years[:i])
+    out[i:] = s_b * np.exp(r * (years[i:] - b))
     return out
 
 

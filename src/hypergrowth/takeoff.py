@@ -162,7 +162,7 @@ def takeoff_test(series: YearValueSeries, hypothesis: TakeoffHypothesis) -> Take
     aicc_take = _aicc(n, best_sse, 3)  # level, break, rate
     try:
         # The single hyperbola's model alone: uniform weights over the whole span.
-        model = _solve(t, 1.0 / series.values, None, t[-1])[0]
+        model = _solve(t, 1.0 / series.values, None, t[-1])
         sse_hyp = float(_sum((logy - np.log(evaluate(model, t))) ** 2))
         ic_gap = _aicc(n, sse_hyp, 2) - aicc_take
     except FitError:

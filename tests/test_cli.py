@@ -193,6 +193,28 @@ class TestReport:
         assert run(capsys, "report", "--input", str(spliced_csv), "--regions-config", str(cfg)) == plain
         assert plain[0] == 0
 
+    # The position was counted from after the BOM, 3 bytes early.
+    def test_config_invalid_utf8_after_bom_names_file_offset(self, spliced_csv, tmp_path, capsys):
+        cfg = tmp_path / "regions.ini"
+        argv = ("report", "--input", str(spliced_csv), "--regions-config", str(cfg))
+        cfg.write_bytes(b"[africa-like]\nmembers = \xff\n")
+        code, _, plain = run(capsys, *argv)
+        assert code == 2 and "in position 24:" in plain
+        cfg.write_bytes(b"\xef\xbb\xbf[africa-like]\nmembers = \xff\n")
+        assert run(capsys, *argv) == (2, "", plain.replace("position 24", "position 27"))
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_config_line_endings(self, spliced_csv, tmp_path, capsys, newline, bom):
+        cfg = tmp_path / "regions.ini"
+        text = "[africa-like]\nmembers = africa-like\ntakeoff_year = 1800\n"
+        cfg.write_text(text)
+        argv = ("report", "--input", str(spliced_csv), "--regions-config", str(cfg))
+        plain = run(capsys, *argv)
+        cfg.write_bytes(bom + text.replace("\n", newline).encode())
+        assert run(capsys, *argv) == plain
+        assert plain[0] == 0
+
     def test_missing_config_is_usage_error(self, spliced_csv, capsys):
         code, _, _ = run(capsys, "report", "--input", str(spliced_csv))
         assert code == 2

@@ -148,6 +148,10 @@ class TestWindowSlice:
             for got, arr in ((fit.years, t), (fit.reciprocals, y), (fit.deltas, deltas)):
                 assert got.dtype == arr.dtype and got.tobytes() == arr.tobytes(), seed
                 assert not got.flags.writeable
+            values = s.values[(s.years >= window.start_year) & (s.years <= window.end_year)]
+            assert fit.values.dtype == values.dtype, seed
+            assert fit.values.tobytes() == values.tobytes(), seed
+            assert not fit.values.flags.writeable
         assert compared >= 100 and rejected >= 5
 
     def test_years_view_keeps_series_intact(self):

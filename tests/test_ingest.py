@@ -99,6 +99,20 @@ class TestParseLongCsv:
         assert parse_long_csv(b"\xef\xbb\xbf" + data).rows == parse_long_csv(data).rows
         assert parse_wide_table(b"\xef\xbb\xbfentity,1000\nWorld,5\n").rows == {"World": {1000.0: 5.0}}
 
+    # The position counted from after the BOM: "position 25" for byte 28.
+    @pytest.mark.parametrize("parse, body, position", [
+        (parse_long_csv, b"entity,year,value\nA,1000,\xff\n", 25),
+        (parse_wide_table, b"entity,1000\nA,\xff\n", 14),
+    ], ids=["long", "wide"])
+    def test_invalid_utf8_after_bom_names_file_offset(self, parse, body, position):
+        with pytest.raises(ParseError) as plain:
+            parse(body)
+        assert f"in position {position}:" in str(plain.value)
+        with pytest.raises(ParseError) as bom:
+            parse(b"\xef\xbb\xbf" + body)
+        assert str(bom.value) == str(plain.value).replace(
+            f"position {position}", f"position {position + 3}")
+
     def test_year_major_table_matches_entity_major(self):
         rng = np.random.default_rng(7)
         names = [f"E{i}" for i in rng.permutation(12)]

@@ -157,8 +157,58 @@ class TestSeriesInvariants:
         ([1900.0, 1900.0], [float("nan"), 1.0], "years and values must be finite"),
         ([1910.0, 1900.0], [1.0, -2.0], "years must be strictly increasing (no duplicates)"),
         ([1900.0, 1900.0], [0.0, 1.0], "years must be strictly increasing (no duplicates)"),
+        # One fault each: the one-pass check on clean input hands it to the
+        # ordered checks, which name it as before.
+        ([-math.inf, 1900.0, 1910.0], [1.0, 2.0, 3.0], "years and values must be finite"),
+        ([1900.0, 1910.0, math.inf], [1.0, 2.0, 3.0], "years and values must be finite"),
+        ([1900.0, math.nan, 1920.0], [1.0, 2.0, 3.0], "years and values must be finite"),
+        ([math.nan], [1.0], "years and values must be finite"),
+        ([math.inf], [1.0], "years and values must be finite"),
+        ([-math.inf], [1.0], "years and values must be finite"),
+        ([1900.0, 1910.0], [1.0, math.inf], "years and values must be finite"),
+        ([1900.0, 1910.0], [math.nan, 2.0], "years and values must be finite"),
+        ([1900.0, 1910.0], [1.0, 0.0], "all values must be strictly positive"),
+        ([1900.0, 1910.0], [-1.0, 2.0], "all values must be strictly positive"),
     ])
     def test_first_of_two_faults_names_the_error(self, years, values, message):
         with pytest.raises(SeriesError) as exc:
             YearValueSeries(years, values)
         assert str(exc.value) == message
+
+
+class TestSubSeries:
+    """slice_window and after cut by searchsorted; a NaN bound holds no year."""
+
+    SERIES = YearValueSeries([1900.0, 1910.0, 1920.0, 1930.0], [1.0, 2.0, 3.0, 4.0], "s")
+
+    @pytest.mark.parametrize("start, end, want", [
+        (1910.0, 1920.0, [1910.0, 1920.0]),
+        (1905.0, 1925.0, [1910.0, 1920.0]),
+        (-math.inf, 1900.0, [1900.0]),
+        (1930.0, math.inf, [1930.0]),
+        (-math.inf, math.inf, [1900.0, 1910.0, 1920.0, 1930.0]),
+    ])
+    def test_slice_window_rows(self, start, end, want):
+        sub = self.SERIES.slice_window(start, end)
+        assert (sub.years.tolist(), sub.label) == (want, "s")
+        assert sub.values.tolist() == [v for y, v in self.SERIES.points() if y in want]
+
+    @pytest.mark.parametrize("start, end", [
+        (1911.0, 1919.0), (1920.0, 1910.0), (1931.0, 2000.0), (1800.0, 1899.0),
+        (math.nan, 1920.0), (1910.0, math.nan), (math.nan, math.nan), (-math.inf, math.nan),
+    ])
+    def test_empty_window_raises(self, start, end):
+        with pytest.raises(SeriesError) as exc:
+            self.SERIES.slice_window(start, end)
+        assert str(exc.value) == f"no observations in window [{start}, {end}]"
+
+    @pytest.mark.parametrize("year, want", [
+        (1910.0, [1920.0, 1930.0]), (1915.0, [1920.0, 1930.0]),
+        (1899.0, [1900.0, 1910.0, 1920.0, 1930.0]), (-math.inf, [1900.0, 1910.0, 1920.0, 1930.0]),
+        (1930.0, None), (math.inf, None), (math.nan, None),
+    ])
+    def test_after(self, year, want):
+        sub = self.SERIES.after(year)
+        assert (None if sub is None else sub.years.tolist()) == want
+        if sub is not None:
+            assert sub.values.tolist() == self.SERIES.values[-len(want):].tolist()

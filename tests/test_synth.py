@@ -114,6 +114,14 @@ class TestInvalidSpecs:
         with pytest.raises(GeneratorError, match="finite"):
             GeneratorSpec("hyperbolic", {"a": 1.0, "k": 1e-4}, sample_years)
 
+    # The strictly-increasing check runs first, and a NaN fails no comparison.
+    @pytest.mark.parametrize("sample_years", [(0.0, 1.0, float("nan"), 3.0, 4.0),
+                                              (0.0, float("nan"), 1.0)])
+    def test_mid_sequence_nan_year_named_not_finite(self, sample_years):
+        with pytest.raises(GeneratorError) as exc:
+            GeneratorSpec("hyperbolic", {"a": 1.0, "k": 1e-4}, sample_years)
+        assert str(exc.value) == "sample_years must be finite"
+
     @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(GeneratorError, match="seed must be an integer"):
