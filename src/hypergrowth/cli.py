@@ -16,7 +16,6 @@ import sys
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .acceptance import check_world_reproduction, run_all_checks
 from .errors import GeneratorError, HypergrowthError, ParseError
 from .fit import WEIGHTINGS, FitWindow, best_fit
 from .ingest import (
@@ -294,6 +293,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Imported here: no other verb runs the acceptance battery.
+    from .acceptance import check_world_reproduction, run_all_checks
+
     if args.trials < 1:
         raise CliError(f"--trials must be >= 1, got {args.trials}")
     # The --maddison table is read as --input (see build_parser).

@@ -73,7 +73,7 @@ class FitWindow:
         return self.start_year <= year <= self.end_year
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HyperbolicFit:
     """A fitted model plus in-window diagnostics, as read-only per-point arrays.
 
@@ -82,6 +82,8 @@ class HyperbolicFit:
     reciprocal) are the fit's own arrays.  The summary diagnostics
     (``rmse_reciprocal``, ``r2_reciprocal``, ``max_abs_relative_deviation``)
     are computed from these arrays each time they are read, not by the fit.
+    A fit equals only itself and hashes by identity, as its arrays have no
+    single truth value.
     """
 
     model: HyperbolicModel
@@ -184,8 +186,9 @@ def fit_hyperbolic(series: YearValueSeries, window: FitWindow,
     y = 1.0 / s
     model = _solve(t, y, w, window.end_year)
     deltas = y - (model.a - model.k * t)
-    for arr in (t, s, y, deltas):
-        arr.setflags(write=False)
+    # t and s are slices of the series' read-only arrays.
+    y.setflags(write=False)
+    deltas.setflags(write=False)
     return HyperbolicFit(
         model=model,
         window=window,

@@ -35,19 +35,20 @@ from .fit import (
     _weights,
     fit_hyperbolic,
 )
-from .model import HyperbolicModel, reciprocal_line, round_half_up
+from .model import HyperbolicModel, round_half_up
 from .series import YearValueSeries
 
 # MAD -> sigma for a normal distribution.
 _MAD_TO_SIGMA = 1.4826
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiversionFinding:
     """First year of systematic departure from a fitted trajectory.
 
     ``evidence`` holds read-only arrays over the offending run: its years, the
-    observed reciprocals and the fitted reciprocals.
+    observed reciprocals and the fitted reciprocals.  A finding equals only
+    itself and hashes by identity, as a fit does.
     """
 
     year: float
@@ -82,11 +83,12 @@ def _median(values: list[float]) -> float:
     return (0.0 + s[h - 1] + s[h]) / 2
 
 
-def _robust_scale(deltas: np.ndarray, fallback: float) -> float:
+def _robust_scale(deltas: np.ndarray, reciprocals: np.ndarray) -> float:
+    """MAD scale of the in-window residuals, else 1e-9 times the largest reciprocal."""
     d = deltas.tolist()
     med = _median(d)
     scale = _MAD_TO_SIGMA * _median([abs(x - med) for x in d])
-    return scale if scale > 0 else fallback
+    return scale if scale > 0 else 1e-9 * float(np.maximum.reduce(reciprocals))
 
 
 def detect_diversion(
@@ -116,21 +118,24 @@ def detect_diversion(
     if first == len(series):
         raise TooFewPointsError("series does not extend beyond the fit window")
 
-    scale = _robust_scale(fit.deltas, fallback=1e-9 * float(np.maximum.reduce(fit.reciprocals)))
-    threshold = tau * scale
-
+    # A float, so that each comparison below gives a bool, also for a numpy tau.
+    threshold = float(tau * _robust_scale(fit.deltas, fit.reciprocals))
     years = series.years[first:]
     recips = 1.0 / series.values[first:]
-    fitted = reciprocal_line(fit.model, years)
-    deltas = recips - fitted
-    # +1/-1 where a residual exceeds the threshold, else 0: a run qualifies
-    # when its m flags equal its first, non-zero flag.
-    flags = np.where(np.abs(deltas) > threshold, np.sign(deltas), 0.0).tolist()
-
-    for i in range(len(flags) - m + 1):
-        if flags[i] and flags[i:i + m].count(flags[i]) == m:
-            direction = "slower" if flags[i] > 0 else "faster"
-            evidence = tuple(arr[i:i + m].copy() for arr in (years, recips, fitted))
+    fitted = fit.model.a - fit.model.k * years  # model.reciprocal_line's expression
+    # One pass over the residuals.  A flag is +1 or -1 where the residual
+    # exceeds the threshold, else 0, and ``run`` is the length of the run of
+    # equal flags ending at j.  The first non-zero run to reach m ends at j,
+    # so the earliest qualifying run starts at j - m + 1.
+    run = sign = 0
+    for j, d in enumerate((recips - fitted).tolist()):
+        flag = (d > threshold) - (d < -threshold)
+        run = run + 1 if flag == sign else 1
+        sign = flag
+        if flag and run == m:
+            i = j - m + 1
+            direction = "slower" if flag > 0 else "faster"
+            evidence = tuple(arr[i:j + 1].copy() for arr in (years, recips, fitted))
             for arr in evidence:
                 arr.setflags(write=False)
             year = float(years[i])

@@ -39,6 +39,8 @@ _REQUIRED = {
 }
 # Parameters a kind reads when given; any other parameter is an error.
 _OPTIONAL = {"exponential": ("ref_year",)}
+_ALLOWED = {kind: frozenset(_REQUIRED[kind] + _OPTIONAL.get(kind, ())) for kind in KINDS}
+_INF = float("inf")
 
 
 def _real_array(v) -> np.ndarray | None:
@@ -78,17 +80,19 @@ class GeneratorSpec:
         years = _real_array(self.sample_years)
         if years is None or years.ndim != 1:
             raise GeneratorError("sample_years must be a sequence of numbers")
-        if len(years) < 1 or np.logical_or.reduce(years[1:] <= years[:-1]):
-            raise GeneratorError("sample_years must be non-empty and strictly increasing")
-        if not np.logical_and.reduce(np.isfinite(years)):
+        # One comparison pass on a clean grid, as in YearValueSeries; a faulty
+        # grid goes through the ordered checks that name its first fault.
+        if not (len(years) and np.logical_and.reduce(years[1:] > years[:-1])
+                and -_INF < years[0] and years[-1] < _INF):
+            if len(years) < 1 or np.logical_or.reduce(years[1:] <= years[:-1]):
+                raise GeneratorError("sample_years must be non-empty and strictly increasing")
             raise GeneratorError("sample_years must be finite")
         missing = [p for p in _REQUIRED[self.kind] if p not in self.parameters]
         if missing:
             raise GeneratorError(f"{self.kind} requires parameters {missing}")
-        unknown = sorted(set(self.parameters) - {*_REQUIRED[self.kind],
-                                                 *_OPTIONAL.get(self.kind, ())})
+        unknown = set(self.parameters) - _ALLOWED[self.kind]
         if unknown:
-            raise GeneratorError(f"{self.kind} takes no parameters {unknown}")
+            raise GeneratorError(f"{self.kind} takes no parameters {sorted(unknown)}")
         for name in _REQUIRED[self.kind]:
             v = self.parameters[name]
             if not (_finite(v) and v > 0):

@@ -1,10 +1,15 @@
 """End-to-end command-line round trips and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import hypergrowth
 from hypergrowth import build_plot_sheet, parse_long_csv, plot_sheet_csv, segment_two_hyperbolic
 from hypergrowth import cli
 from hypergrowth.cli import main
@@ -383,6 +388,17 @@ class TestVerify:
         assert passed or "AD 1" in check
         assert summary == ("12/12" if passed else "11/12") + " checks passed"
         assert code == (0 if passed else 1)
+
+
+def test_cli_import_leaves_acceptance_unloaded():
+    # Only ``verify`` runs the acceptance battery, so no other verb loads it.
+    src = str(Path(hypergrowth.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = "import sys, hypergrowth.cli; print('hypergrowth.acceptance' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
 
 
 class TestParserBuiltOnce:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hypergrowth import (
     FitError,
@@ -20,7 +20,7 @@ from hypergrowth import (
     segment_two_hyperbolic,
 )
 from hypergrowth.acceptance import _diversion_scenario
-from hypergrowth.regime import _MAD_TO_SIGMA, _median
+from hypergrowth.regime import _MAD_TO_SIGMA, _median, _robust_scale
 from hypergrowth.synth import spliced_models
 
 
@@ -200,7 +200,7 @@ def test_median_matches_numpy_bit_for_bit(values):
     assert np.float64(_median(values)).tobytes() == expected.tobytes()
 
 
-def reference_detect_diversion(series, fit, m, tau):
+def former_scan_reference(series, fit, m, tau):
     """The former scan, kept as the reference: np.median for the scale, a
     validated tail sub-series, and three numpy calls per candidate run.
 
@@ -272,7 +272,7 @@ class TestDetectDiversionReference:
             cases += 1
             for m in (1, 2, 3, 5):
                 for tau in (0.5, 3.0, 10.0):
-                    expected, fell_back, deltas = reference_detect_diversion(s, fit, m, tau)
+                    expected, fell_back, deltas = former_scan_reference(s, fit, m, tau)
                     finding = detect_diversion(s, fit, m=m, tau=tau)
                     fallbacks += fell_back
                     zero_tails += bool((deltas == 0).any())
@@ -289,6 +289,158 @@ class TestDetectDiversionReference:
         assert cases >= 200
         assert outcomes == {None, "slower", "faster"}
         assert fallbacks > 0 and zero_tails > 0
+
+
+def reference_detect_diversion(series, fit, m=2, tau=3.0):
+    """detect_diversion before its one-pass run scan, kept as the reference:
+    numpy flags over the whole tail, then a slice-and-count at each start.
+    ``m`` and ``tau`` are taken as valid."""
+    first = int(series.years.searchsorted(fit.window.end_year, side="right"))
+    if first == len(series):
+        raise TooFewPointsError("series does not extend beyond the fit window")
+    d = fit.deltas.tolist()
+    med = _median(d)
+    scale = _MAD_TO_SIGMA * _median([abs(x - med) for x in d])
+    if not scale > 0:
+        scale = 1e-9 * float(np.maximum.reduce(fit.reciprocals))
+    threshold = tau * scale
+    years = series.years[first:]
+    recips = 1.0 / series.values[first:]
+    fitted = reciprocal_line(fit.model, years)
+    deltas = recips - fitted
+    flags = np.where(np.abs(deltas) > threshold, np.sign(deltas), 0.0).tolist()
+    for i in range(len(flags) - m + 1):
+        if flags[i] and flags[i:i + m].count(flags[i]) == m:
+            direction = "slower" if flags[i] > 0 else "faster"
+            evidence = tuple(arr[i:i + m].copy() for arr in (years, recips, fitted))
+            year = float(years[i])
+            prox = proximity(fit.model, year) if direction == "slower" else None
+            return year, direction, evidence, prox
+    return None
+
+
+def scan_outcome(detect, series, fit, m, tau):
+    """(year, direction, proximity, evidence bytes), None, or (exception type, message)."""
+    try:
+        found = detect(series, fit, m=m, tau=tau)
+    except Exception as exc:  # the reference and the scan must raise alike
+        return type(exc), str(exc)
+    if found is None:
+        return None
+    if not isinstance(found, tuple):
+        assert not any(arr.flags.writeable for arr in found.evidence)
+        found = found.year, found.direction, found.evidence, found.proximity_years
+    year, direction, evidence, prox = found
+    return year, direction, prox, tuple(arr.tobytes() for arr in evidence)
+
+
+# Bumps of a post-window value: 1 keeps it on its path, below 1 raises its
+# reciprocal (a slower flag), above 1 lowers it (a faster flag).
+BUMPS = (1.0, 1.001, 0.999, 1.05, 0.95, 1.3, 0.7)
+
+
+def line_case(t0, n, end, gap, tail, bumps, sigma, seed):
+    """A series on the reciprocal line 1 - t/64 (singularity 64) up to ``end``,
+    with log-normal noise ``sigma``, fitted over [t0, end].
+
+    The post-window years resume ``gap`` years late.  There the series stays
+    on the line (``tail="line"``, cut before 64) or grows exponentially at
+    ``tail`` times the hyperbola's rate at ``end``, also past 64; each
+    post-window value is then multiplied by its bump.  Returns (series, fit),
+    or None when the fit fails.
+    """
+    t = np.arange(t0, t0 + n, dtype=float)
+    t[t > end] += gap
+    if tail == "line":
+        t = t[t < 64]
+    inside = t <= end
+    if tail == "line":
+        values = 1.0 / (1.0 - t / 64)
+    else:
+        values = np.exp(tail / (64 - end) * (t - end)) / (1.0 - end / 64)
+        values[inside] = 1.0 / (1.0 - t[inside] / 64)
+    k = int(inside.sum())  # the window's points lead the series
+    noise = np.exp(np.random.default_rng(seed).normal(0.0, sigma, k))
+    values = values * np.concatenate((noise, np.resize(bumps, len(t) - k)))
+    series = YearValueSeries(t, values)
+    try:
+        return series, fit_hyperbolic(series, FitWindow(float(t0), float(end)))
+    except FitError:
+        return None
+
+
+@st.composite
+def line_draws(draw):
+    t0 = draw(st.integers(0, 56))
+    n = draw(st.integers(6, 44))
+    end = draw(st.integers(t0 + 2, min(t0 + n - 1, 63)))
+    case = line_case(t0, n, end, draw(st.sampled_from([0, 0, 8])),
+                     draw(st.sampled_from(["line", 0.2, 1.0, 3.0])),
+                     draw(st.lists(st.sampled_from(BUMPS), min_size=1, max_size=12)),
+                     draw(st.sampled_from([0.0, 0.0, 1e-4, 1e-2])), draw(st.integers(0, 99)))
+    assume(case is not None)
+    return (*case, draw(st.integers(1, 4)), draw(st.sampled_from([0.5, 1.0, 3.0, 10.0])))
+
+
+# Named draws: exact data on the line, which takes the fallback scale; a
+# slower run broken by a faster flag; a slower run past the singularity.
+EXACT = (*line_case(0, 30, 20, 0, 1.0, [1.0], 0.0, 0), 2, 3.0)
+FLIPPED = (*line_case(0, 30, 20, 0, "line", [0.95, 0.95, 1.05, 0.95, 0.95, 0.95], 0.0, 0),
+           3, 3.0)
+PAST = (*line_case(40, 24, 60, 8, 0.2, [1.0], 1e-4, 3), 2, 3.0)
+
+
+class TestRunScan:
+    """The one-pass run scan against the former flag loop."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(line_draws())
+    @example(EXACT)
+    @example(FLIPPED)
+    @example(PAST)
+    def test_matches_flag_loop(self, draw):
+        assert scan_outcome(detect_diversion, *draw) == scan_outcome(
+            reference_detect_diversion, *draw)
+
+    def test_named_draws_reach_their_paths(self):
+        s, fit = EXACT[:2]
+        assert _MAD_TO_SIGMA * _median(np.abs(fit.deltas - _median(fit.deltas.tolist())).tolist()) == 0
+        assert detect_diversion(*EXACT[:2]).year == 21.0
+        s, fit = FLIPPED[:2]
+        assert detect_diversion(s, fit, m=3).year == 24.0  # the run 21-22 is broken at 23
+        assert detect_diversion(s, fit, m=2).year == 21.0
+        with pytest.raises(NegativeProximityError, match="after the singularity"):
+            detect_diversion(*PAST[:2])
+
+    def test_numpy_scalar_run_length_and_tau(self):
+        # A flag subtracts two bools: with a numpy threshold they would be numpy
+        # bools, which cannot be subtracted.
+        s, fit = FLIPPED[:2]
+        want = scan_outcome(detect_diversion, s, fit, 3, 3.0)
+        assert want[:2] == (24.0, "slower")
+        for m, tau in ((np.int64(3), np.float64(3.0)), (3, np.float32(3.0))):
+            assert scan_outcome(detect_diversion, s, fit, m, tau) == want
+            assert scan_outcome(reference_detect_diversion, s, fit, m, tau) == want
+
+    @pytest.mark.parametrize("bump, direction", [(0.9, "slower"), (1.1, "faster")])
+    def test_residual_at_threshold_not_flagged(self, bump, direction):
+        t = np.arange(0.0, 21.0)
+        noise = np.exp(np.random.default_rng(1).normal(0.0, 0.01, 21))
+        values = np.append(noise[:20], bump) / (1.0 - t / 64)
+        s = YearValueSeries(t, values)
+        fit = fit_hyperbolic(s, FitWindow(0.0, 19.0))
+        d = abs(float(1.0 / values[20] - (fit.model.a - fit.model.k * 20.0)))
+        scale = _robust_scale(fit.deltas, fit.reciprocals)
+        tau = d / scale
+        assert tau * scale == d  # the residual equals the threshold exactly
+        below = np.nextafter(tau, 0.0)
+        assert below * scale < d
+        for detect in (detect_diversion, reference_detect_diversion):
+            assert detect(s, fit, m=1, tau=tau) is None
+        finding = detect_diversion(s, fit, m=1, tau=below)
+        assert (finding.year, finding.direction) == (20.0, direction)
+        assert scan_outcome(detect_diversion, s, fit, 1, below) == scan_outcome(
+            reference_detect_diversion, s, fit, 1, below)
 
 
 class TestTrialCalls:
@@ -321,3 +473,20 @@ class TestTrialCalls:
     def test_diversion_trial(self, calls):
         assert _diversion_scenario(8, spliced=True) is not None
         assert calls == {"series": 1, "median": 0}
+
+
+def test_fits_segmentations_and_findings_compare_by_identity():
+    # Their generated __eq__ compared array fields, so == between two fits
+    # raised ValueError, and hash() raised TypeError.
+    years = tuple(float(y) for y in range(980, 1000))
+    s = generate(GeneratorSpec(
+        "hyperbolic-then-slower", {"a": 1.0, "k": 0.001, "break_year": 995.0, "slow_factor": 0.1},
+        years, noise=0.01, seed=8))
+    fits = [fit_hyperbolic(s, FitWindow(980.0, 995.0)) for _ in range(2)]
+    pairs = (fits, [segment_two_hyperbolic(s) for _ in range(2)],
+             [detect_diversion(s, fits[0]) for _ in range(2)])
+    for one, other in pairs:
+        assert one is not None and one == one and not one != one
+        assert one != other and not one == other
+        assert hash(one) == hash(one)
+        assert len({one, other}) == 2

@@ -122,6 +122,40 @@ class TestInvalidSpecs:
             GeneratorSpec("hyperbolic", {"a": 1.0, "k": 1e-4}, sample_years)
         assert str(exc.value) == "sample_years must be finite"
 
+    @pytest.mark.parametrize("sample_years, message", [
+        pytest.param((), "sample_years must be non-empty and strictly increasing", id="empty"),
+        pytest.param((0.0, 1.0, 1.0, 2.0), "sample_years must be non-empty and strictly increasing",
+                     id="repeated"),
+        pytest.param((0.0, 2.0, 1.0), "sample_years must be non-empty and strictly increasing",
+                     id="decreasing"),
+        pytest.param((float("nan"),), "sample_years must be finite", id="lone-nan"),
+        pytest.param((float("inf"),), "sample_years must be finite", id="lone-inf"),
+        pytest.param((float("-inf"), 0.0, 1.0), "sample_years must be finite", id="-inf-first"),
+        pytest.param((0.0, 1.0, float("inf")), "sample_years must be finite", id="inf-last"),
+        # The ordered checks: a decreasing pair is named before a NaN.
+        pytest.param((2.0, 1.0, float("nan")),
+                     "sample_years must be non-empty and strictly increasing",
+                     id="decreasing-then-nan"),
+    ])
+    def test_faulty_grid_message(self, sample_years, message):
+        with pytest.raises(GeneratorError) as exc:
+            GeneratorSpec("hyperbolic", {"a": 1.0, "k": 1e-4}, sample_years)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind, parameters, message", [
+        pytest.param("hyperbolic", {"zeta": 1.0, "a": 1.0, "k": 1e-3, "break_year": 2.0, "b": 3.0},
+                     "hyperbolic takes no parameters ['b', 'break_year', 'zeta']", id="hyperbolic"),
+        pytest.param("hyperbolic", {"a": 1.0, "k": 1e-3, "ref_year": 0.0},
+                     "hyperbolic takes no parameters ['ref_year']", id="ref-year-unread"),
+        pytest.param("exponential",
+                     {"level": 1.0, "rate": 0.01, "ref_year": 0.0, "beta": 1.0, "alpha": 1.0},
+                     "exponential takes no parameters ['alpha', 'beta']", id="exponential"),
+    ])
+    def test_unknown_parameters_listed_sorted(self, kind, parameters, message):
+        with pytest.raises(GeneratorError) as exc:
+            GeneratorSpec(kind, parameters, years(0, 1))
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(GeneratorError, match="seed must be an integer"):
