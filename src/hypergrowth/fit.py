@@ -52,7 +52,8 @@ from .model import HyperbolicModel
 from .series import YearValueSeries
 
 WEIGHTINGS = ("uniform", "direct")
-_sum = np.add.reduce  # ndarray.sum() without its Python wrapper; the same bits on 1-d floats
+# ndarray.sum(), .min() and .max() without their Python wrappers; the same bits on 1-d floats.
+_sum, _min, _max = np.add.reduce, np.minimum.reduce, np.maximum.reduce
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ class HyperbolicFit:
         """Largest |observed - fitted| in percent of the fitted value."""
         inv = 1.0 / (self.model.a - self.model.k * self.years)
         # 100 * |s - 1/f| / (1/f), multiplied before dividing: the order sets the bits.
-        return float(np.maximum.reduce(100.0 * np.abs(self.values - inv) / inv))
+        return float(_max(100.0 * np.abs(self.values - inv) / inv))
 
 
 def _centred_line(t: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):
@@ -268,7 +269,7 @@ class _CumulativeSums:
         np.multiply(yc, yc, out=R[_YY])
         if w is not None:
             R[_T:] *= w
-        np.cumsum(R, axis=1, out=R)
+        R.cumsum(axis=1, out=R)
 
     @property
     def tolerance(self) -> float:
@@ -335,13 +336,14 @@ def scan_windows(
         slope, level, head_sse = _line(_prefix(head.P, slice(2, None)))
         if line is not head:
             slope, level, _ = _line(_prefix(line.P, slice(2, None)))
-        sse = head_sse + np.append(tail, 0.0)
+        sse = head_sse + np.concatenate((tail, (0.0,)))
     # BIC, n * log(SSE / n) + p * log(n), rises with SSE * n**(p / n).
     cost = np.maximum(sse, logs.tolerance) * float(n) ** (np.where(ends < n - 1, 5, 2) / n)
     ok = line.passes(slope, level, t[2:]) & (ends != n - 2)
     cost, ends = cost[ok], ends[ok]
     if len(ends):
-        cost = np.where(cost <= cost.min() + logs.tolerance, cost.min(), cost)
+        least = _min(cost)
+        cost = np.where(cost <= least + logs.tolerance, least, cost)
     for b in ends[np.lexsort((-ends, cost))]:
         try:
             return [fit_hyperbolic(series, FitWindow(float(t[0]), float(t[b])), weighting)]

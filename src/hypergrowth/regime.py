@@ -17,6 +17,7 @@ only the best is fitted exactly (see ``fit``).
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,9 @@ from .fit import (
     HyperbolicFit,
     _CumulativeSums,
     _line,
+    _max,
     _mean_sse,
+    _min,
     _prefix,
     _sse,
     _suffix,
@@ -40,6 +43,7 @@ from .series import YearValueSeries
 
 # MAD -> sigma for a normal distribution.
 _MAD_TO_SIGMA = 1.4826
+_INF = float("inf")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,23 +76,61 @@ def proximity(model: HyperbolicModel, diversion_year: float) -> int:
     return p
 
 
+def _middle(lo: float, hi: float, odd: int) -> float:
+    """np.median's average of the middle value (``hi``) or pair (``lo``, ``hi``).
+
+    np.median takes it with np.mean, whose sum starts from +0.0.  Starting from
+    it too gives the same signed zeros.
+    """
+    return 0.0 + hi if odd else (0.0 + lo + hi) / 2
+
+
 def _median(values: list[float]) -> float:
     """np.median of finite values, bit for bit, from one sort."""
     s = sorted(values)
     h = len(s) // 2
-    # np.median averages the middle value or pair with np.mean, whose sum
-    # starts from +0.0.  Starting from it too gives the same signed zeros.
-    if len(s) % 2:
-        return 0.0 + s[h]
-    return (0.0 + s[h - 1] + s[h]) / 2
+    return _middle(s[h - 1], s[h], len(s) % 2)
 
 
 def _robust_scale(deltas: np.ndarray, reciprocals: np.ndarray) -> float:
-    """MAD scale of the in-window residuals, else 1e-9 times the largest reciprocal."""
-    d = deltas.tolist()
-    med = _median(d)
-    scale = _MAD_TO_SIGMA * _median([abs(x - med) for x in d])
-    return scale if scale > 0 else 1e-9 * float(np.maximum.reduce(reciprocals))
+    """MAD scale of the in-window residuals, else 1e-9 times the largest reciprocal.
+
+    The residuals are sorted once.  Their deviations from the median form two
+    sorted runs: med - s[split - 1 - i] below it, read downward, and
+    s[split + j] - med from it up.  For x < med, med - x is abs(x - med) bit
+    for bit, and a -0.0 deviation vanishes in ``_middle``'s +0.0.  The h
+    smallest deviations take ``a`` from the lower run and h - a from the upper
+    run, and ``a`` is bisected: the MAD's middle pair is the largest taken and
+    the least not taken.
+    """
+    s = sorted(deltas.tolist())
+    n = len(s)
+    h = n // 2
+    med = _middle(s[h - 1], s[h], n % 2)
+    split = bisect_left(s, med)
+    # a takes at least h - (n - split) from below, which is > 0 only where the
+    # median overflowed past every residual, and at most h and split.
+    lo = h - n + split
+    if lo < 0:
+        lo = 0
+    hi = h if h < split else split
+    while lo < hi:
+        a = (lo + hi) // 2
+        # Take more from below while its next deviation is less than the last one above.
+        if med - s[split - 1 - a] < s[split + h - 1 - a] - med:
+            lo = a + 1
+        else:
+            hi = a
+    below = split - 1 - lo  # the lower run's next residual; below + 1 is its last taken
+    above = split + h - lo  # the upper run's next residual; above - 1 is its last taken
+    least = med - s[below] if lo < split else _INF
+    if above < n and s[above] - med < least:
+        least = s[above] - med
+    taken = med - s[below + 1] if lo else 0.0  # deviations are >= 0
+    if above > split and s[above - 1] - med > taken:
+        taken = s[above - 1] - med
+    scale = _MAD_TO_SIGMA * _middle(taken, least, n % 2)
+    return scale if scale > 0 else 1e-9 * float(_max(reciprocals))
 
 
 def detect_diversion(
@@ -174,7 +216,7 @@ def _fit_side(series: YearValueSeries, window: FitWindow, weighting: str):
         # An unfittable side is penalized by the residuals around its own
         # mean reciprocal, so fully-modeled splits win when they exist.
         r = 1.0 / series.slice_window(window.start_year, window.end_year).values
-        return None, float(_sum((r - r.mean()) ** 2))
+        return None, float(_sum((r - _sum(r) / len(r)) ** 2))
     return fit, float(_sum(fit.deltas**2))
 
 
@@ -214,10 +256,10 @@ def segment_two_hyperbolic(series: YearValueSeries,
         if plain is not sums:
             fitted = _sse(S, slope, level)
         unfitted = _mean_sse(S)
-    end_year = np.append(years[breaks], np.full(m, years[-1]))
+    end_year = np.concatenate((years[breaks], years[-1:].repeat(m)))
     cost = np.where(sums.passes(slope, level, end_year), fitted, unfitted)
     cost = cost[:m] + cost[m:]
-    b = float(years[2 + np.argmax(cost <= cost.min() + plain.tolerance)])
+    b = float(years[2 + (cost <= _min(cost) + plain.tolerance).argmax()])
     windows = (FitWindow(float(years[0]), b), FitWindow(b, float(years[-1])))
     (left, left_sse), (right, right_sse) = (_fit_side(series, w, weighting) for w in windows)
     segments = tuple(

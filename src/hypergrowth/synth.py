@@ -10,6 +10,7 @@ positive across the four orders of magnitude a GDP series can span.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,9 @@ class GeneratorSpec:
             if len(years) < 1 or np.logical_or.reduce(years[1:] <= years[:-1]):
                 raise GeneratorError("sample_years must be non-empty and strictly increasing")
             raise GeneratorError("sample_years must be finite")
+        if not isinstance(self.parameters, Mapping):
+            raise GeneratorError(f"parameters must be a mapping of names to numbers, "
+                                 f"got {self.parameters!r}")
         missing = [p for p in _REQUIRED[self.kind] if p not in self.parameters]
         if missing:
             raise GeneratorError(f"{self.kind} requires parameters {missing}")

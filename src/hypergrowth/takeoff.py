@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, TooFewPointsError, _finite
-from .fit import _TIE_RTOL, _centred_line, _CumulativeSums, _solve, _sum
+from .fit import _TIE_RTOL, _centred_line, _CumulativeSums, _max, _min, _solve, _sum
 from .model import evaluate
 from .series import YearValueSeries
 
@@ -116,19 +116,12 @@ def _judged(evidence, hypothesis: TakeoffHypothesis) -> TakeoffTestResult:
                              stagnation_ok, pre_rate, timing_ok, break_year, ic_gap, hypothesis)
 
 
-def takeoff_test(series: YearValueSeries, hypothesis: TakeoffHypothesis) -> TakeoffTestResult:
-    """Evaluate the three-feature takeoff signature at the predicted year.
-
-    Raises TooFewPointsError naming the first unmet need: an observation on
-    each side of the predicted year, then 2 points in the search window.
-    """
+def _evidence(series: YearValueSeries):
+    """The series' break evidence for ``_judged``, or None below 4 points."""
     t = series.years
-    why = _infeasible(t, [hypothesis])[0]
-    if why is not None:
-        raise TooFewPointsError(why)
     n = len(series)
     if n < 4:
-        return _judged(None, hypothesis)
+        return None
 
     # Candidate breaks: any observed year with at least 2 points on each side
     # (a pre-break growth rate needs a slope).  The search is global so the
@@ -139,7 +132,7 @@ def takeoff_test(series: YearValueSeries, hypothesis: TakeoffHypothesis) -> Take
     sums = _CumulativeSums(t, logy)
     # The earliest break whose screened SSE ties the least, refitted exactly.
     cost = sums.hinges(slice(1, n - 2))
-    best_i = 1 + int(np.argmax(cost <= cost.min() + sums.tolerance))
+    best_i = 1 + int((cost <= _min(cost) + sums.tolerance).argmax())
     x = np.maximum(t - t[best_i], 0.0)
     best_r, xc, ybar = _centred_line(x, logy)
     best_sse = float(_sum((logy - ybar - best_r * (x - xc)) ** 2))
@@ -147,7 +140,7 @@ def takeoff_test(series: YearValueSeries, hypothesis: TakeoffHypothesis) -> Take
     # A rate whose change over the span is within _TIE_RTOL of the largest log
     # value is zero: on an exactly flat stretch its sign is rounding noise and
     # must not decide prominence.
-    zero = _TIE_RTOL * float(np.abs(logy).max()) / (t[-1] - t[0])
+    zero = _TIE_RTOL * float(_max(np.abs(logy))) / (t[-1] - t[0])
     best_r, pre_rate = (0.0 if abs(r) <= zero else float(r) for r in (best_r, pre_rate))
 
     stagnation_ok = pre_rate < STAGNATION_MAX_RATE
@@ -170,13 +163,24 @@ def takeoff_test(series: YearValueSeries, hypothesis: TakeoffHypothesis) -> Take
         # veto the takeoff model.
         ic_gap = math.inf
 
-    return _judged((prominence_ok, score, stagnation_ok, pre_rate, float(t[best_i]), ic_gap),
-                   hypothesis)
+    return prominence_ok, score, stagnation_ok, pre_rate, float(t[best_i]), ic_gap
+
+
+def takeoff_test(series: YearValueSeries, hypothesis: TakeoffHypothesis) -> TakeoffTestResult:
+    """Evaluate the three-feature takeoff signature at the predicted year.
+
+    Raises TooFewPointsError naming the first unmet need: an observation on
+    each side of the predicted year, then 2 points in the search window.
+    """
+    why = _infeasible(series.years, [hypothesis])[0]
+    if why is not None:
+        raise TooFewPointsError(why)
+    return _judged(_evidence(series), hypothesis)
 
 
 def takeoff_scan(series: YearValueSeries, year_grid,
                  search_halfwidth: float = 50.0) -> list[TakeoffTestResult]:
-    """takeoff_test at every grid year, run once and re-judged for timing.
+    """takeoff_test at every grid year: the series' evidence once, judged at each year.
 
     Years where the test is infeasible (no data on one side, fewer than 2
     points in the search window) yield a plain negative result, so the list
@@ -184,16 +188,6 @@ def takeoff_scan(series: YearValueSeries, year_grid,
     verdict is negative".  Feasibility is decided for the whole grid at once.
     """
     hyps = [TakeoffHypothesis(float(year), search_halfwidth) for year in year_grid]
-    results, first, evidence = [], None, None
-    for hyp, why in zip(hyps, _infeasible(series.years, hyps)):
-        if why is not None:
-            results.append(_judged(None, hyp))
-        elif first is None:
-            first = takeoff_test(series, hyp)
-            results.append(first)
-            if first.break_year is not None:
-                evidence = (first.prominence_ok, first.prominence_score, first.stagnation_ok,
-                            first.pre_break_rate, first.break_year, first.ic_gap)
-        else:
-            results.append(_judged(evidence, hyp))
-    return results
+    whys = _infeasible(series.years, hyps)
+    evidence = _evidence(series) if None in whys else None
+    return [_judged(evidence if why is None else None, hyp) for hyp, why in zip(hyps, whys)]

@@ -200,6 +200,44 @@ def test_median_matches_numpy_bit_for_bit(values):
     assert np.float64(_median(values)).tobytes() == expected.tobytes()
 
 
+# Residual draws for the MAD scale: any finite values up to 1e300 (so that no
+# deviation overflows), values drawn from a pool of a few (ties), all-equal
+# lists, and about 1000 normal residuals at a fixed magnitude, rounded to one
+# decimal of it in half the draws (ties at large n).
+_RESIDUAL = st.one_of(st.floats(-1e300, 1e300),
+                      st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 5e-324, 1e-3, 1e5]))
+
+
+def _large_draw(seed, n, magnitude, rounded):
+    d = np.random.default_rng(seed).normal(0.0, 1.0, n)
+    return ((np.round(d, 1) if rounded else d) * magnitude).tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(_RESIDUAL, min_size=1, max_size=64),
+    st.lists(_RESIDUAL, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=64)),
+    st.builds(lambda x, n: [x] * n, _RESIDUAL, st.integers(1, 64)),
+    st.builds(_large_draw, st.integers(0, 2**32 - 1), st.integers(990, 1010),
+              st.sampled_from([1e-300, 1e-3, 1.0, 1e5]), st.booleans()),
+))
+@example([-0.0])
+@example([0.0, -0.0, -0.0])
+@example([-1.0, 0.0, -0.0, 1.0])
+@example([1.0, 1.0000000000000002])  # the median rounds onto the lower value
+@example([3.0, 1.0, 2.0, 2.0, 7.0, -4.0])
+def test_robust_scale_is_numpy_mad_bit_for_bit(residuals):
+    d = np.array(residuals)
+    reciprocals = np.array([2.0, 3.0])
+    expected = _MAD_TO_SIGMA * np.median(np.abs(d - np.median(d)))
+    scale = _robust_scale(d, reciprocals)
+    if expected > 0:
+        assert np.float64(scale).tobytes() == expected.tobytes()
+    else:  # all residuals at the median: the fallback scale
+        assert scale == 1e-9 * 3.0
+
+
 def former_scan_reference(series, fit, m, tau):
     """The former scan, kept as the reference: np.median for the scale, a
     validated tail sub-series, and three numpy calls per candidate run.

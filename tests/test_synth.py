@@ -1,6 +1,7 @@
 """Synthetic-series generators: exactness, determinism, grid structure."""
 
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -155,6 +156,20 @@ class TestInvalidSpecs:
         with pytest.raises(GeneratorError) as exc:
             GeneratorSpec(kind, parameters, years(0, 1))
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("parameters, shown", [
+        (None, "None"), (5, "5"), ("ak", "'ak'"), (["a", "k"], "['a', 'k']"),
+        (("a", "k"), "('a', 'k')"),
+    ])
+    def test_non_mapping_parameters_named(self, parameters, shown):
+        with pytest.raises(GeneratorError) as exc:
+            GeneratorSpec("hyperbolic", parameters, years(0, 1))
+        assert str(exc.value) == f"parameters must be a mapping of names to numbers, got {shown}"
+
+    def test_read_only_mapping_parameters_allowed(self):
+        params = {"a": 1.0, "k": 1e-3}
+        assert generate(GeneratorSpec("hyperbolic", MappingProxyType(params), years(0, 1))) == \
+            generate(GeneratorSpec("hyperbolic", params, years(0, 1)))
 
     @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
     def test_non_integer_seed_rejected(self, seed):

@@ -157,18 +157,21 @@ class TestFeasibility:
 
     @staticmethod
     def count_tests(monkeypatch):
+        """The series of each evidence computation, the break search behind every test."""
         calls = []
-        test = hypergrowth.takeoff.takeoff_test
-        monkeypatch.setattr(hypergrowth.takeoff, "takeoff_test",
-                            lambda *args: calls.append(args[1]) or test(*args))
+        evidence = hypergrowth.takeoff._evidence
+        monkeypatch.setattr(hypergrowth.takeoff, "_evidence",
+                            lambda series: calls.append(series) or evidence(series))
         return calls
 
     def test_scan_tests_once_at_first_feasible_year(self, monkeypatch):
         calls = self.count_tests(monkeypatch)
         grid = [500.0, 2100.0, 1750.0, 1820.0, 1500.0]
-        results = takeoff_scan(stagnation_series(), grid)
-        assert [h.predicted_year for h in calls] == [1750.0]
+        s = stagnation_series()
+        results = takeoff_scan(s, grid)
+        assert len(calls) == 1 and calls[0] is s
         assert len(results) == len(grid)
+        assert [r.break_year is None for r in results] == [True, True, False, False, True]
 
     def test_scan_never_tests_without_a_feasible_year(self, monkeypatch):
         calls = self.count_tests(monkeypatch)
@@ -223,6 +226,17 @@ class TestTakeoffScan:
                 both_nan = isinstance(want, float) and math.isnan(want) and math.isnan(got)
                 assert both_nan or got == want, f.name
         assert infeasible == 5
+
+    def test_equals_takeoff_test_below_four_points(self):
+        # Feasible at 1850, but 3 points hold no candidate break.
+        s = YearValueSeries([1800.0, 1850.0, 1900.0], [1.0, 2.0, 3.0])
+        (result,) = takeoff_scan(s, [1850.0], 50.0)
+        expected = takeoff_test(s, TakeoffHypothesis(1850.0, 50.0))
+        assert not result.positive and result.break_year is None
+        for f in dataclasses.fields(expected):
+            want, got = getattr(expected, f.name), getattr(result, f.name)
+            both_nan = isinstance(want, float) and math.isnan(want) and math.isnan(got)
+            assert both_nan or got == want, f.name
 
     def test_one_hyperbolic_fit_per_scan(self, monkeypatch):
         calls = []
