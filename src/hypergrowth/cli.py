@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import sys
 from decimal import Decimal, InvalidOperation
@@ -31,11 +30,11 @@ from .ingest import (
 )
 from .model import relative_deviation, round_half_up
 from .plots import build_plot_sheet, plot_sheet_csv, plot_sheet_svg
-from .regime import detect_diversion, segment_two_hyperbolic
-from .report import _region_fits, render_report, run_analysis
+from .regime import RUN_LENGTH, TAU, detect_diversion, segment_two_hyperbolic
+from .report import _json_bytes, _region_fits, render_report, run_analysis
 from .series import YearValueSeries
 from .synth import KINDS, GeneratorSpec, generate, maddison_year_grid
-from .takeoff import TakeoffHypothesis, takeoff_test
+from .takeoff import SEARCH_HALFWIDTH, TakeoffHypothesis, takeoff_test
 
 USAGE_ERROR = 2
 ANALYSIS_ERROR = 1
@@ -50,10 +49,6 @@ def _write_output(data: bytes, out: str | None):
         Path(out).write_bytes(data)
     else:
         sys.stdout.write(data.decode("utf-8"))
-
-
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def _add_input_args(p: argparse.ArgumentParser):
@@ -128,13 +123,9 @@ def _window(args) -> FitWindow | None:
     return FitWindow(*parse_window(args.window, "--window")) if args.window else None
 
 
-def _fit_series(series, args):
-    return best_fit(series, _window(args), args.weighting)
-
-
 def cmd_fit(args) -> int:
     series = _load_series(args)
-    fit = _fit_series(series, args)
+    fit = best_fit(series, _window(args), args.weighting)
     # Years increase, so the years at or past the singularity, where the model
     # cannot be evaluated, come last; their deviation is null.
     n = int((series.years < fit.model.singularity_year).sum())
@@ -175,7 +166,7 @@ def cmd_diversion(args) -> int:
     if not (math.isfinite(args.tau) and args.tau > 0):
         raise CliError(f"--tau must be finite and > 0, got {args.tau}")
     series = _load_series(args)
-    fit = _fit_series(series, args)
+    fit = best_fit(series, _window(args), args.weighting)
     finding = detect_diversion(series, fit, m=args.run_length, tau=args.tau)
     doc = {"fit": _fit_summary(fit), "finding": None}
     if finding is not None:
@@ -212,8 +203,6 @@ def _sanitize(obj):
     # JSON has no inf/nan; report them as strings.
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_sanitize(v) for v in obj]
     if isinstance(obj, float) and (obj != obj or obj in (float("inf"), float("-inf"))):
         return str(obj)
     return obj
@@ -319,39 +308,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def analysis_command(name, help_text):
+    def command(name, help_text, run):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        return p
+
+    def analysis_command(name, help_text, run):
+        p = command(name, help_text, run)
         _add_input_args(p)
         _add_common_args(p)
         p.add_argument("--window", help="fit window START:END (inclusive years)")
         p.add_argument("--weighting", choices=WEIGHTINGS, default="uniform")
         return p
 
-    analysis_command("fit", "fit one hyperbolic model and report diagnostics")
-    analysis_command("segment", "split a series into two hyperbolic regimes")
+    analysis_command("fit", "fit one hyperbolic model and report diagnostics", cmd_fit)
+    analysis_command("segment", "split a series into two hyperbolic regimes", cmd_segment)
 
-    p = analysis_command("diversion", "detect departure from a fitted trajectory")
-    p.add_argument("--run-length", type=int, default=2, metavar="M",
+    p = analysis_command("diversion", "detect departure from a fitted trajectory",
+                         cmd_diversion)
+    p.add_argument("--run-length", type=int, default=RUN_LENGTH, metavar="M",
                    help="consecutive offending points required")
-    p.add_argument("--tau", type=float, default=3.0,
+    p.add_argument("--tau", type=float, default=TAU,
                    help="threshold in robust in-window residual scales")
 
-    p = analysis_command("takeoff", "test the takeoff-from-stagnation signature")
+    p = analysis_command("takeoff", "test the takeoff-from-stagnation signature", cmd_takeoff)
     p.add_argument("--predicted-year", type=float, required=True)
-    p.add_argument("--halfwidth", type=float, default=50.0)
+    p.add_argument("--halfwidth", type=float, default=SEARCH_HALFWIDTH)
 
-    p = sub.add_parser("report", help="run the full per-region pipeline")
+    p = command("report", "run the full per-region pipeline", cmd_report)
     _add_input_args(p)
     _add_common_args(p)
     p.add_argument("--weighting", choices=WEIGHTINGS, default="uniform")
     p.add_argument("--emit", choices=("json", "csv", "markdown"), default="markdown")
 
-    p = analysis_command("plot", "emit figure data as CSV or SVG")
+    p = analysis_command("plot", "emit figure data as CSV or SVG", cmd_plot)
     p.add_argument("--mode", choices=("reciprocal", "semilog"), default="reciprocal")
     p.add_argument("--two-regime", action="store_true")
     p.add_argument("--emit", choices=("csv", "svg"), default="svg")
 
-    p = sub.add_parser("synth", help="generate a synthetic series as long CSV")
+    p = command("synth", "generate a synthetic series as long CSV", cmd_synth)
     _add_common_args(p)
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
@@ -364,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--label", default="")
 
-    p = sub.add_parser("verify", help="run the built-in acceptance checks")
+    p = command("verify", "run the built-in acceptance checks", cmd_verify)
     p.add_argument("--trials", type=int, default=1000,
                    help="Monte-Carlo trials per statistical check")
     p.add_argument("--maddison", dest="input", help="optional Maddison-2010 CSV for the "
@@ -373,18 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit-scale", type=float, default=1e-3)
 
     return parser
-
-
-_COMMANDS = {
-    "fit": cmd_fit,
-    "segment": cmd_segment,
-    "diversion": cmd_diversion,
-    "takeoff": cmd_takeoff,
-    "report": cmd_report,
-    "plot": cmd_plot,
-    "synth": cmd_synth,
-    "verify": cmd_verify,
-}
 
 
 @functools.cache
@@ -397,7 +380,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (CliError, ParseError, GeneratorError, OSError) as exc:
         # OSError: an input that cannot be read or an output that cannot be written.
         print(f"error: {exc}", file=sys.stderr)

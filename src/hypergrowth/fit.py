@@ -48,7 +48,7 @@ import numpy as np
 from .errors import (
     FitError, NonHyperbolicError, SingularityInWindowError, TooFewPointsError, _finite,
 )
-from .model import HyperbolicModel
+from .model import HyperbolicModel, relative_deviation
 from .series import YearValueSeries
 
 WEIGHTINGS = ("uniform", "direct")
@@ -119,9 +119,7 @@ class HyperbolicFit:
     @property
     def max_abs_relative_deviation(self) -> float:
         """Largest |observed - fitted| in percent of the fitted value."""
-        inv = 1.0 / (self.model.a - self.model.k * self.years)
-        # 100 * |s - 1/f| / (1/f), multiplied before dividing: the order sets the bits.
-        return float(_max(100.0 * np.abs(self.values - inv) / inv))
+        return float(_max(np.abs(relative_deviation(self.years, self.values, self.model))))
 
 
 def _centred_line(t: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):

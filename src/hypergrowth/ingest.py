@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ParseError, RegionError, SeriesError, _finite
 from .series import YearValueSeries
+from .takeoff import SEARCH_HALFWIDTH
 
 
 @dataclass(frozen=True)
@@ -299,7 +300,7 @@ class RegionConfig:
     window: tuple[float, float] | None = None
     two_regime: bool = False
     takeoff_year: float | None = None
-    takeoff_halfwidth: float = 50.0
+    takeoff_halfwidth: float = SEARCH_HALFWIDTH
 
 
 @dataclass(frozen=True)
@@ -366,7 +367,7 @@ def parse_region_config(text: str) -> AnalysisConfigFile:
         window = None
         if parser.has_option(section, "window"):
             window = parse_window(parser.get(section, "window"), where)
-        halfwidth = _config_number(parser, section, "takeoff_halfwidth", 50.0)
+        halfwidth = _config_number(parser, section, "takeoff_halfwidth", SEARCH_HALFWIDTH)
         _check_positive(halfwidth, f"{where}: takeoff_halfwidth")
         regions.append(
             RegionConfig(

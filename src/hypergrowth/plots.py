@@ -129,10 +129,10 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50
 _CURVE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(n - 1, 1)
+    raw = (hi - lo) / 5  # the step of about 6 ticks
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 2.5, 5, 10):
         step = mult * mag

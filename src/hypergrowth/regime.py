@@ -43,6 +43,9 @@ from .series import YearValueSeries
 
 # MAD -> sigma for a normal distribution.
 _MAD_TO_SIGMA = 1.4826
+# detect_diversion's defaults: the run length m and the threshold tau in robust scales.
+RUN_LENGTH = 2
+TAU = 3.0
 _INF = float("inf")
 
 
@@ -83,13 +86,6 @@ def _middle(lo: float, hi: float, odd: int) -> float:
     it too gives the same signed zeros.
     """
     return 0.0 + hi if odd else (0.0 + lo + hi) / 2
-
-
-def _median(values: list[float]) -> float:
-    """np.median of finite values, bit for bit, from one sort."""
-    s = sorted(values)
-    h = len(s) // 2
-    return _middle(s[h - 1], s[h], len(s) % 2)
 
 
 def _robust_scale(deltas: np.ndarray, reciprocals: np.ndarray) -> float:
@@ -136,8 +132,8 @@ def _robust_scale(deltas: np.ndarray, reciprocals: np.ndarray) -> float:
 def detect_diversion(
     series: YearValueSeries,
     fit: HyperbolicFit,
-    m: int = 2,
-    tau: float = 3.0,
+    m: int = RUN_LENGTH,
+    tau: float = TAU,
 ) -> DiversionFinding | None:
     """First post-window run of m same-sign residuals beyond tau * scale.
 

@@ -12,6 +12,8 @@ digits in compact scientific notation (``1.684e-2``).
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import asdict, dataclass
 
@@ -30,10 +32,6 @@ def format_sci(x: float) -> str:
     """4-significant-digit scientific notation with a bare exponent."""
     mantissa, exp = f"{x:.3e}".split("e")
     return f"{mantissa}e{int(exp)}"
-
-
-def format_year_range(start: float, end: float) -> str:
-    return f"{round_half_up(start)} - {round_half_up(end)}"
 
 
 @dataclass(frozen=True)
@@ -129,51 +127,44 @@ def run_analysis(
     return rows, errors
 
 
+def _json_bytes(obj) -> bytes:
+    """The JSON document of every JSON output: sorted keys, 2-space indent, final newline."""
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+_HEADERS = {
+    "csv": ("region", "a", "k", "range_start", "range_end", "singularity", "proximity",
+            "takeoff"),
+    "markdown": ("Region", "a", "k", "Hyperbolic Range", "Singularity", "Proximity", "Takeoff"),
+}
+
+
 def render_report(rows, fmt: str = "json") -> bytes:
-    """Serialize report rows; deterministic byte output per format."""
+    """Serialize report rows; deterministic byte output per format.
+
+    CSV and markdown share the cells; CSV gives the range as two columns and
+    is written by ``csv.writer``, markdown gives it as one ``start - end`` cell.
+    """
     if fmt == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "rows": [asdict(r) for r in rows],
         }
-        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        return _json_bytes(doc)
+    if fmt not in _HEADERS:
+        raise ValueError(f"unknown report format {fmt!r}")
+    table = [_HEADERS[fmt]]
+    for r in rows:
+        start, end = round_half_up(r.range_start), round_half_up(r.range_end)
+        span = (start, end) if fmt == "csv" else (f"{start} - {end}",)
+        table.append((r.region, format_sci(r.a), format_sci(r.k), *span, r.singularity,
+                      "" if r.proximity is None else r.proximity, r.takeoff))
     if fmt == "csv":
-        lines = ["region,a,k,range_start,range_end,singularity,proximity,takeoff"]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        f'"{r.region}"' if "," in r.region else r.region,
-                        format_sci(r.a),
-                        format_sci(r.k),
-                        str(round_half_up(r.range_start)),
-                        str(round_half_up(r.range_end)),
-                        str(r.singularity),
-                        "" if r.proximity is None else str(r.proximity),
-                        r.takeoff,
-                    ]
-                )
-            )
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    if fmt == "markdown":
-        lines = [
-            "| Region | a | k | Hyperbolic Range | Singularity | Proximity | Takeoff |",
-            "| --- | --- | --- | --- | --- | --- | --- |",
-        ]
-        for r in rows:
-            lines.append(
-                "| {} | {} | {} | {} | {} | {} | {} |".format(
-                    r.region,
-                    format_sci(r.a),
-                    format_sci(r.k),
-                    format_year_range(r.range_start, r.range_end),
-                    r.singularity,
-                    "" if r.proximity is None else r.proximity,
-                    r.takeoff,
-                )
-            )
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    raise ValueError(f"unknown report format {fmt!r}")
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(table)
+        return out.getvalue().encode("utf-8")
+    table.insert(1, ("---",) * len(table[0]))
+    return "".join(f"| {' | '.join(map(str, cells))} |\n" for cells in table).encode("utf-8")
 
 
 def parse_report_json(data: bytes) -> list[AnalysisReportRow]:

@@ -135,9 +135,8 @@ def _exact_values(spec: GeneratorSpec, years: np.ndarray) -> np.ndarray:
         return np.where(years <= b, p["level"], p["level"] * np.exp(r * (years - b)))
     if spec.kind == "spliced-two-hyperbolic":
         return _spliced_values(p, years)
-    if spec.kind == "hyperbolic-then-slower":
-        return _slower_values(p, years)
-    raise GeneratorError(f"unknown generator kind {spec.kind!r}")  # unreachable
+    # GeneratorSpec admits only KINDS, so the kind left is "hyperbolic-then-slower".
+    return _slower_values(p, years)
 
 
 def _spliced_values(p: dict, years: np.ndarray) -> np.ndarray:

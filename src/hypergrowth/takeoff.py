@@ -36,12 +36,20 @@ from .model import evaluate
 from .series import YearValueSeries
 
 
+# Decision thresholds, chosen so verdicts are stable over a wide threshold
+# range (verified by the Monte-Carlo suite).
+STAGNATION_MAX_RATE = 0.001  # 0.1 %/year pre-break growth bound
+PROMINENCE_MIN_RATIO = 10.0  # post/pre growth-rate ratio
+IC_MIN_GAP = 10.0  # AICc(single hyperbolic) - AICc(takeoff model)
+SEARCH_HALFWIDTH = 50.0  # default years either side of the predicted year
+
+
 @dataclass(frozen=True)
 class TakeoffHypothesis:
     """Predicted takeoff year plus the half-width of the break search window."""
 
     predicted_year: float
-    search_halfwidth: float = 50.0
+    search_halfwidth: float = SEARCH_HALFWIDTH
 
     def __post_init__(self):
         if not _finite(self.predicted_year):
@@ -50,13 +58,6 @@ class TakeoffHypothesis:
             raise ValueError(
                 f"search_halfwidth must be finite and > 0, got {self.search_halfwidth}"
             )
-
-
-# Decision thresholds, chosen so verdicts are stable over a wide threshold
-# range (verified by the Monte-Carlo suite).
-STAGNATION_MAX_RATE = 0.001  # 0.1 %/year pre-break growth bound
-PROMINENCE_MIN_RATIO = 10.0  # post/pre growth-rate ratio
-IC_MIN_GAP = 10.0  # AICc(single hyperbolic) - AICc(takeoff model)
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,7 @@ def takeoff_test(series: YearValueSeries, hypothesis: TakeoffHypothesis) -> Take
 
 
 def takeoff_scan(series: YearValueSeries, year_grid,
-                 search_halfwidth: float = 50.0) -> list[TakeoffTestResult]:
+                 search_halfwidth: float = SEARCH_HALFWIDTH) -> list[TakeoffTestResult]:
     """takeoff_test at every grid year: the series' evidence once, judged at each year.
 
     Years where the test is infeasible (no data on one side, fewer than 2

@@ -1,5 +1,6 @@
 """End-to-end command-line round trips and exit codes."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -7,11 +8,24 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hypergrowth
-from hypergrowth import build_plot_sheet, parse_long_csv, plot_sheet_csv, segment_two_hyperbolic
-from hypergrowth import cli
+from hypergrowth import (
+    RegionConfig,
+    RegionDefinition,
+    TakeoffHypothesis,
+    YearValueSeries,
+    build_plot_sheet,
+    detect_diversion,
+    parse_long_csv,
+    parse_region_config,
+    plot_sheet_csv,
+    segment_two_hyperbolic,
+    takeoff_scan,
+)
+from hypergrowth import cli, regime, takeoff
 from hypergrowth.cli import main
 
 
@@ -97,6 +111,22 @@ class TestSegment:
         assert doc["breakpoint_year"] == 1820.0
         assert doc["k_ratio"] == pytest.approx(4.2, rel=1e-9)
         assert len(doc["segments"]) == 2
+
+    def test_window_cuts_the_series_before_the_split(self, spliced_csv, capsys):
+        code, out, _ = run(capsys, "segment", "--input", str(spliced_csv),
+                           "--window", "1200:1900")
+        assert code == 0
+        series = parse_long_csv(spliced_csv.read_bytes()).entity_series("africa-like")
+        seg = segment_two_hyperbolic(series.slice_window(1200.0, 1900.0))
+        doc = json.loads(out)
+        assert (doc["breakpoint_year"], doc["k_ratio"], doc["total_sse_reciprocal"]) == (
+            seg.breakpoint_year, seg.k_ratio, seg.total_sse)
+        assert [(d["window"], d["kind"], d["fit"]["a"], d["fit"]["k"]) for d in doc["segments"]] == [
+            ([s.window.start_year, s.window.end_year], s.kind, s.fit.model.a, s.fit.model.k)
+            for s in seg.segments
+        ]
+        assert doc["segments"][0]["window"][0] == 1200.0
+        assert doc["segments"][-1]["window"][1] == 1900.0
 
 
 class TestDiversion:
@@ -399,6 +429,25 @@ def test_cli_import_leaves_acceptance_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "False\n"
+
+
+def test_defaults_read_one_owner():
+    # Identity, not equality, for the floats: a second literal 50.0 or 3.0
+    # written elsewhere would be another float object.
+    parser = cli.build_parser()
+    diversion = parser.parse_args(["diversion", "--input", "x"])
+    assert diversion.run_length == regime.RUN_LENGTH and diversion.tau is regime.TAU
+    params = inspect.signature(detect_diversion).parameters
+    assert params["m"].default == regime.RUN_LENGTH and params["tau"].default is regime.TAU
+
+    halfwidth = takeoff.SEARCH_HALFWIDTH
+    args = parser.parse_args(["takeoff", "--input", "x", "--predicted-year", "1750"])
+    assert args.halfwidth is halfwidth
+    assert RegionConfig(RegionDefinition("R", ("A",))).takeoff_halfwidth is halfwidth
+    assert parse_region_config("[R]\nmembers = A\n").regions[0].takeoff_halfwidth is halfwidth
+    assert TakeoffHypothesis(1750.0).search_halfwidth is halfwidth
+    series = YearValueSeries(np.array([1700.0, 1800.0]), np.array([1.0, 2.0]))
+    assert takeoff_scan(series, [1750.0])[0].hypothesis.search_halfwidth is halfwidth
 
 
 class TestParserBuiltOnce:

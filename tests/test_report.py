@@ -1,5 +1,9 @@
 """Analysis pipeline and report rendering."""
 
+import csv
+import dataclasses
+import io
+
 import numpy as np
 import pytest
 
@@ -99,6 +103,24 @@ class TestRunAnalysis:
         assert len(rows) == 1
         assert rows[0].takeoff == "X"
 
+    @pytest.mark.parametrize("takeoff_year, halfwidth", [
+        (-100.0, 50.0),  # no observation before the predicted year
+        (1000.0, 50.0),  # none after it
+        (425.0, 10.0),  # fewer than 2 points in the search window
+    ])
+    def test_infeasible_takeoff_leaves_the_cell_blank(self, takeoff_year, halfwidth):
+        years = tuple(float(y) for y in range(0, 901, 50))
+        s = generate(GeneratorSpec("hyperbolic", {"a": 1.0, "k": 0.001}, years, label="R"))
+        table = parse_long_csv(series_to_long_csv(s))
+        region = RegionConfig(RegionDefinition("R", ("R",)), window=(0.0, 900.0))
+        untested, _ = run_analysis(table, AnalysisConfigFile(1.0, (region,)))
+        region = dataclasses.replace(region, takeoff_year=takeoff_year,
+                                     takeoff_halfwidth=halfwidth)
+        rows, errors = run_analysis(table, AnalysisConfigFile(1.0, (region,)))
+        assert errors == []
+        assert rows == untested
+        assert rows[0].takeoff == "" and rows[0].singularity == 1000
+
 
 ROWS = [
     AnalysisReportRow("World", 1.684e-2, 8.539e-6, 1000.0, 1955.0, 1972, 17, "X"),
@@ -134,6 +156,20 @@ class TestRenderReport:
         lines = render_report(ROWS, "csv").decode().splitlines()
         assert lines[0] == "region,a,k,range_start,range_end,singularity,proximity,takeoff"
         assert lines[2] == "Africa,1.244e-1,5.030e-5,1,1820,2473,,"
+        rows = [dataclasses.replace(ROWS[1], region="Congo, Dem. Rep.")]
+        lines = render_report(rows, "csv").decode().splitlines()
+        assert lines[1] == '"Congo, Dem. Rep.",1.244e-1,5.030e-5,1,1820,2473,,'
+
+    @pytest.mark.parametrize("name", ['Korea "South", Rep.', 'Korea "South"', "North\nSouth"])
+    def test_csv_region_name_round_trips(self, name):
+        # A name holding a quote and a comma, as a config section may, must
+        # read back as one field: unescaped, the first name gave 9 fields.
+        rows = [dataclasses.replace(ROWS[0], region=name), ROWS[1]]
+        text = render_report(rows, "csv").decode()
+        parsed = list(csv.reader(io.StringIO(text)))
+        assert [len(fields) for fields in parsed] == [8, 8, 8]
+        assert [fields[0] for fields in parsed[1:]] == [name, "Africa"]
+        assert parsed[1][1:] == "1.684e-2,8.539e-6,1000,1955,1972,17,X".split(",")
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
