@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fit import FitWindow, best_fit, fit_hyperbolic
+from .fit import DEFAULT_WEIGHTING, WEIGHTINGS, FitWindow, best_fit, fit_hyperbolic
 from .ingest import DatasetTable, RegionDefinition, build_region_series
 from .model import HyperbolicModel, reciprocal_delta, relative_deviation, round_half_up
 from .regime import detect_diversion, proximity, segment_two_hyperbolic
@@ -123,7 +123,7 @@ def check_parameter_recovery_exact() -> CheckResult:
     grid = maddison_year_grid()
     series = generate(GeneratorSpec("hyperbolic", {"a": a, "k": k}, tuple(grid)))
     failures = []
-    for weighting in ("uniform", "direct"):
+    for weighting in WEIGHTINGS:
         fit = fit_hyperbolic(series, FitWindow(grid[0], grid[-1]), weighting)
         err_a = abs(fit.model.a - a) / a
         err_k = abs(fit.model.k - k) / k
@@ -326,7 +326,7 @@ def check_automatic_window() -> CheckResult:
                          ("hyperbolic", {"a": 1.0, "k": 4.0e-4})):
         for grid, (years, k_tol) in grids.items():
             fits = [best_fit(generate(GeneratorSpec(kind, params, years, noise=0.01, seed=seed)),
-                             None, "uniform") for seed in range(seeds)]
+                             None, DEFAULT_WEIGHTING) for seed in range(seeds)]
             k_err = max(abs(f.model.k / params["k"] - 1) for f in fits)
             if k_err > k_tol:
                 problems.append(f"{kind} {grid}: k off by {k_err:.1%}")

@@ -16,7 +16,7 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from .errors import GeneratorError, HypergrowthError, ParseError
-from .fit import WEIGHTINGS, FitWindow, best_fit
+from .fit import DEFAULT_WEIGHTING, WEIGHTINGS, FitWindow, best_fit
 from .ingest import (
     DatasetTable,
     _check_positive,
@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_input_args(p)
         _add_common_args(p)
         p.add_argument("--window", help="fit window START:END (inclusive years)")
-        p.add_argument("--weighting", choices=WEIGHTINGS, default="uniform")
+        p.add_argument("--weighting", choices=WEIGHTINGS, default=DEFAULT_WEIGHTING)
         return p
 
     analysis_command("fit", "fit one hyperbolic model and report diagnostics", cmd_fit)
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("report", "run the full per-region pipeline", cmd_report)
     _add_input_args(p)
     _add_common_args(p)
-    p.add_argument("--weighting", choices=WEIGHTINGS, default="uniform")
+    p.add_argument("--weighting", choices=WEIGHTINGS, default=DEFAULT_WEIGHTING)
     p.add_argument("--emit", choices=("json", "csv", "markdown"), default="markdown")
 
     p = analysis_command("plot", "emit figure data as CSV or SVG", cmd_plot)

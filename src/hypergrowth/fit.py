@@ -52,6 +52,7 @@ from .model import HyperbolicModel, relative_deviation
 from .series import YearValueSeries
 
 WEIGHTINGS = ("uniform", "direct")
+DEFAULT_WEIGHTING = WEIGHTINGS[0]  # of every fit, search and report
 # ndarray.sum(), .min() and .max() without their Python wrappers; the same bits on 1-d floats.
 _sum, _min, _max = np.add.reduce, np.minimum.reduce, np.maximum.reduce
 
@@ -164,7 +165,7 @@ def _weights(values: np.ndarray, weighting: str) -> np.ndarray | None:
 
 
 def fit_hyperbolic(series: YearValueSeries, window: FitWindow,
-                   weighting: str = "uniform") -> HyperbolicFit:
+                   weighting: str = DEFAULT_WEIGHTING) -> HyperbolicFit:
     """Least-squares line through the in-window reciprocals.
 
     Raises TooFewPointsError (< 3 points in window), NonHyperbolicError
@@ -296,7 +297,7 @@ class _CumulativeSums:
 
 def scan_windows(
     series: YearValueSeries,
-    weighting: str = "uniform",
+    weighting: str = DEFAULT_WEIGHTING,
 ) -> list[HyperbolicFit]:
     """The automatic window's fit: hyperbolic growth, then a diversion.
 

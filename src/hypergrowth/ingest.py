@@ -164,9 +164,12 @@ def parse_long_csv(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
     ``unit_scale``.  The first bad row raises ParseError naming the line on
     which it ends (a quoted field may span lines).
 
-    A clean row costs one ``try``, one range check and one dict operation;
-    its entity is looked up only where a run of one entity's rows begins.
-    Every other row goes to ``_slow_row``, which applies the rules in order.
+    A clean row costs one ``try``, one lookup of its year text, one range
+    check of its value and one dict operation to store the cell.  A year text
+    is parsed and range-checked only the first time it is read, and only a
+    finite year is kept, so equal year texts share one float.  The entity is
+    looked up only where a run of one entity's rows begins.  Every other row
+    goes to ``_slow_row``, which applies the rules in order.
     """
     _check_positive(unit_scale, "unit_scale")
     text = _decode(data)
@@ -179,6 +182,7 @@ def parse_long_csv(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
         if [h.strip().lower() for h in header] != ["entity", "year", "value"]:
             raise ParseError(f"line 1: expected header entity,year,value, got {header}")
         rows: dict[str, dict[float, float]] = {}
+        years: dict[str, float] = {}  # year text, as read -> its float; finite only
         inf = math.inf
         last = cells = None
         for row in reader:
@@ -186,12 +190,17 @@ def parse_long_csv(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
             # str.strip() removes: such a field takes the slow path, which strips.
             try:
                 entity, year_s, value_s = row
-                year = float(year_s)
+                year = years.get(year_s)
+                if year is None:
+                    year = float(year_s)
+                    if not -inf < year < inf:
+                        raise ValueError
+                    years[year_s] = year
                 value = float(value_s) * unit_scale
             except ValueError:
                 pass
             else:
-                if -inf < year < inf and 0.0 < value < inf:
+                if 0.0 < value < inf:
                     if entity != last:  # a new run of one entity's rows
                         last = entity
                         cells = rows.setdefault(entity.strip(), {})
@@ -244,15 +253,26 @@ def parse_wide_table(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
     return DatasetTable(rows)
 
 
+def _csv_bytes(rows) -> bytes:
+    """``rows`` in UTF-8 as written by ``csv.writer`` with LF line ends, except
+    that a row whose first field (a name) holds a CR has every field quoted.
+
+    With an LF terminator, ``csv.writer`` leaves a lone CR unquoted on Python
+    3.11, and an unquoted CR ends the row when it is read back.
+    """
+    out = io.StringIO()
+    plain = csv.writer(out, lineterminator="\n")
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        (quoted if "\r" in row[0] else plain).writerow(row)
+    return out.getvalue().encode("utf-8")
+
+
 def serialize_long_csv(table: DatasetTable) -> bytes:
     """Deterministic long-CSV encoding; inverse of parse_long_csv."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["entity", "year", "value"])
-    for entity, row in table.rows.items():
-        for year in sorted(row):
-            writer.writerow([entity, f"{int(year)}" if year == int(year) else repr(year), repr(row[year])])
-    return out.getvalue().encode("utf-8")
+    cells = ((entity, f"{int(year)}" if year == int(year) else repr(year), repr(row[year]))
+             for entity, row in table.rows.items() for year in sorted(row))
+    return _csv_bytes([("entity", "year", "value"), *cells])
 
 
 def series_to_long_csv(series: YearValueSeries) -> bytes:

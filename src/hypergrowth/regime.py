@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import FitError, NegativeProximityError, TooFewPointsError, _finite
 from .fit import (
+    DEFAULT_WEIGHTING,
     FitWindow,
     HyperbolicFit,
     _CumulativeSums,
@@ -217,7 +218,7 @@ def _fit_side(series: YearValueSeries, window: FitWindow, weighting: str):
 
 
 def segment_two_hyperbolic(series: YearValueSeries,
-                           weighting: str = "uniform") -> RegimeSegmentation:
+                           weighting: str = DEFAULT_WEIGHTING) -> RegimeSegmentation:
     """Best split of the series into two hyperbolic regimes.
 
     Exhaustive search over breakpoints at observed years, each side holding

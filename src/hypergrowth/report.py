@@ -12,14 +12,12 @@ digits in compact scientific notation (``1.684e-2``).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import asdict, dataclass
 
 from .errors import FitError, HypergrowthError, TooFewPointsError
-from .fit import FitWindow, HyperbolicFit, best_fit
-from .ingest import AnalysisConfigFile, DatasetTable, build_region_series
+from .fit import DEFAULT_WEIGHTING, FitWindow, HyperbolicFit, best_fit
+from .ingest import AnalysisConfigFile, DatasetTable, _csv_bytes, build_region_series
 from .model import round_half_up
 from .regime import detect_diversion, segment_two_hyperbolic
 from .series import YearValueSeries
@@ -113,7 +111,7 @@ def _analyze(series: YearValueSeries, cfg, weighting) -> list[AnalysisReportRow]
 def run_analysis(
     table: DatasetTable,
     config: AnalysisConfigFile,
-    weighting: str = "uniform",
+    weighting: str = DEFAULT_WEIGHTING,
 ) -> tuple[list[AnalysisReportRow], list[RegionErrorEntry]]:
     """Run the full per-region pipeline; never aborts on a single region."""
     rows: list[AnalysisReportRow] = []
@@ -143,7 +141,8 @@ def render_report(rows, fmt: str = "json") -> bytes:
     """Serialize report rows; deterministic byte output per format.
 
     CSV and markdown share the cells; CSV gives the range as two columns and
-    is written by ``csv.writer``, markdown gives it as one ``start - end`` cell.
+    is written by ``ingest._csv_bytes``; markdown gives it as one ``start - end``
+    cell.
     """
     if fmt == "json":
         doc = {
@@ -160,9 +159,7 @@ def render_report(rows, fmt: str = "json") -> bytes:
         table.append((r.region, format_sci(r.a), format_sci(r.k), *span, r.singularity,
                       "" if r.proximity is None else r.proximity, r.takeoff))
     if fmt == "csv":
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows(table)
-        return out.getvalue().encode("utf-8")
+        return _csv_bytes(table)
     table.insert(1, ("---",) * len(table[0]))
     return "".join(f"| {' | '.join(map(str, cells))} |\n" for cells in table).encode("utf-8")
 

@@ -25,7 +25,7 @@ from hypergrowth import (
     segment_two_hyperbolic,
     takeoff_scan,
 )
-from hypergrowth import cli, regime, takeoff
+from hypergrowth import cli, fit, regime, report, takeoff
 from hypergrowth.cli import main
 
 
@@ -448,6 +448,13 @@ def test_defaults_read_one_owner():
     assert TakeoffHypothesis(1750.0).search_halfwidth is halfwidth
     series = YearValueSeries(np.array([1700.0, 1800.0]), np.array([1.0, 2.0]))
     assert takeoff_scan(series, [1750.0])[0].hypothesis.search_halfwidth is halfwidth
+
+    weighting = fit.DEFAULT_WEIGHTING
+    for argv in (["fit", "--input", "x"], ["report", "--input", "x", "--regions-config", "y"]):
+        assert parser.parse_args(argv).weighting == weighting
+    for function in (fit.fit_hyperbolic, fit.scan_windows, segment_two_hyperbolic,
+                     report.run_analysis):
+        assert inspect.signature(function).parameters["weighting"].default == weighting
 
 
 class TestParserBuiltOnce:

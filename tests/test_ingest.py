@@ -170,6 +170,38 @@ class TestParseLongCsv:
             parse_long_csv(data, 10.0)
 
 
+class TestYearCache:
+    """Each year text is parsed once, and only a finite year is kept for later rows."""
+
+    # The second text parses to the year already stored, so the row is a duplicate.
+    @pytest.mark.parametrize("second", ["1950.0", " 1950", "\x1c1950", "19_50"])
+    def test_two_texts_of_one_year_are_a_duplicate(self, second):
+        data = f"entity,year,value\nB,{second},3\nA,1950,1\nA,{second},2\n".encode()
+        with pytest.raises(ParseError, match="^line 4: duplicate cell for \\(A, 1950\\)$"):
+            parse_long_csv(data)
+
+    def test_year_first_read_on_a_blank_value_row(self):
+        table = parse_long_csv(b"entity,year,value\nA,1950,\nB,1950,3\nA,1950,2\n")
+        assert table.rows == {"B": {1950.0: 3.0}, "A": {1950.0: 2.0}}
+
+    @pytest.mark.parametrize("year", ["inf", "nan", "-Infinity"])
+    def test_non_finite_year_raises_at_its_first_line(self, year):
+        # A blank value skips the row before its year is read; the year is not kept.
+        data = f"entity,year,value\nA,1900,1\nA,{year},\nB,{year},2\nC,{year},3\n".encode()
+        with pytest.raises(ParseError, match=f"^line 4: year '{year}' is not finite$"):
+            parse_long_csv(data)
+
+    def test_separator_padded_year_matches_plain(self):
+        plain = parse_long_csv(b"entity,year,value\nA,1950,1\nB,1950,2\nC,1951,3\n")
+        padded = parse_long_csv(b"entity,year,value\nA,\x1c1950,1\nB,1950,2\nC,1951\x1d,3\n")
+        assert padded.rows == plain.rows
+
+    def test_equal_years_share_one_float(self):
+        lines = ["entity,year,value"] + [f"E{i % 7},{1000 + i // 7},1" for i in range(700)]
+        table = parse_long_csv(("\n".join(lines) + "\n").encode())
+        assert len({id(year) for cells in table.rows.values() for year in cells}) == 100
+
+
 class TestParseWideTable:
     def test_blank_cells_are_missing(self):
         data = b"entity,1000,1500,1600\nWorld,116.8,,329.8\n"
@@ -260,6 +292,23 @@ class TestRoundTrip:
         again = parse_long_csv(serialize_long_csv(table))
         assert again.rows == table.rows
 
+    # Written unquoted, the CR ended the row when read back: "new-line
+    # character seen in unquoted field".
+    def test_entity_holding_cr_round_trips(self):
+        table = parse_long_csv(b'entity,year,value\n"a\rb",1900,1\n"a\rb",1950,2\n')
+        assert table.entities == ["a\rb"]
+        assert parse_long_csv(serialize_long_csv(table)).rows == table.rows
+
+    @pytest.mark.parametrize("name", ["a\rb", "a\r\nb", 'a\r"b, c"'])
+    def test_name_holding_cr_leaves_other_rows_as_they_were(self, name):
+        table = ingest.DatasetTable({"Korea, Rep.": {1900.0: 2.0}, name: {1900.0: 1.0, 1950.5: 2.5},
+                                     "B": {1900.0: 3.0}})
+        data = serialize_long_csv(table)
+        assert parse_long_csv(data).rows == table.rows
+        lines = data.decode().split("\n")
+        assert lines[:2] == ["entity,year,value", '"Korea, Rep.",1900,2.0']
+        assert lines[-2:] == ["B,1900,3.0", ""]
+
     @given(sparse_tables())
     @settings(max_examples=50, deadline=None)
     def test_wide_to_long_preserves_cells(self, rows):
@@ -325,7 +374,7 @@ def reference_parse_long_csv(data, unit_scale=1.0):
 _PADS = ["", " ", "\t", "\x1c", "\xa0", " \t\u2003"]
 _CLEAN = {
     "entity": ["A", "B", "Korea, Rep.", "C\u00f4te d'Ivoire"],
-    "year": ["1900", "1950", "1950.5", "2e3", "1_901"],
+    "year": ["1900", "1950", "1950.5", "2e3", "2000", "1_901", "1901"],
     "value": ["1", "2.5", "1e-3", "7E2", "1e308"],
 }
 _MESSY = {

@@ -160,7 +160,8 @@ class TestRenderReport:
         lines = render_report(rows, "csv").decode().splitlines()
         assert lines[1] == '"Congo, Dem. Rep.",1.244e-1,5.030e-5,1,1820,2473,,'
 
-    @pytest.mark.parametrize("name", ['Korea "South", Rep.', 'Korea "South"', "North\nSouth"])
+    @pytest.mark.parametrize("name", ['Korea "South", Rep.', 'Korea "South"', "North\nSouth",
+                                      "North\rSouth", 'North\r"South", Rep.'])
     def test_csv_region_name_round_trips(self, name):
         # A name holding a quote and a comma, as a config section may, must
         # read back as one field: unescaped, the first name gave 9 fields.
@@ -170,6 +171,7 @@ class TestRenderReport:
         assert [len(fields) for fields in parsed] == [8, 8, 8]
         assert [fields[0] for fields in parsed[1:]] == [name, "Africa"]
         assert parsed[1][1:] == "1.684e-2,8.539e-6,1000,1955,1972,17,X".split(",")
+        assert text.endswith("\nAfrica,1.244e-1,5.030e-5,1,1820,2473,,\n")
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
