@@ -44,7 +44,7 @@ class NegativeProximityError(HypergrowthError, ValueError):
 
 
 class ParseError(HypergrowthError, ValueError):
-    """Malformed input table or config file."""
+    """Malformed input table or config file, or a name the long CSV cannot hold."""
 
 
 class RegionError(HypergrowthError, ValueError):

@@ -16,6 +16,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import length_hint
 
 import numpy as np
 
@@ -132,14 +134,43 @@ def _slow_row(row, line_num: int, rows: dict, unit_scale: float, what: str = "va
     cells[year] = value
 
 
+def _rows(text: str, delimiter: str = ","):
+    """The rows of ``text`` as ``csv.reader`` reads them, and a function that
+    gives the line on which the last row read ends.
+
+    Text with no ``"``, CR or NUL, no line longer than
+    ``csv.field_size_limit()`` and a first line that is not empty is split in
+    C: once on LF, then each line on ``delimiter``.  That is all
+    ``csv.reader`` would do with it, and the line of a row is its index, read
+    off the list iterator.  The one difference left is that an empty line
+    after the first reads as ``['']``, not ``[]``; the row loops treat both as
+    blank.  All other text, such as quoted fields or CR line ends, is read by
+    ``csv.reader``.
+    """
+    if not ('"' in text or "\r" in text or "\x00" in text or text.startswith("\n")):
+        lines = text.split("\n")
+        limit = csv.field_size_limit()
+        step = limit // 2 + 1
+        # A line longer than limit holds a whole block [i, i + step) with no
+        # LF; only where such a block exists are the lines measured.
+        if (all(text.find("\n", i, i + step) >= 0 for i in range(0, len(text) - step + 1, step))
+                or max(map(len, lines)) <= limit):
+            if not lines[-1]:  # a final LF, or empty text, ends no row
+                lines.pop()
+            it = iter(lines)
+            return map(str.split, it, repeat(delimiter)), lambda: len(lines) - length_hint(it)
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    return reader, lambda: reader.line_num
+
+
 @contextlib.contextmanager
-def _csv_errors(reader):
+def _csv_errors(line):
     """Turn the csv module's own errors (a field over its size limit, say)
-    into a ParseError naming the reader's line."""
+    into a ParseError naming ``line()``, the line of the last row read."""
     try:
         yield
     except csv.Error as exc:
-        raise ParseError(f"line {reader.line_num}: {exc}") from None
+        raise ParseError(f"line {line()}: {exc}") from None
 
 
 def _first_line(text: str) -> str:
@@ -164,7 +195,11 @@ def parse_long_csv(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
     ``unit_scale``.  The first bad row raises ParseError naming the line on
     which it ends (a quoted field may span lines).
 
-    A clean row costs one ``try``, one lookup of its year text, one range
+    Rows come from one of two readers (``_rows``), which give the same rows.
+    Text with no ``"``, CR or NUL and no line over the csv module's field size
+    limit is split by ``str.split`` in C, once on LF and then each line on
+    commas; any other text, quoted fields included, is read by ``csv.reader``.
+    A clean row then costs one ``try``, one lookup of its year text, one range
     check of its value and one dict operation to store the cell.  A year text
     is parsed and range-checked only the first time it is read, and only a
     finite year is kept, so equal year texts share one float.  The entity is
@@ -173,8 +208,8 @@ def parse_long_csv(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
     """
     _check_positive(unit_scale, "unit_scale")
     text = _decode(data)
-    reader = csv.reader(io.StringIO(text))
-    with _csv_errors(reader):
+    reader, line = _rows(text)
+    with _csv_errors(line):
         try:
             header = next(reader)
         except StopIteration:
@@ -206,7 +241,7 @@ def parse_long_csv(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
                         cells = rows.setdefault(entity.strip(), {})
                     if cells.setdefault(year, value) is value:
                         continue
-            _slow_row(row, reader.line_num, rows, unit_scale)
+            _slow_row(row, line(), rows, unit_scale)
     return DatasetTable(rows)
 
 
@@ -222,8 +257,8 @@ def parse_wide_table(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
     text = _decode(data)
     first_line = _first_line(text)
     delimiter = "\t" if first_line.count("\t") >= first_line.count(",") and "\t" in first_line else ","
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    with _csv_errors(reader):
+    reader, line = _rows(text, delimiter)
+    with _csv_errors(line):
         try:
             header = next(reader)
         except StopIteration:
@@ -249,7 +284,7 @@ def parse_wide_table(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
                         cells = rows.setdefault(row[0].strip(), {})
                     if cells.setdefault(year, value) is value:
                         continue
-                _slow_row((row[0], head, cell), reader.line_num, rows, unit_scale, "cell")
+                _slow_row((row[0], head, cell), line(), rows, unit_scale, "cell")
     return DatasetTable(rows)
 
 
@@ -269,7 +304,15 @@ def _csv_bytes(rows) -> bytes:
 
 
 def serialize_long_csv(table: DatasetTable) -> bytes:
-    """Deterministic long-CSV encoding; inverse of parse_long_csv."""
+    """Deterministic long-CSV encoding; inverse of parse_long_csv.
+
+    An entity name with surrounding whitespace raises ParseError, since
+    parse_long_csv strips it off.
+    """
+    for entity in table.rows:
+        if entity != entity.strip():
+            raise ParseError(f"entity name {entity!r} has surrounding whitespace,"
+                             " which the long CSV does not keep")
     cells = ((entity, f"{int(year)}" if year == int(year) else repr(year), repr(row[year]))
              for entity, row in table.rows.items() for year in sorted(row))
     return _csv_bytes([("entity", "year", "value"), *cells])
@@ -364,16 +407,12 @@ def parse_region_config(text: str) -> AnalysisConfigFile:
         raise ParseError(f"bad region config: {exc}") from exc
     unit_scale = 1.0
     regions = []
-    names = set()
     for section in parser.sections():
         where = f"section [{section}]"
         if section.lower() == "global":
             unit_scale = _config_number(parser, section, "unit_scale", 1.0)
             _check_positive(unit_scale, f"{where}: unit_scale")
             continue
-        if section in names:
-            raise ParseError(f"duplicate region {section!r}")
-        names.add(section)
         if not parser.has_option(section, "members"):
             raise ParseError(f"region {section!r} is missing the members key")
         members = tuple(

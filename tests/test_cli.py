@@ -92,6 +92,13 @@ class TestFit:
         )
         assert code == 2
 
+    # A RegionError is an analysis failure, as for a region member missing
+    # from the table.
+    def test_unknown_entity_is_analysis_error(self, hyperbolic_csv, capsys):
+        code, _, err = run(capsys, "fit", "--input", str(hyperbolic_csv), "--region", "nowhere")
+        assert code == 1
+        assert err == "error: unknown entity 'nowhere'\n"
+
     def test_non_hyperbolic_data_is_analysis_error(self, tmp_path, capsys):
         path = tmp_path / "falling.csv"
         path.write_text(
@@ -340,6 +347,13 @@ class TestSynth:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
+    # The label was written as it was, and read back stripped.
+    def test_label_with_surrounding_whitespace_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "synth", "--kind", "hyperbolic", "--param", "a=1",
+                             "--param", "k=0.001", "--years", "0:900:50", "--label", " W")
+        assert code == 2 and out == ""
+        assert err == "error: entity name ' W' has surrounding whitespace, which the long CSV does not keep\n"
+
     def test_bad_param_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "synth", "--kind", "hyperbolic",
                          "--param", "a", "--years", "0:100:10")
@@ -507,12 +521,17 @@ class TestMalformedInput:
         ("fit", "--input", "{overflow_wide}", "--format", "wide", "--unit-scale", "10"),
         ("report", "--input", "{big_field}", "--regions-config", "{config}"),
         ("fit", "--input", "{big_field_wide}", "--format", "wide"),
+        ("fit", "--input", "{one_column}", "--format", "wide"),
+        ("report", "--input", "{csv}", "--regions-config", "{dup_config}"),
+        ("synth", "--kind", "hyperbolic", "--param", "a=1", "--param", "k=0.001",
+         "--years", "0:900:50", "--label", " W"),
     ], ids=["run-length-0", "tau-negative", "tau-nan", "trials-0", "trials-negative",
             "seed-negative", "input-dir", "maddison-dir", "input-not-utf8",
             "maddison-not-utf8", "config-not-utf8", "window-start-inf", "window-end-inf",
             "halfwidth-negative", "halfwidth-nan", "halfwidth-inf", "predicted-year-nan",
             "value-overflows-after-scale", "wide-value-overflows-after-scale",
-            "field-over-csv-limit", "wide-field-over-csv-limit"])
+            "field-over-csv-limit", "wide-field-over-csv-limit", "wide-one-column",
+            "config-duplicate-region", "synth-label-padded"])
     def test_usage_error(self, hyperbolic_csv, tmp_path, capsys, argv):
         latin1 = tmp_path / "latin1.txt"
         latin1.write_bytes("entity,year,value\nM\u00fcnchen,1900,1\n".encode("latin-1"))
@@ -527,9 +546,14 @@ class TestMalformedInput:
         big_field_wide.write_text("entity,1800,1900\nW,1," + "9" * 200_000 + "\n")
         config = tmp_path / "regions.ini"
         config.write_text("[W]\nmembers = W\n")
+        one_column = tmp_path / "one-column.csv"
+        one_column.write_text("entity\nW\n")
+        dup_config = tmp_path / "dup.ini"
+        dup_config.write_text("[W]\nmembers = W\n[W]\nmembers = W\n")
         paths = {"csv": hyperbolic_csv, "dir": tmp_path, "latin1": latin1,
                  "overflow": overflow, "overflow_wide": overflow_wide,
-                 "big_field": big_field, "big_field_wide": big_field_wide, "config": config}
+                 "big_field": big_field, "big_field_wide": big_field_wide, "config": config,
+                 "one_column": one_column, "dup_config": dup_config}
         code, _, err = run(capsys, *(a.format(**paths) for a in argv))
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error: ")

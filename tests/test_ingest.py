@@ -1,9 +1,11 @@
 """Table parsing, unit conversion, region aggregation, config files."""
 
+import contextlib
 import csv
 import io
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypergrowth import (
     ParseError,
     RegionDefinition,
     RegionError,
+    YearValueSeries,
     build_region_series,
     ingest,
     parse_long_csv,
@@ -218,6 +221,11 @@ class TestParseWideTable:
         table = parse_wide_table(b"entity\t1000\t1500\nWorld\t116.8\t248.3\n")
         assert table.value("World", 1500.0) == pytest.approx(248.3)
 
+    @pytest.mark.parametrize("data", [b"entity\nA\n", b"entity"])
+    def test_header_without_year_columns(self, data):
+        with pytest.raises(ParseError, match="^line 1: wide table needs an entity column plus year columns$"):
+            parse_wide_table(data)
+
     def test_non_numeric_year_header(self):
         with pytest.raises(ParseError):
             parse_wide_table(b"entity,medieval\nWorld,116.8\n")
@@ -266,6 +274,154 @@ class TestParseWideTable:
         assert ingest._first_line(text) == (text.splitlines() or [""])[0]
 
 
+def csv_reader_rows(text, delimiter=","):
+    """``ingest._rows`` with every text read by ``csv.reader``."""
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    return reader, lambda: reader.line_num
+
+
+def through_both_readers(parse, data, unit_scale=1.0):
+    """The outcome of ``parse`` as it reads ``data``, and as it would through
+    ``csv.reader`` alone; see TestLongCsvReference.outcome."""
+    def outcome():
+        return TestLongCsvReference.outcome(lambda d, u: parse(d, u).rows, data, unit_scale)
+
+    as_read = outcome()
+    with mock.patch.object(ingest, "_rows", csv_reader_rows):
+        return as_read, outcome()
+
+
+@st.composite
+def quote_free_wide_tables(draw):
+    """A wide table with no quote, CR or NUL: padded, ragged, blank and
+    non-numeric cells, blank lines and stray lines, with or without a final
+    LF; and a unit scale."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    pad = st.sampled_from(_PADS + ["\x0c", "\x85", "\u2028"])
+    years = draw(st.lists(st.sampled_from(_CLEAN["year"] + ["x", "nan"]), max_size=5))
+    lines = [delimiter.join(["entity"] + [draw(pad) + y + draw(pad) for y in years])]
+    for kind in draw(st.lists(st.sampled_from(["row"] * 4 + ["blank", "stray"]), max_size=8)):
+        if kind == "blank":
+            lines.append("")
+        elif kind == "stray":
+            lines.append(draw(st.text(st.sampled_from("A1e. ,\t\x0c\x1c\x85\u2028"), max_size=8)))
+        else:
+            values = _CLEAN["value"] + _MESSY["value"]
+            cells = [draw(pad) + draw(st.sampled_from(values)) + draw(pad)
+                     for _ in range(draw(st.integers(0, len(years) + 1)))]
+            lines.append(delimiter.join([draw(st.sampled_from(["A", "B", "C\u00f4te"]))] + cells))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return text.encode("utf-8"), draw(st.sampled_from([1.0, 1e-3, 10.0]))
+
+
+class TestReaders:
+    """Text with no quote, CR or NUL is split by ``str.split``; both parsers
+    must read it as they would through ``csv.reader``."""
+
+    @pytest.mark.parametrize("parse", [parse_long_csv, parse_wide_table], ids=["long", "wide"])
+    @pytest.mark.parametrize("data", [b"", b"\xef\xbb\xbf"], ids=["empty", "bom"])
+    def test_empty_text_is_an_empty_file(self, parse, data):
+        # Split on LF, empty text is one empty line, which csv.reader does not read.
+        with pytest.raises(ParseError, match="^line 1: empty file$"):
+            parse(data)
+        as_read, through_csv = through_both_readers(parse, data)
+        assert as_read == through_csv
+
+    def test_empty_first_line_is_an_empty_header(self):
+        # csv.reader reads an empty line as [], where str.split gives [''].
+        with pytest.raises(ParseError, match=re.escape("line 1: expected header entity,year,value, got []")):
+            parse_long_csv(b"\nentity,year,value\nA,1900,1\n")
+        with pytest.raises(ParseError, match="^line 1: wide table needs an entity column plus year columns$"):
+            parse_wide_table(b"\nentity,1900\nA,1\n")
+
+    @pytest.mark.parametrize("parse, text, match", [
+        (parse_long_csv, "entity,year,value\n\nA,x,1\n\n\nA,1900,1", "^line 3: year 'x' is not a number$"),
+        (parse_long_csv, "entity,year,value\n\nA,1900,1\n\n,,\n\nA,1900,2",
+         "^line 7: duplicate cell for \\(A, 1900\\)$"),
+        (parse_long_csv, "entity,year,value\nA,1900,1\n\nA,1950,1\nB", "^line 5: expected 3 fields, got 1$"),
+        (parse_wide_table, "entity,1900\n\nA,x\n\nB,1", "^line 3: cell 'x' is not a number$"),
+        (parse_wide_table, "entity,1900\n\nA,1\n\n\nA,2", "^line 6: duplicate cell for \\(A, 1900\\)$"),
+    ])
+    @pytest.mark.parametrize("end", ["", "\n", "\n\n"], ids=["no-lf", "lf", "blank-last"])
+    def test_blank_lines_and_last_line_end_keep_line_numbers(self, parse, text, match, end):
+        data = (text + end).encode()
+        with pytest.raises(ParseError, match=match):
+            parse(data)
+        as_read, through_csv = through_both_readers(parse, data)
+        assert as_read == through_csv
+
+    @pytest.mark.parametrize("parse, data", [
+        (parse_long_csv, b"entity,year,value\nA\x00,1900,1\nB,1900,2\x00\n"),
+        (parse_long_csv, b"entity,year,value\nA,1900,1\nB,19\x0000,1\n"),
+        (parse_wide_table, b"entity,1900\nA\x00,1\nB,\x002\n"),
+    ])
+    def test_nul_reads_as_through_csv_reader(self, parse, data):
+        # Python 3.10's csv module rejects NUL; later versions keep it.
+        as_read, through_csv = through_both_readers(parse, data)
+        assert as_read == through_csv
+
+    # These end a line for str.splitlines but not for csv.reader.
+    @pytest.mark.parametrize("char", ["\x0c", "\x1c", "\x85", "\u2028"])
+    def test_splitlines_line_ends_stay_in_their_field(self, char):
+        long = f"entity,year,value\nA{char}B,1900,1\nA,{char}1900,2{char}\nA,1950{char}x,3\n".encode()
+        with pytest.raises(ParseError, match=f"^line 4: year {re.escape(repr('1950' + char + 'x'))} is not"):
+            parse_long_csv(long)
+        assert parse_long_csv(long.rsplit(b"\n", 2)[0] + b"\n").rows == {
+            f"A{char}B": {1900.0: 1.0}, "A": {1900.0: 2.0}}
+        wide = f"entity,1900{char},1950\nA{char}B,1,{char}2\nC,3{char}x\n".encode()
+        with pytest.raises(ParseError, match=f"^line 3: cell {re.escape(repr('3' + char + 'x'))} is not"):
+            parse_wide_table(wide)
+        for parse, data in ((parse_long_csv, long), (parse_wide_table, wide)):
+            as_read, through_csv = through_both_readers(parse, data)
+            assert as_read == through_csv
+
+    # Split on commas, the padded value would have read as 5.
+    @pytest.mark.parametrize("parse, data, match", [
+        (parse_long_csv, b"entity,year,value\nA,1900,1\nA,1950,5" + b" " * 200_000 + b"\n", "line 3: "),
+        (parse_wide_table, b"entity,1900,1950\nA,1,2\nB,1,5" + b" " * 200_000 + b"\nC,1,2\n", "line 3: "),
+    ], ids=["long", "wide"])
+    def test_padded_value_over_the_field_limit_names_its_line(self, parse, data, match):
+        with pytest.raises(ParseError, match="^" + match + "field larger than field limit"):
+            parse(data)
+
+    def test_line_within_the_field_limit_is_read(self):
+        data = b"entity,year,value\nA,1900,1\nA,1950,5" + b" " * 100_000 + b"\n"
+        assert parse_long_csv(data).rows == {"A": {1900.0: 1.0, 1950.0: 5.0}}
+
+    def test_csv_reader_reads_only_text_that_needs_it(self, monkeypatch):
+        calls = []
+        reader = csv.reader
+        monkeypatch.setattr(csv, "reader", lambda *a, **k: calls.append(1) or reader(*a, **k))
+        parse_long_csv(b"entity,year,value\nA,1900,1\n\nA,1950,2")
+        parse_wide_table(b"entity\t1900\nA\t1\n")
+        assert calls == []
+        for data in (b'entity,year,value\n"A",1900,1\n', b"entity,year,value\r\nA,1900,1\r\n",
+                     b"entity,year,value\nA\x00,1900,1\n", b"\nentity,year,value\n",
+                     b"entity,year,value\nA,1900,1" + b" " * 200_000 + b"\n"):
+            with contextlib.suppress(ParseError):
+                parse_long_csv(data)
+        assert len(calls) == 5
+
+    @given(st.text(st.sampled_from("ab1 ,\t\n\x0c\x1c\x85\u2028"), max_size=40),
+           st.sampled_from([",", "\t"]))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_and_lines_match_csv_reader(self, text, delimiter):
+        rows, line = ingest._rows(text, delimiter)
+        reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+        for expected in reader:
+            row = next(rows)
+            assert (row if row != [""] else []) == expected
+            assert line() == reader.line_num
+        assert next(rows, None) is None
+
+    @given(quote_free_wide_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_wide_parser_reads_as_through_csv_reader(self, case):
+        data, unit_scale = case
+        as_read, through_csv = through_both_readers(parse_wide_table, data, unit_scale)
+        assert as_read == through_csv
+
+
 @st.composite
 def sparse_tables(draw):
     entities = draw(
@@ -308,6 +464,23 @@ class TestRoundTrip:
         lines = data.decode().split("\n")
         assert lines[:2] == ["entity,year,value", '"Korea, Rep.",1900,2.0']
         assert lines[-2:] == ["B,1900,3.0", ""]
+
+    # Written as they were, such names read back stripped: ' A' as 'A'.
+    @pytest.mark.parametrize("name", [" A", "A ", "B\t", "ab\r", "\x1cC", "D\u2028", " "])
+    def test_name_with_surrounding_whitespace_is_rejected(self, name):
+        match = f"^entity name {re.escape(repr(name))} has surrounding whitespace"
+        with pytest.raises(ParseError, match=match):
+            serialize_long_csv(ingest.DatasetTable({"A": {1900.0: 1.0}, name: {1900.0: 2.0}}))
+        with pytest.raises(ParseError, match=match):
+            ingest.series_to_long_csv(YearValueSeries(np.array([1900.0]), np.array([2.0]), name))
+
+    def test_name_with_inner_whitespace_keeps_its_bytes(self):
+        table = ingest.DatasetTable({"A B": {1900.0: 1.0}, "C\td": {1950.0: 2.5}})
+        data = serialize_long_csv(table)
+        assert data == b"entity,year,value\nA B,1900,1.0\nC\td,1950,2.5\n"
+        assert parse_long_csv(data).rows == table.rows
+        series = YearValueSeries(np.array([1900.0]), np.array([2.0]), "W x")
+        assert ingest.series_to_long_csv(series) == b"entity,year,value\nW x,1900,2.0\n"
 
     @given(sparse_tables())
     @settings(max_examples=50, deadline=None)
@@ -503,6 +676,14 @@ class TestBuildRegionSeries:
         with pytest.raises(RegionError, match="region 'x' members must be a sequence of names"):
             RegionDefinition("x", "abc")
 
+    def test_no_members_rejected(self):
+        with pytest.raises(RegionError, match="^region 'R' has no members$"):
+            RegionDefinition("R", ())
+
+    def test_unknown_entity(self):
+        with pytest.raises(RegionError, match="^unknown entity 'X'$"):
+            self.TABLE.entity_series("X")
+
     def test_unknown_member(self):
         with pytest.raises(RegionError, match="not in table"):
             build_region_series(self.TABLE, RegionDefinition("R", ("N", "X")))
@@ -594,6 +775,17 @@ require_complete = false
     def test_missing_members_rejected(self):
         with pytest.raises(ParseError, match="members"):
             parse_region_config("[R]\nwindow = 1:2\n")
+
+    @pytest.mark.parametrize("text, match", [
+        ("[R]\nwindow = 1:2\n", "^region 'R' is missing the members key$"),
+        ("members = A\n", "^bad region config: File contains no section headers"),
+        # configparser's strict mode rejects a repeated section.
+        ("[A]\nmembers = x\n[A]\nmembers = y\n",
+         "^bad region config: While reading from '<string>' \\[line +3\\]: section 'A' already exists$"),
+    ], ids=["no-members-key", "no-section", "duplicate-region"])
+    def test_malformed_config_message(self, text, match):
+        with pytest.raises(ParseError, match=match):
+            parse_region_config(text)
 
     def test_bad_window_rejected(self):
         with pytest.raises(ParseError, match="window"):
