@@ -138,14 +138,12 @@ def _rows(text: str, delimiter: str = ","):
     """The rows of ``text`` as ``csv.reader`` reads them, and a function that
     gives the line on which the last row read ends.
 
-    Text with no ``"``, CR or NUL, no line longer than
-    ``csv.field_size_limit()`` and a first line that is not empty is split in
-    C: once on LF, then each line on ``delimiter``.  That is all
-    ``csv.reader`` would do with it, and the line of a row is its index, read
-    off the list iterator.  The one difference left is that an empty line
-    after the first reads as ``['']``, not ``[]``; the row loops treat both as
-    blank.  All other text, such as quoted fields or CR line ends, is read by
-    ``csv.reader``.
+    Text with no ``"``, CR or NUL, no line over ``csv.field_size_limit()`` and
+    a first line that is not empty is split in C, on LF and then on
+    ``delimiter``, which is all ``csv.reader`` would do; a row's line is read
+    off the list iterator.  An empty line after the first then reads as
+    ``['']``, not ``[]``, which the row loops treat alike.  Other text is read
+    by ``csv.reader``.
     """
     if not ('"' in text or "\r" in text or "\x00" in text or text.startswith("\n")):
         lines = text.split("\n")
@@ -195,16 +193,15 @@ def parse_long_csv(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
     ``unit_scale``.  The first bad row raises ParseError naming the line on
     which it ends (a quoted field may span lines).
 
-    Rows come from one of two readers (``_rows``), which give the same rows.
-    Text with no ``"``, CR or NUL and no line over the csv module's field size
-    limit is split by ``str.split`` in C, once on LF and then each line on
-    commas; any other text, quoted fields included, is read by ``csv.reader``.
-    A clean row then costs one ``try``, one lookup of its year text, one range
-    check of its value and one dict operation to store the cell.  A year text
-    is parsed and range-checked only the first time it is read, and only a
-    finite year is kept, so equal year texts share one float.  The entity is
-    looked up only where a run of one entity's rows begins.  Every other row
-    goes to ``_slow_row``, which applies the rules in order.
+    Rows are read by ``_rows``: quote-free text is split by ``str.split`` in
+    C, and other text, quoted fields included, by ``csv.reader``; the table is
+    the same either way.  A clean row then costs one ``try``, one lookup of its
+    year text, one range check of its value and one dict operation to store
+    the cell.  A year text is parsed and range-checked only the first time it
+    is read, and only a finite year is kept, so equal year texts share one
+    float.  The entity is looked up only where a run of one entity's rows
+    begins.  Every other row goes to ``_slow_row``, which applies the rules in
+    order.
     """
     _check_positive(unit_scale, "unit_scale")
     text = _decode(data)

@@ -404,7 +404,7 @@ class TestReaders:
 
     @given(st.text(st.sampled_from("ab1 ,\t\n\x0c\x1c\x85\u2028"), max_size=40),
            st.sampled_from([",", "\t"]))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_rows_and_lines_match_csv_reader(self, text, delimiter):
         rows, line = ingest._rows(text, delimiter)
         reader = csv.reader(io.StringIO(text), delimiter=delimiter)
@@ -415,7 +415,7 @@ class TestReaders:
         assert next(rows, None) is None
 
     @given(quote_free_wide_tables())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_wide_parser_reads_as_through_csv_reader(self, case):
         data, unit_scale = case
         as_read, through_csv = through_both_readers(parse_wide_table, data, unit_scale)
@@ -773,16 +773,15 @@ require_complete = false
         assert africa.definition.require_complete is False
 
     def test_missing_members_rejected(self):
-        with pytest.raises(ParseError, match="members"):
+        with pytest.raises(ParseError, match="^region 'R' is missing the members key$"):
             parse_region_config("[R]\nwindow = 1:2\n")
 
     @pytest.mark.parametrize("text, match", [
-        ("[R]\nwindow = 1:2\n", "^region 'R' is missing the members key$"),
         ("members = A\n", "^bad region config: File contains no section headers"),
         # configparser's strict mode rejects a repeated section.
         ("[A]\nmembers = x\n[A]\nmembers = y\n",
          "^bad region config: While reading from '<string>' \\[line +3\\]: section 'A' already exists$"),
-    ], ids=["no-members-key", "no-section", "duplicate-region"])
+    ], ids=["no-section", "duplicate-region"])
     def test_malformed_config_message(self, text, match):
         with pytest.raises(ParseError, match=match):
             parse_region_config(text)
