@@ -23,6 +23,7 @@ from .fit import DEFAULT_WEIGHTING, WEIGHTINGS, FitWindow, best_fit, fit_hyperbo
 from .ingest import DatasetTable, RegionDefinition, build_region_series
 from .model import HyperbolicModel, reciprocal_delta, relative_deviation, round_half_up
 from .regime import detect_diversion, proximity, segment_two_hyperbolic
+from .report import _study
 from .series import YearValueSeries
 from .synth import GeneratorSpec, generate, maddison_year_grid, spliced_models
 from .takeoff import TakeoffHypothesis, takeoff_test
@@ -392,14 +393,13 @@ def check_world_reproduction(table: DatasetTable) -> CheckResult:
     1960], and an AD 1 relative deviation in [70%, 85%].
     """
     series = build_region_series(table, RegionDefinition("World", ("World",)))
-    fit = fit_hyperbolic(series, FitWindow(1000.0, 1955.0))
+    (fit,), _, finding, _ = _study(series, FitWindow(1000.0, 1955.0), False, DEFAULT_WEIGHTING)
     ref = REFERENCE_ROWS[0]
     problems = []
     if abs(fit.model.a - ref.a) / ref.a > 0.05:
         problems.append(f"a {fit.model.a:.4e} not within 5% of {ref.a:.4e}")
     if abs(fit.model.k - ref.k) / ref.k > 0.05:
         problems.append(f"k {fit.model.k:.4e} not within 5% of {ref.k:.4e}")
-    finding = detect_diversion(series, fit)
     if finding is None or finding.direction != "slower" or not (1950 <= finding.year <= 1960):
         problems.append(f"diversion {finding} not a slower departure in [1950, 1960]")
     ad1 = series.values[series.years == 1.0]

@@ -31,7 +31,7 @@ from .ingest import (
 from .model import relative_deviation, round_half_up
 from .plots import build_plot_sheet, plot_sheet_csv, plot_sheet_svg
 from .regime import RUN_LENGTH, TAU, detect_diversion, segment_two_hyperbolic
-from .report import _json_bytes, _region_fits, render_report, run_analysis
+from .report import _json_bytes, _study, render_report, run_analysis
 from .series import YearValueSeries
 from .synth import KINDS, GeneratorSpec, generate, maddison_year_grid
 from .takeoff import SEARCH_HALFWIDTH, TakeoffHypothesis, takeoff_test
@@ -222,8 +222,8 @@ def cmd_report(args) -> int:
 
 def cmd_plot(args) -> int:
     series = _load_series(args)
-    fits, breakpoint, finding = _region_fits(series, _window(args), args.two_regime,
-                                             args.weighting)
+    fits, breakpoint, finding, _ = _study(series, _window(args), args.two_regime,
+                                          args.weighting)
     annotations = [] if breakpoint is None else [("breakpoint", breakpoint)]
     annotations.append(("singularity", fits[-1].model.singularity_year))
     if finding is not None:

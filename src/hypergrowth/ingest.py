@@ -376,6 +376,15 @@ def _config_number(parser, section: str, key: str, fallback=None):
     return _parse_number(parser.get(section, key).strip(), key, f"section [{section}]")
 
 
+def _config_bool(parser, section: str, key: str, fallback: bool) -> bool:
+    """The boolean under ``key`` (true/false, yes/no, on/off, 1/0), or ``fallback`` if absent."""
+    try:
+        return parser.getboolean(section, key, fallback=fallback)
+    except ValueError:
+        raise ParseError(f"section [{section}]: {key} {parser.get(section, key)!r} "
+                         "is not a boolean") from None
+
+
 def parse_window(text: str, where: str) -> tuple[float, float]:
     """Finite ``START:END`` years with START < END; ParseError naming ``where`` otherwise."""
     parts = text.split(":")
@@ -397,7 +406,7 @@ def parse_region_config(text: str) -> AnalysisConfigFile:
     ``takeoff_year`` and ``takeoff_halfwidth`` keys.  A malformed or
     out-of-range value raises ParseError naming its section.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal: no %-syntax
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -415,10 +424,12 @@ def parse_region_config(text: str) -> AnalysisConfigFile:
         members = tuple(
             m.strip() for m in parser.get(section, "members").split(",") if m.strip()
         )
+        if not members:
+            raise ParseError(f"region {section!r} has no members")
         definition = RegionDefinition(
             name=section,
             members=members,
-            require_complete=parser.getboolean(section, "require_complete", fallback=True),
+            require_complete=_config_bool(parser, section, "require_complete", True),
         )
         window = None
         if parser.has_option(section, "window"):
@@ -429,7 +440,7 @@ def parse_region_config(text: str) -> AnalysisConfigFile:
             RegionConfig(
                 definition=definition,
                 window=window,
-                two_regime=parser.getboolean(section, "two_regime", fallback=False),
+                two_regime=_config_bool(parser, section, "two_regime", False),
                 takeoff_year=_config_number(parser, section, "takeoff_year"),
                 takeoff_halfwidth=halfwidth,
             )

@@ -147,6 +147,11 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` written as XML entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt_tick(v: float) -> str:
     if v == 0:
         return "0"
@@ -197,7 +202,7 @@ def plot_sheet_svg(sheet: PlotSheet) -> bytes:
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2}" y="20" text-anchor="middle" font-size="15">'
-        f"{sheet.title} ({sheet.mode})</text>",
+        f"{_escape(sheet.title)} ({sheet.mode})</text>",
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
         f'height="{_H - _MT - _MB}" fill="none" stroke="black"/>',
     ]
@@ -250,7 +255,7 @@ def plot_sheet_svg(sheet: PlotSheet) -> bytes:
             f'stroke="gray" stroke-dasharray="4 3"/>'
         )
         parts.append(
-            f'<text x="{x + 4:.1f}" y="{_MT + 14}" fill="gray">{label}</text>'
+            f'<text x="{x + 4:.1f}" y="{_MT + 14}" fill="gray">{_escape(label)}</text>'
         )
 
     parts.append("</svg>")

@@ -12,11 +12,12 @@ digits in compact scientific notation (``1.684e-2``).
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import asdict, dataclass
 
 from .errors import FitError, HypergrowthError, TooFewPointsError
-from .fit import DEFAULT_WEIGHTING, FitWindow, HyperbolicFit, best_fit
+from .fit import DEFAULT_WEIGHTING, FitWindow, best_fit
 from .ingest import AnalysisConfigFile, DatasetTable, _csv_bytes, build_region_series
 from .model import round_half_up
 from .regime import detect_diversion, segment_two_hyperbolic
@@ -45,19 +46,6 @@ class AnalysisReportRow:
     proximity: int | None
     takeoff: str  # "X" = tested, none found; a year string if found; "" = not tested
 
-    @classmethod
-    def from_fit(cls, region, fit: HyperbolicFit, proximity=None, takeoff=""):
-        return cls(
-            region=region,
-            a=fit.model.a,
-            k=fit.model.k,
-            range_start=fit.window.start_year,
-            range_end=fit.window.end_year,
-            singularity=round_half_up(fit.model.singularity_year),
-            proximity=proximity,
-            takeoff=takeoff,
-        )
-
 
 @dataclass(frozen=True)
 class RegionErrorEntry:
@@ -65,24 +53,16 @@ class RegionErrorEntry:
     message: str
 
 
-def _takeoff_cell(series: YearValueSeries, takeoff_year, halfwidth: float) -> str:
-    if takeoff_year is None:
-        return ""
-    try:
-        result = takeoff_test(series, TakeoffHypothesis(takeoff_year, halfwidth))
-    except TooFewPointsError:
-        return ""
-    if result.positive:
-        return str(round_half_up(result.break_year))
-    return "X"
+def _study(series: YearValueSeries, window: FitWindow | None, two_regime: bool, weighting,
+           takeoff: TakeoffHypothesis | None = None):
+    """One region's study: ``(fits, breakpoint, finding, takeoff_result)``.
 
-
-def _region_fits(series: YearValueSeries, window: FitWindow | None, two_regime: bool, weighting):
-    """The fitted regimes in time order, the breakpoint when the split runs, and
-    the latest regime's diversion finding (None if the series ends in its window).
-
-    Without ``two_regime`` the one regime is ``best_fit``'s and the breakpoint
-    is None; with it, the series is cut to ``window`` and split in two.
+    ``fits`` are the regimes in time order.  Without ``two_regime`` the one
+    regime is ``best_fit``'s and the breakpoint is None; with it, the series
+    is cut to ``window`` and split in two.  ``finding`` is the latest regime's
+    diversion, None when the series ends in its window.  ``takeoff_result``
+    is ``takeoff_test`` at ``takeoff``, None when no hypothesis is given or
+    the test is infeasible.
     """
     if not two_regime:
         fits, breakpoint = [best_fit(series, window, weighting)], None
@@ -94,18 +74,11 @@ def _region_fits(series: YearValueSeries, window: FitWindow | None, two_regime: 
             raise FitError(f"no hyperbolic regime found for {series.label!r}")
     last = fits[-1]
     finding = detect_diversion(series, last) if series.years[-1] > last.window.end_year else None
-    return fits, breakpoint, finding
-
-
-def _analyze(series: YearValueSeries, cfg, weighting) -> list[AnalysisReportRow]:
-    window = None if cfg.window is None else FitWindow(*cfg.window)
-    fits, _, finding = _region_fits(series, window, cfg.two_regime, weighting)
-    *earlier, last = fits
-    rows = [AnalysisReportRow.from_fit(series.label, fit) for fit in earlier]
-    prox = finding.proximity_years if finding is not None else None
-    takeoff = _takeoff_cell(series, cfg.takeoff_year, cfg.takeoff_halfwidth)
-    rows.append(AnalysisReportRow.from_fit(series.label, last, prox, takeoff))
-    return rows
+    result = None
+    if takeoff is not None:
+        with contextlib.suppress(TooFewPointsError):
+            result = takeoff_test(series, takeoff)
+    return fits, breakpoint, finding, result
 
 
 def run_analysis(
@@ -113,15 +86,32 @@ def run_analysis(
     config: AnalysisConfigFile,
     weighting: str = DEFAULT_WEIGHTING,
 ) -> tuple[list[AnalysisReportRow], list[RegionErrorEntry]]:
-    """Run the full per-region pipeline; never aborts on a single region."""
+    """Run the full per-region pipeline; never aborts on a single region.
+
+    Each regime is a row; the latest carries the proximity and takeoff cell.
+    """
     rows: list[AnalysisReportRow] = []
     errors: list[RegionErrorEntry] = []
     for cfg in config.regions:
         try:
             series = build_region_series(table, cfg.definition)
-            rows.extend(_analyze(series, cfg, weighting))
+            window = None if cfg.window is None else FitWindow(*cfg.window)
+            hypothesis = (None if cfg.takeoff_year is None
+                          else TakeoffHypothesis(cfg.takeoff_year, cfg.takeoff_halfwidth))
+            fits, _, finding, result = _study(series, window, cfg.two_regime, weighting,
+                                              hypothesis)
         except HypergrowthError as exc:
             errors.append(RegionErrorEntry(cfg.definition.name, str(exc)))
+            continue
+        prox = finding.proximity_years if finding is not None else None
+        cell = ("" if result is None
+                else str(round_half_up(result.break_year)) if result.positive else "X")
+        for fit in fits:
+            latest = fit is fits[-1]
+            rows.append(AnalysisReportRow(
+                series.label, fit.model.a, fit.model.k, fit.window.start_year,
+                fit.window.end_year, round_half_up(fit.model.singularity_year),
+                prox if latest else None, cell if latest else ""))
     return rows, errors
 
 

@@ -257,6 +257,23 @@ class TestReport:
         assert run(capsys, *argv) == plain
         assert plain[0] == 0
 
+    # These three escaped as a configparser ValueError (a traceback) or exited
+    # 1 through RegionDefinition's RegionError.
+    @pytest.mark.parametrize("text, message", [
+        ("[R]\nmembers = A\nrequire_complete = maybe\n",
+         "error: section [R]: require_complete 'maybe' is not a boolean"),
+        ("[R]\nmembers = A\ntwo_regime = maybe\n",
+         "error: section [R]: two_regime 'maybe' is not a boolean"),
+        ("[R]\nmembers = ,\n", "error: region 'R' has no members"),
+    ], ids=["require-complete-not-boolean", "two-regime-not-boolean", "no-members"])
+    def test_config_fault_is_usage_error(self, spliced_csv, tmp_path, capsys, text, message):
+        cfg = tmp_path / "regions.ini"
+        cfg.write_text(text)
+        code, out, err = run(
+            capsys, "report", "--input", str(spliced_csv), "--regions-config", str(cfg)
+        )
+        assert (code, out, err) == (2, "", message + "\n")
+
     def test_missing_config_is_usage_error(self, spliced_csv, capsys):
         code, _, _ = run(capsys, "report", "--input", str(spliced_csv))
         assert code == 2
@@ -307,6 +324,17 @@ class TestPlot:
         code, out, _ = run(capsys, "plot", "--input", str(data), "--two-regime")
         assert code == 0
         assert ">breakpoint</text>" in out
+
+
+    def test_svg_escapes_region_name(self, hyperbolic_csv, tmp_path, capsys):
+        name = "Asia & <Pacific>"
+        cfg = tmp_path / "regions.ini"
+        cfg.write_text(f"[{name}]\nmembers = demo\n")
+        code, out, _ = run(capsys, "plot", "--input", str(hyperbolic_csv),
+                           "--regions-config", str(cfg), "--region", name)
+        assert code == 0
+        title = ET.fromstring(out).find("{http://www.w3.org/2000/svg}text")
+        assert title.text == f"{name} (reciprocal-linear)"
 
 
 class TestUnitScale:
@@ -432,6 +460,26 @@ class TestVerify:
         assert passed or "AD 1" in check
         assert summary == ("12/12" if passed else "11/12") + " checks passed"
         assert code == (0 if passed else 1)
+
+
+    # A World series that ends inside the 1000-1955 fit window has no
+    # diversion to detect; the check fails, and the battery still prints.
+    def test_world_series_ending_in_fit_window_fails_the_check(self, tmp_path, capsys):
+        path = tmp_path / "world.csv"
+        code, _, err = run(
+            capsys, "synth", "--kind", "hyperbolic",
+            "--param", "a=1.684e-5", "--param", "k=8.539e-9",
+            "--years", "1000:1955:5", "--label", "World", "--out", str(path),
+        )
+        assert code == 0, err
+        code, out, err = run(capsys, "verify", "--trials", "5", "--maddison", str(path),
+                             "--format", "long")
+        *checks, summary = out.splitlines()
+        assert len(checks) == 12 and err == ""
+        assert checks[-1].startswith("FAIL  world-series reproduction")
+        assert "diversion None" in checks[-1]
+        assert summary == "11/12 checks passed"
+        assert code == 1
 
 
 def test_cli_import_leaves_acceptance_unloaded():

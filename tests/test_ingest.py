@@ -786,6 +786,25 @@ require_complete = false
         with pytest.raises(ParseError, match=match):
             parse_region_config(text)
 
+    # Values are literal: a '%' raised configparser's InterpolationSyntaxError,
+    # and '%%' read as one '%'.
+    def test_percent_in_value_is_literal(self):
+        cfg = parse_region_config("[R]\nmembers = A%B, C%%D\n")
+        assert cfg.regions[0].definition.members == ("A%B", "C%%D")
+        table = parse_long_csv(b"entity,year,value\nA%B,1900,1\nC%%D,1900,2\n")
+        assert build_region_series(table, cfg.regions[0].definition).values.tolist() == [3.0]
+
+    @pytest.mark.parametrize("text, match", [
+        ("[R]\nmembers = A\nrequire_complete = maybe\n",
+         r"^section \[R\]: require_complete 'maybe' is not a boolean$"),
+        ("[R]\nmembers = A\ntwo_regime = 2\n", r"^section \[R\]: two_regime '2' is not a boolean$"),
+        ("[R]\nmembers = ,\n", "^region 'R' has no members$"),
+        ("[R]\nmembers =\n", "^region 'R' has no members$"),
+    ])
+    def test_bad_region_value_is_parse_error(self, text, match):
+        with pytest.raises(ParseError, match=match):
+            parse_region_config(text)
+
     def test_bad_window_rejected(self):
         with pytest.raises(ParseError, match="window"):
             parse_region_config("[R]\nmembers = A\nwindow = 1-2\n")

@@ -74,3 +74,15 @@ class TestSerialization:
         s, fit = exact_fit
         sheet = build_plot_sheet(s, fit, "reciprocal-linear")
         assert plot_sheet_svg(sheet) == plot_sheet_svg(sheet)
+
+    # The title and labels were written unescaped, so '&' and '<' broke the XML.
+    def test_svg_escapes_title_and_labels(self):
+        years = tuple(float(y) for y in range(0, 901, 100))
+        s = generate(GeneratorSpec("hyperbolic", {"a": 1.0, "k": 0.001}, years,
+                                   label="Asia & <Pacific>"))
+        sheet = build_plot_sheet(s, fit_hyperbolic(s, FitWindow(0.0, 900.0)),
+                                 annotations=[("break <1> & more", 500.0)])
+        texts = [t.text for t in ET.fromstring(plot_sheet_svg(sheet)).iter()
+                 if t.tag.endswith("text")]
+        assert texts[0] == "Asia & <Pacific> (reciprocal-linear)"
+        assert texts[-1] == "break <1> & more"
