@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import HypergrowthError
 from .fit import DEFAULT_WEIGHTING, WEIGHTINGS, FitWindow, best_fit, fit_hyperbolic
 from .ingest import DatasetTable, RegionDefinition, build_region_series
 from .model import HyperbolicModel, reciprocal_delta, relative_deviation, round_half_up
@@ -390,10 +391,16 @@ def check_world_reproduction(table: DatasetTable) -> CheckResult:
     Expects the world aggregate under an entity named 'World', in billions
     (the table's unit_scale converts it).  Refits 1000-1955 and checks
     parameters within 5% of the reference, a slower diversion in [1950,
-    1960], and an AD 1 relative deviation in [70%, 85%].
+    1960], and an AD 1 relative deviation in [70%, 85%].  A World series that
+    cannot be built or studied fails the check, naming the error.
     """
-    series = build_region_series(table, RegionDefinition("World", ("World",)))
-    (fit,), _, finding, _ = _study(series, FitWindow(1000.0, 1955.0), False, DEFAULT_WEIGHTING)
+    name = "world-series reproduction (data-dependent)"
+    try:
+        series = build_region_series(table, RegionDefinition("World", ("World",)))
+        (fit,), _, finding, _ = _study(series, FitWindow(1000.0, 1955.0), False,
+                                       DEFAULT_WEIGHTING)
+    except HypergrowthError as exc:
+        return CheckResult(name, False, f"World series not studied: {type(exc).__name__}: {exc}")
     ref = REFERENCE_ROWS[0]
     problems = []
     if abs(fit.model.a - ref.a) / ref.a > 0.05:
@@ -401,7 +408,8 @@ def check_world_reproduction(table: DatasetTable) -> CheckResult:
     if abs(fit.model.k - ref.k) / ref.k > 0.05:
         problems.append(f"k {fit.model.k:.4e} not within 5% of {ref.k:.4e}")
     if finding is None or finding.direction != "slower" or not (1950 <= finding.year <= 1960):
-        problems.append(f"diversion {finding} not a slower departure in [1950, 1960]")
+        seen = "None" if finding is None else f"{finding.direction} at {finding.year}"
+        problems.append(f"diversion {seen} not a slower departure in [1950, 1960]")
     ad1 = series.values[series.years == 1.0]
     if len(ad1) == 0:
         problems.append("no AD 1 observation in the World series")
@@ -409,8 +417,5 @@ def check_world_reproduction(table: DatasetTable) -> CheckResult:
         dev = relative_deviation(1.0, ad1[0], fit.model)
         if not (70.0 <= dev <= 85.0):
             problems.append(f"AD 1 deviation {dev} outside [70%, 85%]")
-    return CheckResult(
-        "world-series reproduction (data-dependent)",
-        not problems,
-        "; ".join(problems) or "parameters, diversion and AD 1 deviation reproduced",
-    )
+    return CheckResult(name, not problems,
+                       "; ".join(problems) or "parameters, diversion and AD 1 deviation reproduced")

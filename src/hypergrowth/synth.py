@@ -63,9 +63,10 @@ def _real_array(v) -> np.ndarray | None:
 class GeneratorSpec:
     """Recipe for one synthetic series.
 
-    ``parameters`` are kind-specific (see _REQUIRED and _OPTIONAL); ``noise`` is the sigma
-    of the per-point multiplicative log-normal factor; ``seed`` feeds a
-    dedicated PCG64 stream so runs are reproducible.
+    ``parameters`` are kind-specific (see _REQUIRED and _OPTIONAL) and are
+    kept as a new dict of floats, as ``sample_years`` is kept as a tuple of
+    floats; ``noise`` is the sigma of the per-point multiplicative log-normal
+    factor; ``seed`` feeds a dedicated PCG64 stream so runs are reproducible.
     """
 
     kind: str
@@ -97,14 +98,20 @@ class GeneratorSpec:
         unknown = set(self.parameters) - _ALLOWED[self.kind]
         if unknown:
             raise GeneratorError(f"{self.kind} takes no parameters {sorted(unknown)}")
+        # A new dict of floats: the exact series depends on hashable values
+        # only, and editing the caller's dict later does not change the spec.
+        parameters = {}
         for name in _REQUIRED[self.kind]:
             v = self.parameters[name]
             if not (_finite(v) and v > 0):
                 raise GeneratorError(f"parameter {name} must be finite and positive, got {v!r}")
+            parameters[name] = float(v)
         for name in _OPTIONAL.get(self.kind, ()):
-            v = self.parameters.get(name, 0.0)
-            if not _finite(v):
-                raise GeneratorError(f"parameter {name} must be finite, got {v!r}")
+            if name in self.parameters:
+                v = self.parameters[name]
+                if not _finite(v):
+                    raise GeneratorError(f"parameter {name} must be finite, got {v!r}")
+                parameters[name] = float(v)
         if not (_finite(self.noise) and self.noise >= 0):
             raise GeneratorError("noise sigma must be finite and >= 0")
         try:
@@ -113,6 +120,7 @@ class GeneratorSpec:
             raise GeneratorError(f"seed must be an integer, got {self.seed!r}") from None
         if seed < 0:
             raise GeneratorError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "parameters", parameters)
         object.__setattr__(self, "sample_years", tuple(years.tolist()))
 
 
@@ -159,9 +167,8 @@ def _slower_values(p: dict, years: np.ndarray) -> np.ndarray:
     model = HyperbolicModel(a, k)
     if b >= model.singularity_year:
         raise GeneratorError("break_year must precede the singularity")
-    i = years.searchsorted(b, side="right")  # years[:i] <= b
-    if i and years[i - 1] >= model.singularity_year:
-        raise GeneratorError("sample years reach the singularity before the break")
+    # years[:i] <= b, so they precede the singularity too.
+    i = years.searchsorted(b, side="right")
     s_b = evaluate(model, b)
     # Post-break growth continues exponentially at a fraction of the model's
     # instantaneous log-growth rate k/(a - k*b) at the break.
@@ -180,10 +187,24 @@ def spliced_models(p: dict) -> tuple[HyperbolicModel, HyperbolicModel]:
     return HyperbolicModel(a1, k1), HyperbolicModel(a1 + (k2 - k1) * b, k2)
 
 
+# Exact series of the specs generated last, keyed by kind, parameters and the
+# years' bytes (which keep -0.0 apart from 0.0).  Monte-Carlo trials sample one
+# spec on one grid many times with only the seed changed.  Errors are not stored.
+_EXACT: dict = {}
+_EXACT_SIZE = 8
+
+
 def generate(spec: GeneratorSpec) -> YearValueSeries:
     """Sample the exact model on spec.sample_years, then apply noise."""
     years = np.asarray(spec.sample_years, dtype=float)
-    values = _exact_values(spec, years)
+    key = (spec.kind, tuple(spec.parameters.items()), years.tobytes())
+    values = _EXACT.get(key)
+    if values is None:
+        values = _exact_values(spec, years)
+        values.setflags(write=False)
+        if len(_EXACT) >= _EXACT_SIZE:
+            _EXACT.clear()
+        _EXACT[key] = values
     if spec.noise > 0:
         rng = np.random.default_rng(spec.seed)
         values = values * np.exp(rng.normal(0.0, spec.noise, size=len(years)))

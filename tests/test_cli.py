@@ -481,6 +481,45 @@ class TestVerify:
         assert summary == "11/12 checks passed"
         assert code == 1
 
+    # A table with no World entity cannot be studied at all; the check
+    # fails naming the error, and the battery still prints.
+    def test_table_without_world_fails_the_check(self, tmp_path, capsys):
+        path = tmp_path / "europe.csv"
+        code, _, err = run(
+            capsys, "synth", "--kind", "hyperbolic",
+            "--param", "a=1.684e-5", "--param", "k=8.539e-9",
+            "--years", "1000:1960:5", "--label", "Europe", "--out", str(path),
+        )
+        assert code == 0, err
+        code, out, err = run(capsys, "verify", "--trials", "5", "--maddison", str(path),
+                             "--format", "long")
+        *checks, summary = out.splitlines()
+        assert len(checks) == 12 and err == ""
+        assert checks[-1] == ("FAIL  world-series reproduction (data-dependent): World series "
+                              "not studied: RegionError: region 'World': member 'World' not "
+                              "in table")
+        assert summary == "11/12 checks passed"
+        assert code == 1
+
+    # A faster departure after 1955 is named by its direction and year.
+    def test_wrong_direction_names_direction_and_year(self, tmp_path, capsys):
+        path = tmp_path / "world.csv"
+        code, _, err = run(
+            capsys, "synth", "--kind", "spliced-two-hyperbolic",
+            "--param", "a=1.684e-5", "--param", "k=8.539e-9",
+            "--param", "break_year=1955", "--param", "k_ratio=1.5",
+            "--years", "1000:1964:2", "--label", "World", "--out", str(path),
+        )
+        assert code == 0, err
+        code, out, _ = run(capsys, "verify", "--trials", "5", "--maddison", str(path),
+                           "--format", "long")
+        *_, check, summary = out.splitlines()
+        assert check == ("FAIL  world-series reproduction (data-dependent): diversion faster "
+                         "at 1956.0 not a slower departure in [1950, 1960]; no AD 1 "
+                         "observation in the World series")
+        assert summary == "11/12 checks passed"
+        assert code == 1
+
 
 def test_cli_import_leaves_acceptance_unloaded():
     # Only ``verify`` runs the acceptance battery, so no other verb loads it.
@@ -546,41 +585,67 @@ class TestParserBuiltOnce:
 class TestMalformedInput:
     """Bad arguments and unreadable files: exit 2 and one error line, no traceback."""
 
-    @pytest.mark.parametrize("argv", [
-        ("diversion", "--input", "{csv}", "--run-length", "0"),
-        ("diversion", "--input", "{csv}", "--tau", "-1"),
-        ("diversion", "--input", "{csv}", "--tau", "nan"),
-        ("verify", "--trials", "0"),
-        ("verify", "--trials", "-3"),
-        ("synth", "--kind", "hyperbolic", "--param", "a=1", "--param", "k=0.001",
-         "--years", "0:900:50", "--noise", "0.01", "--seed", "-1"),
-        ("fit", "--input", "{dir}"),
-        ("verify", "--maddison", "{dir}"),
-        ("fit", "--input", "{latin1}"),
-        ("verify", "--maddison", "{latin1}", "--format", "long"),
-        ("fit", "--input", "{csv}", "--regions-config", "{latin1}", "--region", "demo"),
-        ("fit", "--input", "{csv}", "--window=-inf:600"),
-        ("fit", "--input", "{csv}", "--window", "0:inf"),
-        ("takeoff", "--input", "{csv}", "--predicted-year", "500", "--halfwidth", "-5"),
-        ("takeoff", "--input", "{csv}", "--predicted-year", "500", "--halfwidth", "nan"),
-        ("takeoff", "--input", "{csv}", "--predicted-year", "500", "--halfwidth", "inf"),
-        ("takeoff", "--input", "{csv}", "--predicted-year", "nan"),
-        ("fit", "--input", "{overflow}", "--unit-scale", "10"),
-        ("fit", "--input", "{overflow_wide}", "--format", "wide", "--unit-scale", "10"),
-        ("report", "--input", "{big_field}", "--regions-config", "{config}"),
-        ("fit", "--input", "{big_field_wide}", "--format", "wide"),
-        ("fit", "--input", "{one_column}", "--format", "wide"),
-        ("report", "--input", "{csv}", "--regions-config", "{dup_config}"),
-        ("synth", "--kind", "hyperbolic", "--param", "a=1", "--param", "k=0.001",
-         "--years", "0:900:50", "--label", " W"),
+    # A message, where given, is the whole error line; paths are formatted in.
+    @pytest.mark.parametrize("argv, message", [
+        (("diversion", "--input", "{csv}", "--run-length", "0"), None),
+        (("diversion", "--input", "{csv}", "--tau", "-1"), None),
+        (("diversion", "--input", "{csv}", "--tau", "nan"), None),
+        (("verify", "--trials", "0"), None),
+        (("verify", "--trials", "-3"), None),
+        (("synth", "--kind", "hyperbolic", "--param", "a=1", "--param", "k=0.001",
+          "--years", "0:900:50", "--noise", "0.01", "--seed", "-1"), None),
+        (("fit", "--input", "{dir}"), None),
+        (("verify", "--maddison", "{dir}"), None),
+        (("fit", "--input", "{latin1}"), None),
+        (("verify", "--maddison", "{latin1}", "--format", "long"), None),
+        (("fit", "--input", "{csv}", "--regions-config", "{latin1}", "--region", "demo"), None),
+        (("fit", "--input", "{csv}", "--window=-inf:600"), None),
+        (("fit", "--input", "{csv}", "--window", "0:inf"), None),
+        (("takeoff", "--input", "{csv}", "--predicted-year", "500", "--halfwidth", "-5"), None),
+        (("takeoff", "--input", "{csv}", "--predicted-year", "500", "--halfwidth", "nan"), None),
+        (("takeoff", "--input", "{csv}", "--predicted-year", "500", "--halfwidth", "inf"), None),
+        (("takeoff", "--input", "{csv}", "--predicted-year", "nan"), None),
+        (("fit", "--input", "{overflow}", "--unit-scale", "10"), None),
+        (("fit", "--input", "{overflow_wide}", "--format", "wide", "--unit-scale", "10"), None),
+        (("report", "--input", "{big_field}", "--regions-config", "{config}"), None),
+        (("fit", "--input", "{big_field_wide}", "--format", "wide"), None),
+        (("fit", "--input", "{one_column}", "--format", "wide"), None),
+        (("report", "--input", "{csv}", "--regions-config", "{dup_config}"), None),
+        (("synth", "--kind", "hyperbolic", "--param", "a=1", "--param", "k=0.001",
+          "--years", "0:900:50", "--label", " W"), None),
+        (("fit", "--input", "{csv}", "--regions-config", "{config}"),
+         "--region is required with --regions-config"),
+        (("fit", "--input", "{csv}", "--regions-config", "{config}", "--region", "X"),
+         "region 'X' not in {config}"),
+        (("fit", "--input", "{two_entities}"),
+         "input holds 2 entities; select one with --region"),
+        (("synth", "--kind", "constant", "--param", "level", "--years", "0:9"),
+         "--param expects key=value, got 'level'"),
+        (("synth", "--kind", "constant", "--param", "level=high", "--years", "0:9"),
+         "--param level: 'high' is not a number"),
+        (("synth", "--kind", "constant", "--param", "level=1", "--years", "0:9:1:1"),
+         "--years must be START:END[:STEP], got '0:9:1:1'"),
+        (("synth", "--kind", "constant", "--param", "level=1", "--years", "0:nine"),
+         "bad --years '0:nine'"),
+        (("synth", "--kind", "constant", "--param", "level=1", "--years", "0:9:0"),
+         "--years needs finite START, END and STEP > 0, got '0:9:0'"),
+        (("synth", "--kind", "constant", "--param", "level=1", "--years=0:9:-1"),
+         "--years needs finite START, END and STEP > 0, got '0:9:-1'"),
+        (("synth", "--kind", "constant", "--param", "level=1"),
+         "synth requires --years or --maddison-grid"),
+        (("synth", "--kind", "hyperbolic", "--param", "a=1", "--param", "k=0.001",
+          "--years", "0:1000:100"), "sample years reach the singularity at 1000"),
     ], ids=["run-length-0", "tau-negative", "tau-nan", "trials-0", "trials-negative",
             "seed-negative", "input-dir", "maddison-dir", "input-not-utf8",
             "maddison-not-utf8", "config-not-utf8", "window-start-inf", "window-end-inf",
             "halfwidth-negative", "halfwidth-nan", "halfwidth-inf", "predicted-year-nan",
             "value-overflows-after-scale", "wide-value-overflows-after-scale",
             "field-over-csv-limit", "wide-field-over-csv-limit", "wide-one-column",
-            "config-duplicate-region", "synth-label-padded"])
-    def test_usage_error(self, hyperbolic_csv, tmp_path, capsys, argv):
+            "config-duplicate-region", "synth-label-padded", "config-without-region",
+            "region-not-in-config", "entity-not-selected", "param-without-equals",
+            "param-not-a-number", "years-four-parts", "years-not-a-number", "years-step-zero",
+            "years-step-negative", "synth-without-years", "synth-years-reach-singularity"])
+    def test_usage_error(self, hyperbolic_csv, tmp_path, capsys, argv, message):
         latin1 = tmp_path / "latin1.txt"
         latin1.write_bytes("entity,year,value\nM\u00fcnchen,1900,1\n".encode("latin-1"))
         overflow = tmp_path / "overflow.csv"
@@ -598,10 +663,15 @@ class TestMalformedInput:
         one_column.write_text("entity\nW\n")
         dup_config = tmp_path / "dup.ini"
         dup_config.write_text("[W]\nmembers = W\n[W]\nmembers = W\n")
+        two_entities = tmp_path / "two.csv"
+        two_entities.write_text("entity,year,value\nA,1900,1\nA,1950,2\nB,1900,1\nB,1950,2\n")
         paths = {"csv": hyperbolic_csv, "dir": tmp_path, "latin1": latin1,
                  "overflow": overflow, "overflow_wide": overflow_wide,
                  "big_field": big_field, "big_field_wide": big_field_wide, "config": config,
-                 "one_column": one_column, "dup_config": dup_config}
+                 "one_column": one_column, "dup_config": dup_config,
+                 "two_entities": two_entities}
         code, _, err = run(capsys, *(a.format(**paths) for a in argv))
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        if message is not None:
+            assert err == f"error: {message.format(**paths)}\n"

@@ -6,8 +6,8 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from hypergrowth import GeneratorError, GeneratorSpec, generate, maddison_year_grid
-from hypergrowth.synth import spliced_models
+from hypergrowth import GeneratorError, GeneratorSpec, generate, maddison_year_grid, synth
+from hypergrowth.synth import KINDS, _exact_values, spliced_models
 
 
 def years(*args):
@@ -224,6 +224,145 @@ class TestInvalidSpecs:
         spec = GeneratorSpec("exponential", {"level": 2.0, "rate": 0.01, "ref_year": 1.0},
                              years(0, 1))
         assert generate(spec).values[1] == pytest.approx(2.0)
+
+
+class TestModelErrors:
+    """Errors raised while sampling the exact model; none is cached."""
+
+    @pytest.mark.parametrize("kind, parameters, sample_years, message", [
+        pytest.param("hyperbolic", {"a": 1.0, "k": 1e-3}, years(0, 500, 1000),
+                     "sample years reach the singularity at 1000", id="hyperbolic"),
+        pytest.param("spliced-two-hyperbolic",
+                     {"a": 1.0, "k": 1e-3, "break_year": 1500.0, "k_ratio": 2.0},
+                     years(0, 1000, 1600), "first-regime sample years reach its singularity",
+                     id="spliced-first"),
+        pytest.param("spliced-two-hyperbolic",
+                     {"a": 1.0, "k": 1e-3, "break_year": 500.0, "k_ratio": 2.0},
+                     years(0, 400, 800), "second-regime sample years reach its singularity",
+                     id="spliced-second"),
+        pytest.param("hyperbolic-then-slower",
+                     {"a": 1.0, "k": 1e-3, "break_year": 900.0, "slow_factor": 1.0},
+                     years(0, 950), "slow_factor must be in (0, 1)", id="slow-factor"),
+        pytest.param("hyperbolic-then-slower",
+                     {"a": 1.0, "k": 1e-3, "break_year": 1000.0, "slow_factor": 0.5},
+                     years(0, 950), "break_year must precede the singularity", id="break-year"),
+    ])
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_raised_on_every_call(self, kind, parameters, sample_years, message, noise):
+        spec = GeneratorSpec(kind, parameters, sample_years, noise=noise, seed=3)
+        for _ in range(2):
+            with pytest.raises(GeneratorError) as exc:
+                generate(spec)
+            assert type(exc.value) is GeneratorError
+            assert str(exc.value) == message
+
+    # Years up to the break precede it, and the break precedes the
+    # singularity, so no year before the break can reach the singularity.
+    def test_slower_samples_up_to_a_break_just_before_the_singularity(self):
+        spec = GeneratorSpec("hyperbolic-then-slower",
+                             {"a": 1.0, "k": 1e-3, "break_year": 999.999, "slow_factor": 0.5},
+                             years(0, 999.999, 1000, 1000.001))
+        s = generate(spec)
+        assert s.values[1] == pytest.approx(1.0 / (1.0 - 0.999999))
+        assert np.all(np.diff(s.values) > 0)
+
+
+# One spec per kind, each valid on both grids of the interleaving test.
+_CACHE_SPECS = {
+    "hyperbolic": {"a": 1.0, "k": 1e-3},
+    "constant": {"level": 3.0},
+    "exponential": {"level": 2.0, "rate": 0.01, "ref_year": 100.0},
+    "stagnation-then-takeoff": {"level": 2.0, "break_year": 500.0, "rate": 0.02},
+    "spliced-two-hyperbolic": {"a": 1.0, "k": 1e-3, "break_year": 500.0, "k_ratio": 1.2},
+    "hyperbolic-then-slower": {"a": 1.0, "k": 1e-3, "break_year": 800.0, "slow_factor": 0.4},
+}
+
+
+def _direct(spec):
+    """The bytes of one generate() call, computed without the cache."""
+    values = _exact_values(spec, np.asarray(spec.sample_years, dtype=float))
+    if spec.noise > 0:
+        rng = np.random.default_rng(spec.seed)
+        values = values * np.exp(rng.normal(0.0, spec.noise, size=len(values)))
+    return values.tobytes()
+
+
+class TestExactCache:
+    """generate() evaluates a spec's exact series once; the bytes never change."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        synth._EXACT.clear()
+        yield
+        synth._EXACT.clear()
+
+    def test_interleaved_specs_give_direct_bytes(self):
+        assert set(_CACHE_SPECS) == set(KINDS)
+        grids = (years(*range(0, 900, 30)), years(0, 1, 250, 400, 600, 801, 850))
+        specs = [GeneratorSpec(kind, params, grid, noise=noise, seed=seed)
+                 for grid in grids for kind, params in _CACHE_SPECS.items()
+                 for noise, seed in ((0.0, 0), (0.02, 7), (0.02, 8))]
+        expected = [_direct(spec) for spec in specs]
+        # Forwards, backwards, then forwards again: each spec is generated
+        # before and after every other, across clears of the full cache.
+        for order in (range(len(specs)), reversed(range(len(specs))), range(len(specs))):
+            for i in order:
+                assert generate(specs[i]).values.tobytes() == expected[i]
+        assert not any(v.flags.writeable for v in synth._EXACT.values())
+
+    def test_cache_never_exceeds_its_bound(self):
+        sizes = []
+        for level in range(1, 30):
+            generate(GeneratorSpec("constant", {"level": float(level)}, years(0, 1)))
+            sizes.append(len(synth._EXACT))
+        assert max(sizes) == synth._EXACT_SIZE == 8
+
+    def test_signed_zero_years_keep_their_own_bytes(self):
+        params = {"level": 2.0, "rate": 0.01}
+        neg = GeneratorSpec("exponential", params, (-0.0, 1.0))
+        pos = GeneratorSpec("exponential", params, (0.0, 1.0))
+        for spec in (neg, pos, neg, pos):
+            s = generate(spec)
+            assert s.years.tobytes() == np.array(spec.sample_years).tobytes()
+            assert s.values.tobytes() == _direct(spec)
+        assert len(synth._EXACT) == 2
+
+    @pytest.mark.parametrize("convert", [
+        pytest.param(int, id="int"),
+        pytest.param(lambda v: v == 1 or v, id="bool"),
+        pytest.param(np.float64, id="np.float64"),
+    ])
+    @pytest.mark.parametrize("mapping", [dict, MappingProxyType], ids=["dict", "mapping-proxy"])
+    def test_parameter_types_give_the_float_bytes(self, convert, mapping):
+        floats = {"a": 2000.0, "k": 1.0, "break_year": 900.0, "k_ratio": 2.0}
+        other = mapping({name: convert(v) for name, v in floats.items()})
+        grid = years(0, 300, 600, 900, 1000, 1100)
+        spec = GeneratorSpec("spliced-two-hyperbolic", other, grid)
+        assert all(type(v) is float for v in spec.parameters.values())
+        assert spec.parameters == floats and type(spec.parameters) is dict
+        float_spec = GeneratorSpec("spliced-two-hyperbolic", floats, grid)
+        assert generate(spec).values.tobytes() == _direct(float_spec)
+        assert generate(float_spec).values.tobytes() == _direct(float_spec)
+
+    def test_editing_the_callers_dict_changes_nothing(self):
+        params = {"a": 1.0, "k": 1e-3}
+        spec = GeneratorSpec("hyperbolic", params, years(0, 100, 200))
+        before = generate(spec).values.tobytes()
+        params["k"] = 2e-3
+        params["zeta"] = 1.0
+        assert spec.parameters == {"a": 1.0, "k": 1e-3}
+        assert generate(spec).values.tobytes() == before
+        synth._EXACT.clear()
+        assert generate(spec).values.tobytes() == before
+
+    def test_callers_year_array_stays_writable(self):
+        grid = np.array([0.0, 100.0, 200.0])
+        spec = GeneratorSpec("hyperbolic", {"a": 1.0, "k": 1e-3}, grid)
+        s = generate(spec)
+        generate(spec)
+        assert grid.flags.writeable
+        grid[0] = -1.0
+        assert s.years[0] == 0.0 and generate(spec).years[0] == 0.0
 
 
 class TestMaddisonGrid:
