@@ -188,8 +188,9 @@ def spliced_models(p: dict) -> tuple[HyperbolicModel, HyperbolicModel]:
 
 
 # Exact series of the specs generated last, keyed by kind, parameters and the
-# years' bytes (which keep -0.0 apart from 0.0).  Monte-Carlo trials sample one
-# spec on one grid many times with only the seed changed.  Errors are not stored.
+# years' bytes (which keep -0.0 apart from 0.0; a ref_year of -0.0 shares 0.0's
+# entry, and both give the same bytes).  Monte-Carlo trials sample one spec on
+# one grid many times with only the seed changed.  Errors are not stored.
 _EXACT: dict = {}
 _EXACT_SIZE = 8
 

@@ -327,6 +327,15 @@ class TestExactCache:
             assert s.values.tobytes() == _direct(spec)
         assert len(synth._EXACT) == 2
 
+    # The key's parameters compare as floats, so a ref_year of -0.0 finds
+    # 0.0's entry; its direct bytes are the same.
+    def test_signed_zero_reference_year_shares_bytes(self):
+        grid = (-5.0, -0.0, 3.0)
+        for ref in (0.0, -0.0):
+            spec = GeneratorSpec("exponential", {"level": 2.0, "rate": 2.0, "ref_year": ref}, grid)
+            assert generate(spec).values.tobytes() == _direct(spec)
+        assert len(synth._EXACT) == 1
+
     @pytest.mark.parametrize("convert", [
         pytest.param(int, id="int"),
         pytest.param(lambda v: v == 1 or v, id="bool"),
