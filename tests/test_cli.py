@@ -1,5 +1,6 @@
 """End-to-end command-line round trips and exit codes."""
 
+import hashlib
 import inspect
 import json
 import os
@@ -435,6 +436,10 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1] == "11/11 checks passed"
+        # Every byte of the battery's report, so a refactor of the checks
+        # shows any change in a seed, a trial or a detail text.
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "45ec12655447952b3305fc9a7294356e36c1db2eaa32138ab5ed26d51721ee83")
 
     # World GDP in millions, the Maddison unit that --unit-scale's 1e-3 default
     # converts: the reference world curve, slower after 1955, plus an AD 1
