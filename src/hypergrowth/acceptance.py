@@ -149,19 +149,21 @@ def _trial_count(trials) -> int:
     return count
 
 
+def _noisy_series(kind: str, params: dict, years: tuple, seeds):
+    """The Monte-Carlo trials of one spec: its 1%-noise series for each seed, in order."""
+    for seed in seeds:
+        yield generate(GeneratorSpec(kind, params, years, noise=0.01, seed=seed))
+
+
 def check_parameter_recovery_noisy(trials: int = 1000) -> CheckResult:
     """1% multiplicative noise, 30 points: (a, k) within 2% in >= 95% of trials."""
     trials = _trial_count(trials)
     a, k = 1.0, 1.0e-3
     years = tuple(float(y) for y in range(0, 900, 30))  # 30 points, well clear of 1000
     window = FitWindow(years[0], years[-1])
-    hits = 0
-    for seed in range(trials):
-        spec = GeneratorSpec("hyperbolic", {"a": a, "k": k}, years, noise=0.01, seed=seed)
-        fit = fit_hyperbolic(generate(spec), window)
-        if abs(fit.model.a - a) / a < 0.02 and abs(fit.model.k - k) / k < 0.02:
-            hits += 1
-    rate = hits / trials
+    models = (fit_hyperbolic(s, window).model
+              for s in _noisy_series("hyperbolic", {"a": a, "k": k}, years, range(trials)))
+    rate = sum(1 for m in models if abs(m.a - a) / a < 0.02 and abs(m.k - k) / k < 0.02) / trials
     return CheckResult(
         f"noisy parameter recovery (2% in >= 95% of {trials} trials)",
         rate >= 0.95,
@@ -169,41 +171,24 @@ def check_parameter_recovery_noisy(trials: int = 1000) -> CheckResult:
     )
 
 
-def _diversion_scenario(seed: int, spliced: bool):
-    years = tuple(float(y) for y in range(980, 1000))
-    params = {"a": 1.0, "k": 1.0e-3}
-    if spliced:
-        kind = "hyperbolic-then-slower"
-        params |= {"break_year": 995.0, "slow_factor": 0.1}
-    else:
-        kind = "hyperbolic"
-    spec = GeneratorSpec(kind, params, years, noise=0.01, seed=seed)
-    series = generate(spec)
-    fit = fit_hyperbolic(series, FitWindow(980.0, 995.0))
-    return detect_diversion(series, fit)
-
-
 def check_diversion_detection(trials: int = 1000) -> CheckResult:
     """Spliced series: detection within one year of the splice, >= 95%;
     pure hyperbolic: no finding in >= 99%; direction always slower."""
     trials = _trial_count(trials)
-    detected = 0
-    wrong_direction = 0
-    for seed in range(trials):
-        finding = _diversion_scenario(seed, spliced=True)
-        if finding is not None and finding.direction != "slower":
-            wrong_direction += 1
-        if (
-            finding is not None
-            and finding.direction == "slower"
-            and abs(finding.year - 995.0) <= 1.0
-        ):
-            detected += 1
-    false_pos = sum(
-        1 for seed in range(trials) if _diversion_scenario(seed + trials, spliced=False) is not None
-    )
-    hit_rate = detected / trials
-    fp_rate = false_pos / trials
+    years, window = tuple(float(y) for y in range(980, 1000)), FitWindow(980.0, 995.0)
+    hyperbola = {"a": 1.0, "k": 1.0e-3}
+
+    def findings(kind, params, seeds):
+        return [detect_diversion(s, fit_hyperbolic(s, window))
+                for s in _noisy_series(kind, params, years, seeds)]
+
+    spliced = findings("hyperbolic-then-slower",
+                       hyperbola | {"break_year": 995.0, "slow_factor": 0.1}, range(trials))
+    pure = findings("hyperbolic", hyperbola, range(trials, 2 * trials))
+    slower = [f for f in spliced if f is not None and f.direction == "slower"]
+    wrong_direction = sum(f is not None for f in spliced) - len(slower)
+    hit_rate = sum(abs(f.year - 995.0) <= 1.0 for f in slower) / trials
+    fp_rate = sum(f is not None for f in pure) / trials
     passed = hit_rate >= 0.95 and fp_rate <= 0.01 and wrong_direction == 0
     return CheckResult(
         f"diversion detection ({trials} trials each way)",
@@ -247,13 +232,11 @@ def check_two_regime_exact() -> CheckResult:
 def check_two_regime_noisy() -> CheckResult:
     """1% noise, annual sampling: recovered k-ratio within 1% of 4.2."""
     years = tuple(float(y) for y in range(1000, 1951))
-    spec = GeneratorSpec(
-        "spliced-two-hyperbolic", _SPLICE_PARAMS, years, noise=0.01, seed=42
-    )
-    seg = segment_two_hyperbolic(generate(spec))
+    (series,) = _noisy_series("spliced-two-hyperbolic", _SPLICE_PARAMS, years, (42,))
+    seg = segment_two_hyperbolic(series)
     if seg.k_ratio is None:
         return CheckResult("two-regime noisy k-ratio (1%)", False, "no valid k-ratio")
-    rel = abs(seg.k_ratio - 4.2) / 4.2
+    rel = abs(float(seg.k_ratio) - 4.2) / 4.2
     return CheckResult(
         "two-regime noisy k-ratio (within 1% of 4.2)",
         rel < 0.01,
@@ -327,8 +310,8 @@ def check_automatic_window() -> CheckResult:
     for kind, params in (("hyperbolic-then-slower", _SLOWER_PARAMS),
                          ("hyperbolic", {"a": 1.0, "k": 4.0e-4})):
         for grid, (years, k_tol) in grids.items():
-            fits = [best_fit(generate(GeneratorSpec(kind, params, years, noise=0.01, seed=seed)),
-                             None, DEFAULT_WEIGHTING) for seed in range(seeds)]
+            fits = [best_fit(s, None, DEFAULT_WEIGHTING)
+                    for s in _noisy_series(kind, params, years, range(seeds))]
             k_err = max(abs(f.model.k / params["k"] - 1) for f in fits)
             if k_err > k_tol:
                 problems.append(f"{kind} {grid}: k off by {k_err:.1%}")

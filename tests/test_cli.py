@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -213,6 +214,19 @@ class TestReport:
         )
         assert code == 1
         assert "A" in err
+
+    # A two-regime region whose series falls has no hyperbolic side.
+    def test_region_without_a_hyperbolic_regime_sets_exit_one(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("entity,year,value\n" + "".join(
+            f"R,{t},{100 * math.exp(-0.01 * (t - 1000))!r}\n" for t in range(1000, 1100, 5)))
+        cfg = tmp_path / "regions.ini"
+        cfg.write_text("[R]\nmembers = R\ntwo_regime = true\n")
+        code, out, err = run(
+            capsys, "report", "--input", str(data), "--regions-config", str(cfg)
+        )
+        assert (code, err) == (1, "error: R: no hyperbolic regime found for 'R'\n")
+        assert out == report.render_report([], "markdown").decode()
 
     def test_malformed_config_number_is_usage_error(self, spliced_csv, tmp_path, capsys):
         cfg = tmp_path / "regions.ini"

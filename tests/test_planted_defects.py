@@ -1,0 +1,138 @@
+"""Planted defects: every check of the acceptance battery can fail.
+
+For each check in ``run_all_checks``, one named, plausible defect is planted
+with ``monkeypatch`` on a name that the check looks up in
+``hypergrowth.acceptance`` when it runs: a library function whose result is
+altered, or a table of published constants.  With the defect, the check must
+report FAIL with the detail given here.  The two checks that take a trial
+count run at 20 trials.  Without a defect, every check passes in
+``test_acceptance.py``, and at 20 trials in ``test_cli.py::TestVerify``.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from hypergrowth import acceptance
+from hypergrowth.acceptance import CheckResult, run_all_checks
+from hypergrowth.fit import FitWindow
+from hypergrowth.model import HyperbolicModel
+
+TRIALS = 20
+
+
+def _result(name, change):
+    """Plant ``change`` on what ``acceptance.<name>`` returns."""
+    def plant(monkeypatch):
+        real = getattr(acceptance, name)
+        monkeypatch.setattr(acceptance, name, lambda *args: change(real(*args)))
+    return plant
+
+
+def _constant(name, change):
+    """Plant ``change`` on the published table ``acceptance.<name>``."""
+    def plant(monkeypatch):
+        monkeypatch.setattr(acceptance, name, change(getattr(acceptance, name)))
+    return plant
+
+
+def _window_one_observation_short(monkeypatch):
+    best_fit, fit_hyperbolic = acceptance.best_fit, acceptance.fit_hyperbolic
+
+    def short(series, window, weighting):
+        fit = best_fit(series, window, weighting)
+        earlier = series.years[series.years < fit.window.end_year]
+        return fit_hyperbolic(series, FitWindow(fit.window.start_year, earlier[-1]), weighting)
+    monkeypatch.setattr(acceptance, "best_fit", short)
+
+
+def _break_one_observation_late(monkeypatch):
+    takeoff_test = acceptance.takeoff_test
+
+    def late(series, hypothesis):
+        result = takeoff_test(series, hypothesis)
+        later = series.years[series.years > result.break_year]
+        return replace(result, break_year=float(later[0]))
+    monkeypatch.setattr(acceptance, "takeoff_test", late)
+
+
+DEFECTS = [
+    pytest.param(
+        "check_singularity_arithmetic", (),
+        _constant("REFERENCE_ROWS",
+                  lambda rows: (replace(rows[0], a=rows[0].a * 1.01),) + rows[1:]),
+        "World: 1992 != 1972", id="World's a off by 1%"),
+    pytest.param(
+        "check_proximity_reproduction", (), _result("proximity", lambda p: p - 2),
+        "World: 17/15 != 17; Western Europe: 29/27 != 29; Eastern Europe: 25/22 != 25; "
+        "Former USSR: 27/25 != 27; Asia: 90/88 != 90; Africa (second regime): 22/20 != 22; "
+        "Latin America (second regime): 40/37 != 40",
+        id="proximity two years short"),
+    pytest.param(
+        "check_k_ratios", (),
+        _constant("REFERENCE_K_RATIOS",
+                  lambda ratios: ((ratios[0][0], ratios[0][1] * 1.02) + ratios[0][2:],)
+                  + ratios[1:]),
+        "Africa: 4.311 != 4.2", id="Africa's second-regime k off by 2%"),
+    pytest.param(
+        "check_parameter_recovery_exact", (),
+        _result("fit_hyperbolic", lambda fit: replace(fit, model=HyperbolicModel(
+            fit.model.a, float(np.float32(fit.model.k))))),
+        "uniform: rel err a=2.22e-16 k=2.53e-08; direct: rel err a=4.44e-16 k=2.53e-08",
+        id="k rounded to float32"),
+    pytest.param(
+        "check_parameter_recovery_noisy", (TRIALS,),
+        _result("fit_hyperbolic", lambda fit: replace(fit, model=HyperbolicModel(
+            fit.model.a, fit.model.k * 1.03))),
+        "success rate 0.0%", id="k off by 3%"),
+    pytest.param(
+        "check_diversion_detection", (TRIALS,),
+        _result("detect_diversion",
+                lambda f: f if f is None else replace(f, year=f.year + 1.0)),
+        "hit rate 0.0%, false-positive rate 0.0%, wrong direction 0",
+        id="detection one year late"),
+    pytest.param(
+        "check_two_regime_exact", (),
+        _result("segment_two_hyperbolic",
+                lambda seg: replace(seg, breakpoint_year=seg.breakpoint_year + 10.0)),
+        "breakpoint 1830.0 != 1820", id="breakpoint two grid steps late"),
+    pytest.param(
+        "check_two_regime_noisy", (),
+        _result("segment_two_hyperbolic", lambda seg: replace(seg, k_ratio=seg.k_ratio * 1.02)),
+        "recovered ratio 4.2836 (rel err 1.99%), breakpoint 1824", id="k-ratio off by 2%"),
+    pytest.param(
+        "check_takeoff_verdicts", (), _break_one_observation_late,
+        "break 1820.0 outside halfwidth (shift=0.0); break 1820.0 outside halfwidth (shift=0.0); "
+        "break 1920.0 outside halfwidth (shift=100.0); "
+        "break 1720.0 outside halfwidth (shift=-100.0)",
+        id="takeoff break one observation late"),
+    pytest.param(
+        "check_automatic_window", (), _window_one_observation_short,
+        "hyperbolic-then-slower annual: end at 1955 +-1 in only 46.5%; "
+        "hyperbolic-then-slower sparse: end at 1955 +-1 in only 49.5%; "
+        "hyperbolic annual: full span kept in 0/200",
+        id="automatic window one observation short"),
+    pytest.param(
+        "check_reciprocal_delta_identity", (),
+        _result("reciprocal_delta", lambda d: d * (1.0 + 1e-10)),
+        "max relative discrepancy 1.00e-10", id="reciprocal_delta off by 1e-10 relative"),
+]
+
+
+@pytest.mark.parametrize("check, args, plant, detail", DEFECTS)
+def test_planted_defect_fails_the_check(monkeypatch, check, args, plant, detail):
+    plant(monkeypatch)
+    result = getattr(acceptance, check)(*args)
+    assert result.passed is False
+    assert result.detail == detail
+
+
+def test_every_check_of_the_battery_has_a_planted_defect(monkeypatch):
+    called = []
+    for name in dir(acceptance):
+        if name.startswith("check_"):
+            monkeypatch.setattr(acceptance, name, lambda *args, name=name: called.append(name)
+                                or CheckResult(name, True, ""))
+    run_all_checks(1)
+    assert called == [defect.values[0] for defect in DEFECTS]

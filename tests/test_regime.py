@@ -19,7 +19,7 @@ from hypergrowth import (
     reciprocal_line,
     segment_two_hyperbolic,
 )
-from hypergrowth.acceptance import _diversion_scenario
+from hypergrowth.acceptance import _noisy_series
 from hypergrowth.regime import _MAD_TO_SIGMA, _robust_scale
 from hypergrowth.synth import spliced_models
 
@@ -495,7 +495,10 @@ class TestTrialCalls:
         assert calls == {"series": 1, "median": 0}
 
     def test_diversion_trial(self, calls):
-        assert _diversion_scenario(8, spliced=True) is not None
+        years = tuple(float(y) for y in range(980, 1000))
+        params = {"a": 1.0, "k": 1e-3, "break_year": 995.0, "slow_factor": 0.1}
+        (s,) = _noisy_series("hyperbolic-then-slower", params, years, (8,))
+        assert detect_diversion(s, fit_hyperbolic(s, FitWindow(980.0, 995.0))) is not None
         assert calls == {"series": 1, "median": 0}
 
 

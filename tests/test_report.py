@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ import pytest
 from hypergrowth import (
     AnalysisConfigFile,
     AnalysisReportRow,
+    FitError,
     GeneratorSpec,
     RegionConfig,
     RegionDefinition,
+    RegionErrorEntry,
+    build_region_series,
     format_sci,
     generate,
     parse_long_csv,
@@ -21,6 +25,7 @@ from hypergrowth import (
     run_analysis,
     series_to_long_csv,
 )
+from hypergrowth.report import _study
 
 
 def synthetic_table():
@@ -120,6 +125,19 @@ class TestRunAnalysis:
         assert errors == []
         assert rows == untested
         assert rows[0].takeoff == "" and rows[0].singularity == 1000
+
+    # A falling series: no side of any split fits a hyperbola.
+    def test_two_regime_region_without_a_hyperbolic_side_is_an_error_entry(self):
+        rows = "".join(f"R,{t},{100 * math.exp(-0.01 * (t - 1000))!r}\n"
+                       for t in range(1000, 1100, 5))
+        table = parse_long_csv(("entity,year,value\n" + rows).encode())
+        region = RegionConfig(RegionDefinition("R", ("R",)), two_regime=True)
+        with pytest.raises(FitError) as info:
+            _study(build_region_series(table, region.definition), None, True, "uniform")
+        assert type(info.value) is FitError
+        assert str(info.value) == "no hyperbolic regime found for 'R'"
+        assert run_analysis(table, AnalysisConfigFile(1.0, (region,))) == (
+            [], [RegionErrorEntry("R", "no hyperbolic regime found for 'R'")])
 
 
 ROWS = [
