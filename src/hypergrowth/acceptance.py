@@ -234,11 +234,12 @@ def check_two_regime_noisy() -> CheckResult:
     years = tuple(float(y) for y in range(1000, 1951))
     (series,) = _noisy_series("spliced-two-hyperbolic", _SPLICE_PARAMS, years, (42,))
     seg = segment_two_hyperbolic(series)
+    name = "two-regime noisy k-ratio (within 1% of 4.2)"
     if seg.k_ratio is None:
-        return CheckResult("two-regime noisy k-ratio (1%)", False, "no valid k-ratio")
+        return CheckResult(name, False, "no valid k-ratio")
     rel = abs(float(seg.k_ratio) - 4.2) / 4.2
     return CheckResult(
-        "two-regime noisy k-ratio (within 1% of 4.2)",
+        name,
         rel < 0.01,
         f"recovered ratio {seg.k_ratio:.4f} (rel err {rel:.2%}), "
         f"breakpoint {seg.breakpoint_year:g}",
@@ -351,20 +352,32 @@ def check_reciprocal_delta_identity() -> CheckResult:
     )
 
 
+def _guarded(check, *args) -> CheckResult:
+    """``check(*args)``, or a FAIL naming the ``HypergrowthError`` it raised."""
+    try:
+        return check(*args)
+    except HypergrowthError as exc:
+        return CheckResult(check.__name__, False, f"{type(exc).__name__}: {exc}")
+
+
 def run_all_checks(trials: int = 1000) -> list[CheckResult]:
-    """The full data-free acceptance battery, in criteria order."""
+    """The full data-free acceptance battery, in criteria order.
+
+    A check that raises a ``HypergrowthError`` fails, naming the error, and
+    the battery goes on.
+    """
     return [
-        check_singularity_arithmetic(),
-        check_proximity_reproduction(),
-        check_k_ratios(),
-        check_parameter_recovery_exact(),
-        check_parameter_recovery_noisy(trials),
-        check_diversion_detection(trials),
-        check_two_regime_exact(),
-        check_two_regime_noisy(),
-        check_takeoff_verdicts(),
-        check_automatic_window(),
-        check_reciprocal_delta_identity(),
+        _guarded(check_singularity_arithmetic),
+        _guarded(check_proximity_reproduction),
+        _guarded(check_k_ratios),
+        _guarded(check_parameter_recovery_exact),
+        _guarded(check_parameter_recovery_noisy, trials),
+        _guarded(check_diversion_detection, trials),
+        _guarded(check_two_regime_exact),
+        _guarded(check_two_regime_noisy),
+        _guarded(check_takeoff_verdicts),
+        _guarded(check_automatic_window),
+        _guarded(check_reciprocal_delta_identity),
     ]
 
 

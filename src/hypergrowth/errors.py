@@ -44,7 +44,8 @@ class NegativeProximityError(HypergrowthError, ValueError):
 
 
 class ParseError(HypergrowthError, ValueError):
-    """Malformed input table or config file, or a name the long CSV cannot hold."""
+    """Malformed input table, config file or report document, or a name the long
+    CSV cannot hold."""
 
 
 class RegionError(HypergrowthError, ValueError):

@@ -17,7 +17,6 @@ only the best is fitted exactly (see ``fit``).
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,6 @@ _MAD_TO_SIGMA = 1.4826
 # detect_diversion's defaults: the run length m and the threshold tau in robust scales.
 RUN_LENGTH = 2
 TAU = 3.0
-_INF = float("inf")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,50 +81,20 @@ def proximity(model: HyperbolicModel, diversion_year: float) -> int:
 def _middle(lo: float, hi: float, odd: int) -> float:
     """np.median's average of the middle value (``hi``) or pair (``lo``, ``hi``).
 
-    np.median takes it with np.mean, whose sum starts from +0.0.  Starting from
-    it too gives the same signed zeros.
+    np.median's sum starts from +0.0, so a median of zeros may differ in sign;
+    ``_robust_scale`` takes absolute deviations, which no sign of zero reaches.
     """
-    return 0.0 + hi if odd else (0.0 + lo + hi) / 2
+    return hi if odd else (lo + hi) / 2
 
 
 def _robust_scale(deltas: np.ndarray, reciprocals: np.ndarray) -> float:
-    """MAD scale of the in-window residuals, else 1e-9 times the largest reciprocal.
-
-    The residuals are sorted once.  Their deviations from the median form two
-    sorted runs: med - s[split - 1 - i] below it, read downward, and
-    s[split + j] - med from it up.  For x < med, med - x is abs(x - med) bit
-    for bit, and a -0.0 deviation vanishes in ``_middle``'s +0.0.  The h
-    smallest deviations take ``a`` from the lower run and h - a from the upper
-    run, and ``a`` is bisected: the MAD's middle pair is the largest taken and
-    the least not taken.
-    """
+    """MAD scale of the in-window residuals, else 1e-9 times the largest reciprocal."""
     s = sorted(deltas.tolist())
     n = len(s)
     h = n // 2
     med = _middle(s[h - 1], s[h], n % 2)
-    split = bisect_left(s, med)
-    # a takes at least h - (n - split) from below, which is > 0 only where the
-    # median overflowed past every residual, and at most h and split.
-    lo = h - n + split
-    if lo < 0:
-        lo = 0
-    hi = h if h < split else split
-    while lo < hi:
-        a = (lo + hi) // 2
-        # Take more from below while its next deviation is less than the last one above.
-        if med - s[split - 1 - a] < s[split + h - 1 - a] - med:
-            lo = a + 1
-        else:
-            hi = a
-    below = split - 1 - lo  # the lower run's next residual; below + 1 is its last taken
-    above = split + h - lo  # the upper run's next residual; above - 1 is its last taken
-    least = med - s[below] if lo < split else _INF
-    if above < n and s[above] - med < least:
-        least = s[above] - med
-    taken = med - s[below + 1] if lo else 0.0  # deviations are >= 0
-    if above > split and s[above - 1] - med > taken:
-        taken = s[above - 1] - med
-    scale = _MAD_TO_SIGMA * _middle(taken, least, n % 2)
+    dev = sorted([abs(x - med) for x in s])
+    scale = _MAD_TO_SIGMA * _middle(dev[h - 1], dev[h], n % 2)
     return scale if scale > 0 else 1e-9 * float(_max(reciprocals))
 
 

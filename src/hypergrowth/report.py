@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
-from .errors import FitError, HypergrowthError, TooFewPointsError
+from .errors import FitError, HypergrowthError, ParseError, TooFewPointsError
 from .fit import DEFAULT_WEIGHTING, FitWindow, best_fit
 from .ingest import AnalysisConfigFile, DatasetTable, _csv_bytes, build_region_series
 from .model import round_half_up
@@ -132,7 +132,7 @@ def render_report(rows, fmt: str = "json") -> bytes:
 
     CSV and markdown share the cells; CSV gives the range as two columns and
     is written by ``ingest._csv_bytes``; markdown gives it as one ``start - end``
-    cell.
+    cell, and writes each ``|`` in a cell as ``\\|``.
     """
     if fmt == "json":
         doc = {
@@ -151,12 +151,26 @@ def render_report(rows, fmt: str = "json") -> bytes:
     if fmt == "csv":
         return _csv_bytes(table)
     table.insert(1, ("---",) * len(table[0]))
-    return "".join(f"| {' | '.join(map(str, cells))} |\n" for cells in table).encode("utf-8")
+    lines = (" | ".join(str(c).replace("|", r"\|") for c in cells) for cells in table)
+    return "".join(f"| {line} |\n" for line in lines).encode("utf-8")
+
+
+_FIELDS = {f.name for f in fields(AnalysisReportRow)}
 
 
 def parse_report_json(data: bytes) -> list[AnalysisReportRow]:
-    """Inverse of render_report(fmt='json')."""
+    """Inverse of render_report(fmt='json'); a malformed document is a ParseError."""
     doc = json.loads(data.decode("utf-8"))
+    if not isinstance(doc, dict):
+        raise ParseError("report document is not a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
+        raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
+    if not isinstance(doc.get("rows"), list):
+        raise ParseError("report document has no 'rows' list")
+    for i, row in enumerate(doc["rows"]):
+        if not isinstance(row, dict):
+            raise ParseError(f"report row {i} is not a JSON object")
+        if row.keys() != _FIELDS:
+            raise ParseError(f"report row {i}: missing fields {sorted(_FIELDS - row.keys())}, "
+                             f"unknown fields {sorted(row.keys() - _FIELDS)}")
     return [AnalysisReportRow(**row) for row in doc["rows"]]

@@ -455,6 +455,26 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "45ec12655447952b3305fc9a7294356e36c1db2eaa32138ab5ed26d51721ee83")
 
+    # A check that raises a library error fails, naming it, and the battery
+    # still prints: here a best_fit that never shortens the window.
+    def test_check_raising_a_library_error_fails_and_the_battery_prints(self, monkeypatch,
+                                                                        capsys):
+        from hypergrowth import acceptance
+
+        def whole_span(series, window, weighting):
+            span = fit.FitWindow(float(series.years[0]), float(series.years[-1]))
+            return acceptance.fit_hyperbolic(series, span, weighting)
+        monkeypatch.setattr(acceptance, "best_fit", whole_span)
+        code, out, err = run(capsys, "verify", "--trials", "5")
+        *checks, summary = out.splitlines()
+        assert len(checks) == 11 and err == ""
+        assert [line[:4] for line in checks] == ["PASS"] * 9 + ["FAIL", "PASS"]
+        assert checks[9] == (
+            "FAIL  check_automatic_window: SingularityInWindowError: fitted singularity "
+            "1976.05 lies inside the window ending 2008.0")
+        assert summary == "10/11 checks passed"
+        assert code == 1
+
     # World GDP in millions, the Maddison unit that --unit-scale's 1e-3 default
     # converts: the reference world curve, slower after 1955, plus an AD 1
     # observation 77% (passes) or 1% (fails) above the curve, or none (fails).

@@ -136,3 +136,22 @@ def test_every_check_of_the_battery_has_a_planted_defect(monkeypatch):
                                 or CheckResult(name, True, ""))
     run_all_checks(1)
     assert called == [defect.values[0] for defect in DEFECTS]
+
+
+def test_two_regime_noisy_without_a_k_ratio_fails_under_its_name(monkeypatch):
+    _result("segment_two_hyperbolic", lambda seg: replace(seg, k_ratio=None))(monkeypatch)
+    assert acceptance.check_two_regime_noisy() == CheckResult(
+        "two-regime noisy k-ratio (within 1% of 4.2)", False, "no valid k-ratio")
+
+
+# A HypergrowthError turns its check to FAIL (see test_cli.py::TestVerify);
+# any other exception stops the battery.
+def test_any_other_exception_of_a_check_propagates(monkeypatch):
+    with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+        run_all_checks(0)
+
+    def broken():
+        raise KeyError("a")
+    monkeypatch.setattr(acceptance, "check_k_ratios", broken)
+    with pytest.raises(KeyError):
+        run_all_checks(1)

@@ -3,7 +3,9 @@
 import csv
 import dataclasses
 import io
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypergrowth import (
     AnalysisReportRow,
     FitError,
     GeneratorSpec,
+    ParseError,
     RegionConfig,
     RegionDefinition,
     RegionErrorEntry,
@@ -194,6 +197,45 @@ class TestRenderReport:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             render_report(ROWS, "yaml")
+
+    def test_markdown_escapes_a_pipe_in_a_cell(self):
+        # Unescaped, "[Asia | Pacific]" gave a row of 8 cells under 7 headers.
+        rows = [dataclasses.replace(ROWS[0], region="[Asia | Pacific]"), ROWS[1]]
+        header, _, row, _ = render_report(rows, "markdown").decode().splitlines()
+        cells = re.split(r"(?<!\\)\|", header), re.split(r"(?<!\\)\|", row)
+        assert [len(c) for c in cells] == [9, 9]  # 7 cells and the two empty ends
+        assert row == r"| [Asia \| Pacific] | 1.684e-2 | 8.539e-6 | 1000 - 1955 | 1972 | 17 | X |"
+        csv_row = render_report(rows, "csv").decode().splitlines()[1]
+        assert csv_row == "[Asia | Pacific],1.684e-2,8.539e-6,1000,1955,1972,17,X"
+        assert parse_report_json(render_report(rows, "json")) == rows
+
+
+def _report_doc(**changes):
+    doc = json.loads(render_report(ROWS, "json"))
+    doc.update(changes)
+    return json.dumps(doc).encode()
+
+
+_ROW = dataclasses.asdict(ROWS[0])
+
+
+class TestParseReportJson:
+    @pytest.mark.parametrize("data, message", [
+        (b"[]", "report document is not a JSON object"),
+        (_report_doc(schema_version=2), "unsupported schema_version 2"),
+        (b'{"schema_version": 1}', "report document has no 'rows' list"),
+        (_report_doc(rows={"0": _ROW}), "report document has no 'rows' list"),
+        (_report_doc(rows=[_ROW, "World"]), "report row 1 is not a JSON object"),
+        (_report_doc(rows=[_ROW, {k: v for k, v in _ROW.items() if k != "takeoff"}]),
+         "report row 1: missing fields ['takeoff'], unknown fields []"),
+        (_report_doc(rows=[_ROW | {"note": ""}]),
+         "report row 0: missing fields [], unknown fields ['note']"),
+    ], ids=["list", "schema 2", "no rows", "rows an object", "row a string",
+            "row lacks a field", "row with an unknown field"])
+    def test_malformed_document_is_a_parse_error(self, data, message):
+        with pytest.raises(ParseError) as exc:
+            parse_report_json(data)
+        assert str(exc.value) == message
 
 
 class TestFormatSci:
