@@ -57,10 +57,11 @@ REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
     ReferenceRow("Latin America (second regime)", 1.570e0, 8.224e-4, 1600, 1870, 1910, 1870, 40),
 )
 
-REFERENCE_K_RATIOS = (
-    ("Africa", 2.126e-4, 5.030e-5, 4.2),
-    ("Latin America", 8.224e-4, 2.093e-4, 3.9),
-)
+# Published second-to-first-regime k ratios; both k's come from REFERENCE_ROWS.
+REFERENCE_K_RATIOS = (("Africa", 4.2), ("Latin America", 3.9))
+
+# World's published parameters, which the synthetic world-like shapes use.
+_WORLD = {"a": REFERENCE_ROWS[0].a, "k": REFERENCE_ROWS[0].k}
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,11 @@ class CheckResult:
     detail: str
 
 
+def _verdict(name: str, problems: list, ok: str) -> CheckResult:
+    """PASS with ``ok`` when there are no ``problems``, else FAIL listing them."""
+    return CheckResult(name, not problems, "; ".join(problems) or ok)
+
+
 def check_singularity_arithmetic() -> CheckResult:
     """round(a/k) matches the published singularity within +-1 year."""
     failures = []
@@ -77,11 +83,8 @@ def check_singularity_arithmetic() -> CheckResult:
         computed = round_half_up(HyperbolicModel(row.a, row.k).singularity_year)
         if abs(computed - row.singularity) > 1:
             failures.append(f"{row.region}: {computed} != {row.singularity}")
-    return CheckResult(
-        "singularity arithmetic (10 reference rows, +-1 year)",
-        not failures,
-        "; ".join(failures) or f"all {len(REFERENCE_ROWS)} rows match",
-    )
+    return _verdict("singularity arithmetic (10 reference rows, +-1 year)", failures,
+                    f"all {len(REFERENCE_ROWS)} rows match")
 
 
 def check_proximity_reproduction() -> CheckResult:
@@ -95,28 +98,21 @@ def check_proximity_reproduction() -> CheckResult:
         direct = row.singularity - round_half_up(row.diversion_year)
         via_model = proximity(HyperbolicModel(row.a, row.k), row.diversion_year)
         if abs(direct - row.proximity) > 1 or abs(via_model - row.proximity) > 1:
-            failures.append(
-                f"{row.region}: {direct}/{via_model} != {row.proximity}"
-            )
-    return CheckResult(
-        "proximity reproduction (8 diversions, +-1 year)",
-        not failures,
-        "; ".join(failures) or f"all {checked} proximities match",
-    )
+            failures.append(f"{row.region}: {direct}/{via_model} != {row.proximity}")
+    return _verdict("proximity reproduction (8 diversions, +-1 year)", failures,
+                    f"all {checked} proximities match")
 
 
 def check_k_ratios() -> CheckResult:
     """Second-to-first-regime k ratios match the published factors +-0.05."""
+    k = {row.region: row.k for row in REFERENCE_ROWS}
     failures = []
-    for region, k2, k1, expected in REFERENCE_K_RATIOS:
-        ratio = k2 / k1
+    for region, expected in REFERENCE_K_RATIOS:
+        ratio = k[f"{region} (second regime)"] / k[f"{region} (first regime)"]
         if abs(ratio - expected) > 0.05:
             failures.append(f"{region}: {ratio:.3f} != {expected}")
-    return CheckResult(
-        "two-regime k ratios (+-0.05)",
-        not failures,
-        "; ".join(failures) or "4.2 and 3.9 reproduced",
-    )
+    return _verdict("two-regime k ratios (+-0.05)", failures,
+                    " and ".join(str(r) for _, r in REFERENCE_K_RATIOS) + " reproduced")
 
 
 def check_parameter_recovery_exact() -> CheckResult:
@@ -131,11 +127,8 @@ def check_parameter_recovery_exact() -> CheckResult:
         err_k = abs(fit.model.k - k) / k
         if err_a > 1e-9 or err_k > 1e-9:
             failures.append(f"{weighting}: rel err a={err_a:.2e} k={err_k:.2e}")
-    return CheckResult(
-        "exact parameter recovery (noiseless, both weightings, 1e-9 rel)",
-        not failures,
-        "; ".join(failures) or "recovered to 1e-9 relative",
-    )
+    return _verdict("exact parameter recovery (noiseless, both weightings, 1e-9 rel)", failures,
+                    "recovered to 1e-9 relative")
 
 
 def _trial_count(trials) -> int:
@@ -222,11 +215,8 @@ def check_two_regime_exact() -> CheckResult:
                 rel = abs(getattr(fitted, p) - getattr(truth, p)) / getattr(truth, p)
                 if rel > 1e-9:
                     problems.append(f"{name} regime {p} rel err {rel:.2e}")
-    return CheckResult(
-        "two-regime exact recovery (noiseless, 1e-9 rel)",
-        not problems,
-        "; ".join(problems) or "breakpoint 1820 and both models recovered",
-    )
+    return _verdict("two-regime exact recovery (noiseless, 1e-9 rel)", problems,
+                    "breakpoint 1820 and both models recovered")
 
 
 def check_two_regime_noisy() -> CheckResult:
@@ -246,55 +236,37 @@ def check_two_regime_noisy() -> CheckResult:
     )
 
 
-def _takeoff_grid() -> tuple[float, ...]:
-    grid = sorted(set(maddison_year_grid()) | {1750.0})
-    return tuple(grid)
+_TAKEOFF_YEARS = tuple(sorted(set(maddison_year_grid()) | {1750.0}))
 
-
-def _stagnation_series(scale=1.0, shift=0.0) -> YearValueSeries:
-    years = tuple(y + shift for y in _takeoff_grid())
-    spec = GeneratorSpec(
-        "stagnation-then-takeoff",
-        {"level": scale, "break_year": 1750.0 + shift, "rate": 0.02},
-        years,
-    )
-    return generate(spec)
-
-
-def _hyperbolic_series(scale=1.0, shift=0.0) -> YearValueSeries:
-    base_years = tuple(y for y in _takeoff_grid() if y < 1971)
-    spec = GeneratorSpec("hyperbolic", {"a": 1.684e-2, "k": 8.539e-6}, base_years)
-    s = generate(spec)
-    return YearValueSeries(s.years + shift, s.values * scale, s.label)
+# The takeoff check's shapes on the base grid at scale 1 and no shift: name,
+# generator kind, parameters and years.  Only the first is a takeoff.
+_TAKEOFF_SHAPES = (
+    ("stagnation-takeoff", "stagnation-then-takeoff",
+     {"level": 1.0, "break_year": 1750.0, "rate": 0.02}, _TAKEOFF_YEARS),
+    ("pure hyperbolic", "hyperbolic", _WORLD, tuple(y for y in _TAKEOFF_YEARS if y < 1971)),
+    ("constant series", "constant", {"level": 5.0}, _TAKEOFF_YEARS),
+)
 
 
 def check_takeoff_verdicts() -> CheckResult:
     """Positive on the stagnation-takeoff shape at 1750, negative on
     hyperbolic and constant shapes; stable under rescaling and year shifts."""
+    shapes = [(name, generate(GeneratorSpec(kind, params, years)))
+              for name, kind, params, years in _TAKEOFF_SHAPES]
     problems = []
     for scale, shift in ((1.0, 0.0), (1e3, 0.0), (1.0, 100.0), (1.0, -100.0)):
         hyp = TakeoffHypothesis(1750.0 + shift)
-        r = takeoff_test(_stagnation_series(scale, shift), hyp)
-        if not r.positive:
-            problems.append(f"stagnation-takeoff negative at scale={scale} shift={shift}")
-        elif abs(r.break_year - (1750.0 + shift)) > hyp.search_halfwidth:
-            problems.append(f"break {r.break_year} outside halfwidth (shift={shift})")
-        r = takeoff_test(_hyperbolic_series(scale, shift), hyp)
-        if r.positive:
-            problems.append(f"pure hyperbolic positive at scale={scale} shift={shift}")
-        const_years = tuple(y + shift for y in _takeoff_grid())
-        const = generate(GeneratorSpec("constant", {"level": 5.0 * scale}, const_years))
-        r = takeoff_test(const, hyp)
-        if r.positive:
-            problems.append(f"constant series positive at scale={scale} shift={shift}")
-    return CheckResult(
-        "takeoff verdicts (positive/negative + rescale/shift stability)",
-        not problems,
-        "; ".join(problems) or "all verdicts correct and stable",
-    )
+        for i, (name, s) in enumerate(shapes):
+            r = takeoff_test(YearValueSeries(s.years + shift, s.values * scale, s.label), hyp)
+            if r.positive != (i == 0):
+                problems.append(f"{name} {r.verdict} at scale={scale} shift={shift}")
+            elif i == 0 and abs(r.break_year - hyp.predicted_year) > hyp.search_halfwidth:
+                problems.append(f"break {r.break_year} outside halfwidth (shift={shift})")
+    return _verdict("takeoff verdicts (positive/negative + rescale/shift stability)", problems,
+                    "all verdicts correct and stable")
 
 
-_SLOWER_PARAMS = {"a": 1.684e-2, "k": 8.539e-6, "break_year": 1955.0, "slow_factor": 0.4}
+_SLOWER_PARAMS = _WORLD | {"break_year": 1955.0, "slow_factor": 0.4}
 
 
 def check_automatic_window() -> CheckResult:
@@ -326,11 +298,8 @@ def check_automatic_window() -> CheckResult:
             notes.append(f"{kind} {grid}: end at 1955 +-1 in {near:.1%}, k within {k_err:.1%}")
             if near < 0.9:
                 problems.append(f"{kind} {grid}: end at 1955 +-1 in only {near:.1%}")
-    return CheckResult(
-        f"automatic window ({seeds} seeds per shape and grid, 1% noise)",
-        not problems,
-        "; ".join(problems or notes),
-    )
+    return _verdict(f"automatic window ({seeds} seeds per shape and grid, 1% noise)", problems,
+                    "; ".join(notes))
 
 
 def check_reciprocal_delta_identity() -> CheckResult:
@@ -413,5 +382,4 @@ def check_world_reproduction(table: DatasetTable) -> CheckResult:
         dev = relative_deviation(1.0, ad1[0], fit.model)
         if not (70.0 <= dev <= 85.0):
             problems.append(f"AD 1 deviation {dev} outside [70%, 85%]")
-    return CheckResult(name, not problems,
-                       "; ".join(problems) or "parameters, diversion and AD 1 deviation reproduced")
+    return _verdict(name, problems, "parameters, diversion and AD 1 deviation reproduced")

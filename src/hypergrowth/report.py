@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import contextlib
 import json
+import re
 from dataclasses import asdict, dataclass, fields
 
-from .errors import FitError, HypergrowthError, ParseError, TooFewPointsError
+from .errors import FitError, HypergrowthError, ParseError, TooFewPointsError, _finite
 from .fit import DEFAULT_WEIGHTING, FitWindow, best_fit
 from .ingest import AnalysisConfigFile, DatasetTable, _csv_bytes, build_region_series
 from .model import round_half_up
@@ -120,6 +121,8 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+_MD_LINE_BREAK = re.compile(r"\r\n?|\n")
+
 _HEADERS = {
     "csv": ("region", "a", "k", "range_start", "range_end", "singularity", "proximity",
             "takeoff"),
@@ -132,7 +135,8 @@ def render_report(rows, fmt: str = "json") -> bytes:
 
     CSV and markdown share the cells; CSV gives the range as two columns and
     is written by ``ingest._csv_bytes``; markdown gives it as one ``start - end``
-    cell, and writes each ``|`` in a cell as ``\\|``.
+    cell, and writes each ``|`` in a cell as ``\\|`` and each CR LF, CR or LF as
+    ``<br>``, so that every row stays on one line.
     """
     if fmt == "json":
         doc = {
@@ -151,15 +155,28 @@ def render_report(rows, fmt: str = "json") -> bytes:
     if fmt == "csv":
         return _csv_bytes(table)
     table.insert(1, ("---",) * len(table[0]))
-    lines = (" | ".join(str(c).replace("|", r"\|") for c in cells) for cells in table)
+    lines = (" | ".join(_MD_LINE_BREAK.sub("<br>", str(c).replace("|", r"\|")) for c in cells)
+             for cells in table)
     return "".join(f"| {line} |\n" for line in lines).encode("utf-8")
 
 
-_FIELDS = {f.name for f in fields(AnalysisReportRow)}
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# What each annotated type of a row field admits in a JSON report, and its name.
+_JSON_TYPES = {
+    "str": (lambda v: isinstance(v, str), "text"),
+    "float": (lambda v: not isinstance(v, bool) and _finite(v), "a finite number"),
+    "int": (_integer, "an integer"),
+    "int | None": (lambda v: v is None or _integer(v), "an integer or null"),
+}
+_FIELDS = {f.name: _JSON_TYPES[f.type] for f in fields(AnalysisReportRow)}
 
 
 def parse_report_json(data: bytes) -> list[AnalysisReportRow]:
-    """Inverse of render_report(fmt='json'); a malformed document is a ParseError."""
+    """Inverse of render_report(fmt='json'); a malformed document, or a field of
+    the wrong type, is a ParseError."""
     doc = json.loads(data.decode("utf-8"))
     if not isinstance(doc, dict):
         raise ParseError("report document is not a JSON object")
@@ -170,7 +187,11 @@ def parse_report_json(data: bytes) -> list[AnalysisReportRow]:
     for i, row in enumerate(doc["rows"]):
         if not isinstance(row, dict):
             raise ParseError(f"report row {i} is not a JSON object")
-        if row.keys() != _FIELDS:
-            raise ParseError(f"report row {i}: missing fields {sorted(_FIELDS - row.keys())}, "
-                             f"unknown fields {sorted(row.keys() - _FIELDS)}")
+        if row.keys() != _FIELDS.keys():
+            raise ParseError(f"report row {i}: missing fields "
+                             f"{sorted(_FIELDS.keys() - row.keys())}, "
+                             f"unknown fields {sorted(row.keys() - _FIELDS.keys())}")
+        for name, (admits, kind) in _FIELDS.items():
+            if not admits(row[name]):
+                raise ParseError(f"report row {i}: {name} {row[name]!r} is not {kind}")
     return [AnalysisReportRow(**row) for row in doc["rows"]]

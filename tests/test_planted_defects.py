@@ -71,9 +71,10 @@ DEFECTS = [
         id="proximity two years short"),
     pytest.param(
         "check_k_ratios", (),
-        _constant("REFERENCE_K_RATIOS",
-                  lambda ratios: ((ratios[0][0], ratios[0][1] * 1.02) + ratios[0][2:],)
-                  + ratios[1:]),
+        _constant("REFERENCE_ROWS",
+                  lambda rows: tuple(replace(r, k=r.k * 1.02)
+                                     if r.region == "Africa (second regime)" else r
+                                     for r in rows)),
         "Africa: 4.311 != 4.2", id="Africa's second-regime k off by 2%"),
     pytest.param(
         "check_parameter_recovery_exact", (),
@@ -136,6 +137,32 @@ def test_every_check_of_the_battery_has_a_planted_defect(monkeypatch):
                                 or CheckResult(name, True, ""))
     run_all_checks(1)
     assert called == [defect.values[0] for defect in DEFECTS]
+
+
+def _takeoff_negative_when(monkeypatch, wrong):
+    """Plant ``takeoff_test`` reading negative on each series where ``wrong(series, hyp)``."""
+    takeoff_test = acceptance.takeoff_test
+
+    def planted(series, hypothesis):
+        result = takeoff_test(series, hypothesis)
+        return replace(result, verdict="negative") if wrong(series, hypothesis) else result
+    monkeypatch.setattr(acceptance, "takeoff_test", planted)
+
+
+# The rescaled and the shifted cases of the takeoff check can each fail alone.
+def test_takeoff_verdicts_fail_when_only_the_rescaled_stagnation_reads_negative(monkeypatch):
+    _takeoff_negative_when(monkeypatch, lambda series, hyp: series.values[0] > 100)
+    assert acceptance.check_takeoff_verdicts() == CheckResult(
+        "takeoff verdicts (positive/negative + rescale/shift stability)", False,
+        "stagnation-takeoff negative at scale=1000.0 shift=0.0")
+
+
+def test_takeoff_verdicts_fail_when_only_the_shifted_stagnation_reads_negative(monkeypatch):
+    _takeoff_negative_when(monkeypatch, lambda series, hyp: hyp.predicted_year != 1750.0)
+    assert acceptance.check_takeoff_verdicts() == CheckResult(
+        "takeoff verdicts (positive/negative + rescale/shift stability)", False,
+        "stagnation-takeoff negative at scale=1.0 shift=100.0; "
+        "stagnation-takeoff negative at scale=1.0 shift=-100.0")
 
 
 def test_two_regime_noisy_without_a_k_ratio_fails_under_its_name(monkeypatch):

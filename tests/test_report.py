@@ -209,6 +209,23 @@ class TestRenderReport:
         assert csv_row == "[Asia | Pacific],1.684e-2,8.539e-6,1000,1955,1972,17,X"
         assert parse_report_json(render_report(rows, "json")) == rows
 
+    @pytest.mark.parametrize("name", ["North\nSouth", "North\rSouth", "North\r\nSouth"])
+    def test_markdown_keeps_a_line_break_in_a_cell_inside_its_row(self, name):
+        # Unreplaced, "North\nSouth" split its row over two lines.
+        rows = [dataclasses.replace(ROWS[0], region=name)]
+        text = render_report(rows, "markdown").decode()
+        assert text.count("\n") == 3
+        row = text.splitlines()[2]
+        assert len(re.split(r"(?<!\\)\|", row)) == 9  # 7 cells and the two empty ends
+        assert row == "| North<br>South | 1.684e-2 | 8.539e-6 | 1000 - 1955 | 1972 | 17 | X |"
+        parsed = list(csv.reader(io.StringIO(render_report(rows, "csv").decode())))
+        assert parsed[1][0] == name
+        assert parse_report_json(render_report(rows, "json")) == rows
+
+    def test_analysed_rows_parse_back(self):
+        rows, _ = run_analysis(synthetic_table(), config())
+        assert parse_report_json(render_report(rows, "json")) == rows
+
 
 def _report_doc(**changes):
     doc = json.loads(render_report(ROWS, "json"))
@@ -235,6 +252,24 @@ class TestParseReportJson:
     def test_malformed_document_is_a_parse_error(self, data, message):
         with pytest.raises(ParseError) as exc:
             parse_report_json(data)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("region", 5, "report row 1: region 5 is not text"),
+        ("a", "x", "report row 1: a 'x' is not a finite number"),
+        ("k", True, "report row 1: k True is not a finite number"),
+        ("range_start", None, "report row 1: range_start None is not a finite number"),
+        ("range_end", float("inf"), "report row 1: range_end inf is not a finite number"),
+        ("singularity", 1972.0, "report row 1: singularity 1972.0 is not an integer"),
+        ("singularity", True, "report row 1: singularity True is not an integer"),
+        ("proximity", "17", "report row 1: proximity '17' is not an integer or null"),
+        ("takeoff", None, "report row 1: takeoff None is not text"),
+    ])
+    def test_field_of_the_wrong_type_is_a_parse_error(self, field, value, message):
+        # Before, {"a": "x"} parsed, and render_report(rows, "csv") then
+        # raised a bare ValueError.
+        with pytest.raises(ParseError) as exc:
+            parse_report_json(_report_doc(rows=[_ROW, _ROW | {field: value}]))
         assert str(exc.value) == message
 
 
