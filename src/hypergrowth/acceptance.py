@@ -17,12 +17,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import HypergrowthError
 from .fit import DEFAULT_WEIGHTING, WEIGHTINGS, FitWindow, best_fit, fit_hyperbolic
 from .ingest import DatasetTable, RegionDefinition, build_region_series
-from .model import HyperbolicModel, reciprocal_delta, relative_deviation, round_half_up
+from .model import HyperbolicModel, relative_deviation, round_half_up
 from .regime import detect_diversion, proximity, segment_two_hyperbolic
 from .report import _study
 from .series import YearValueSeries
@@ -302,25 +300,6 @@ def check_automatic_window() -> CheckResult:
                     "; ".join(notes))
 
 
-def check_reciprocal_delta_identity() -> CheckResult:
-    """-(s2-s1)/(s1*s2) equals 1/s2 - 1/s1 to 1e-12 relative, 1e6 pairs."""
-    n = 1_000_000
-    rng = np.random.default_rng(7)
-    s1 = np.exp(rng.uniform(-6, 6, n))
-    s2 = np.exp(rng.uniform(-6, 6, n))
-    product_form = reciprocal_delta(s1, s2)
-    direct = 1.0 / s2 - 1.0 / s1
-    # Both forms approach zero when s1 ~ s2, so "relative" is judged against
-    # the reciprocal magnitudes, the natural scale of the identity.
-    scale = np.maximum(1.0 / s1, 1.0 / s2)
-    max_rel = float(np.max(np.abs(product_form - direct) / scale))
-    return CheckResult(
-        f"reciprocal-difference identity ({n} pairs, 1e-12 rel)",
-        max_rel < 1e-12,
-        f"max relative discrepancy {max_rel:.2e}",
-    )
-
-
 def _guarded(check, *args) -> CheckResult:
     """``check(*args)``, or a FAIL naming the ``HypergrowthError`` it raised."""
     try:
@@ -346,7 +325,6 @@ def run_all_checks(trials: int = 1000) -> list[CheckResult]:
         _guarded(check_two_regime_noisy),
         _guarded(check_takeoff_verdicts),
         _guarded(check_automatic_window),
-        _guarded(check_reciprocal_delta_identity),
     ]
 
 

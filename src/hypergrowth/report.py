@@ -175,9 +175,13 @@ _FIELDS = {f.name: _JSON_TYPES[f.type] for f in fields(AnalysisReportRow)}
 
 
 def parse_report_json(data: bytes) -> list[AnalysisReportRow]:
-    """Inverse of render_report(fmt='json'); a malformed document, or a field of
-    the wrong type, is a ParseError."""
-    doc = json.loads(data.decode("utf-8"))
+    """Inverse of render_report(fmt='json'); bytes that are not UTF-8 JSON, a
+    malformed document, or a field of the wrong type, are a ParseError."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"report document is not UTF-8 JSON ({type(exc).__name__}: "
+                         f"{exc})") from None
     if not isinstance(doc, dict):
         raise ParseError("report document is not a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:

@@ -21,7 +21,6 @@ from hypergrowth.acceptance import (
     check_parameter_recovery_exact,
     check_parameter_recovery_noisy,
     check_proximity_reproduction,
-    check_reciprocal_delta_identity,
     check_singularity_arithmetic,
     check_takeoff_verdicts,
     check_two_regime_exact,
@@ -86,10 +85,6 @@ def test_takeoff_verdicts():
 
 def test_automatic_window():
     assert_check(check_automatic_window())
-
-
-def test_reciprocal_delta_identity():
-    assert_check(check_reciprocal_delta_identity())
 
 
 @pytest.mark.skipif(

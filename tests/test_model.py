@@ -88,6 +88,19 @@ class TestReciprocalTransform:
         np.testing.assert_allclose(recip, model.a - model.k * years, rtol=1e-12)
 
 
+def _identity_discrepancy(delta):
+    """Largest |delta(s1, s2) - (1/s2 - 1/s1)| over 1e6 pairs, relative to the reciprocals.
+
+    Both forms approach zero when s1 ~ s2, so the discrepancy is judged
+    against max(1/s1, 1/s2), the natural scale of the identity.
+    """
+    rng = np.random.default_rng(7)
+    s1 = np.exp(rng.uniform(-6, 6, 1_000_000))
+    s2 = np.exp(rng.uniform(-6, 6, 1_000_000))
+    scale = np.maximum(1.0 / s1, 1.0 / s2)
+    return float(np.max(np.abs(delta(s1, s2) - (1.0 / s2 - 1.0 / s1)) / scale))
+
+
 class TestReciprocalDelta:
     def test_simple_pair(self):
         assert reciprocal_delta(2.0, 4.0) == pytest.approx(-0.25)
@@ -107,6 +120,17 @@ class TestReciprocalDelta:
     def test_rejects_nonpositive(self):
         with pytest.raises(SeriesError):
             reciprocal_delta(-1.0, 2.0)
+
+    def test_identity_holds_to_1e_12_relative(self):
+        discrepancy = _identity_discrepancy(reciprocal_delta)
+        assert f"{discrepancy:.2e}" == "4.44e-16"
+        assert discrepancy < 1e-12
+
+    def test_off_by_1e_10_relative_breaks_the_identity(self):
+        discrepancy = _identity_discrepancy(
+            lambda s1, s2: reciprocal_delta(s1, s2) * (1.0 + 1e-10))
+        assert f"{discrepancy:.2e}" == "1.00e-10"
+        assert not discrepancy < 1e-12
 
 
 class TestRelativeDeviation:

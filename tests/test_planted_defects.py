@@ -114,10 +114,6 @@ DEFECTS = [
         "hyperbolic-then-slower sparse: end at 1955 +-1 in only 49.5%; "
         "hyperbolic annual: full span kept in 0/200",
         id="automatic window one observation short"),
-    pytest.param(
-        "check_reciprocal_delta_identity", (),
-        _result("reciprocal_delta", lambda d: d * (1.0 + 1e-10)),
-        "max relative discrepancy 1.00e-10", id="reciprocal_delta off by 1e-10 relative"),
 ]
 
 

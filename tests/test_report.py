@@ -247,8 +247,16 @@ class TestParseReportJson:
          "report row 1: missing fields ['takeoff'], unknown fields []"),
         (_report_doc(rows=[_ROW | {"note": ""}]),
          "report row 0: missing fields [], unknown fields ['note']"),
+        (b"{", "report document is not UTF-8 JSON (JSONDecodeError: Expecting property name "
+               "enclosed in double quotes: line 1 column 2 (char 1))"),
+        (b"\xff", "report document is not UTF-8 JSON (UnicodeDecodeError: 'utf-8' codec "
+                  "can't decode byte 0xff in position 0: invalid start byte)"),
+        (b"[" * 100_000, "report document is not UTF-8 JSON (RecursionError: maximum "
+                         "recursion depth exceeded while decoding a JSON array from a "
+                         "unicode string)"),
     ], ids=["list", "schema 2", "no rows", "rows an object", "row a string",
-            "row lacks a field", "row with an unknown field"])
+            "row lacks a field", "row with an unknown field", "not JSON", "not UTF-8",
+            "nested too deep"])
     def test_malformed_document_is_a_parse_error(self, data, message):
         with pytest.raises(ParseError) as exc:
             parse_report_json(data)
