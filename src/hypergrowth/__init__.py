@@ -7,6 +7,7 @@ tests for the takeoff-from-stagnation signature.
 """
 
 from .errors import (
+    ArgumentError,
     EvaluationDomainError,
     FitError,
     GeneratorError,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .errors import HypergrowthError
+from .errors import ArgumentError, HypergrowthError
 from .fit import DEFAULT_WEIGHTING, WEIGHTINGS, FitWindow, best_fit, fit_hyperbolic
 from .ingest import DatasetTable, RegionDefinition, build_region_series
 from .model import HyperbolicModel, relative_deviation, round_half_up
@@ -130,13 +130,13 @@ def check_parameter_recovery_exact() -> CheckResult:
 
 
 def _trial_count(trials) -> int:
-    """``trials`` as an int >= 1; a float, text or smaller count is a ValueError."""
+    """``trials`` as an int >= 1; a float, text or smaller count is an ArgumentError."""
     try:
         count = operator.index(trials)
     except TypeError:
         count = 0
     if count < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
+        raise ArgumentError(f"trials must be >= 1, got {trials!r}")
     return count
 
 

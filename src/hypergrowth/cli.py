@@ -2,7 +2,7 @@
 
 Subcommands: ``fit``, ``segment``, ``diversion``, ``takeoff``, ``report``,
 ``plot``, ``synth``, ``verify``.  Exit codes: 0 success, 1 analysis/region
-error, 2 usage or config error.
+error, 2 usage or config error, an argument out of range (``ArgumentError``) included.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ import sys
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .errors import GeneratorError, HypergrowthError, ParseError
+from .errors import ArgumentError, GeneratorError, HypergrowthError, ParseError
 from .fit import DEFAULT_WEIGHTING, WEIGHTINGS, FitWindow, best_fit
 from .ingest import (
     DatasetTable,
-    _check_positive,
     _utf8,
     build_region_series,
     parse_long_csv,
@@ -30,7 +29,7 @@ from .ingest import (
 )
 from .model import relative_deviation, round_half_up
 from .plots import build_plot_sheet, plot_sheet_csv, plot_sheet_svg
-from .regime import RUN_LENGTH, TAU, detect_diversion, segment_two_hyperbolic
+from .regime import detect_diversion, segment_two_hyperbolic
 from .report import _json_bytes, _study, render_report, run_analysis
 from .series import YearValueSeries
 from .synth import KINDS, GeneratorSpec, generate, maddison_year_grid
@@ -38,10 +37,8 @@ from .takeoff import SEARCH_HALFWIDTH, TakeoffHypothesis, takeoff_test
 
 USAGE_ERROR = 2
 ANALYSIS_ERROR = 1
-
-
-class CliError(Exception):
-    """A usage error the CLI reports itself (exit 2)."""
+# The most sample years ``synth --years`` builds, a bound on its time and memory.
+MAX_SYNTH_YEARS = 100_000
 
 
 def _write_output(data: bytes, out: str | None):
@@ -71,7 +68,7 @@ def _load_config(args):
     try:
         text = _utf8(Path(args.regions_config).read_bytes())
     except UnicodeDecodeError as exc:
-        raise CliError(f"{args.regions_config}: not UTF-8 text ({exc})") from None
+        raise ArgumentError(f"{args.regions_config}: not UTF-8 text ({exc})") from None
     # Universal newlines, as a text-mode read gives: CRLF and CR end lines too.
     return parse_region_config(text.replace("\r\n", "\n").replace("\r", "\n"))
 
@@ -90,16 +87,16 @@ def _load_series(args) -> YearValueSeries:
     table = _load_table(args, config)
     if config is not None:
         if not args.region:
-            raise CliError("--region is required with --regions-config")
+            raise ArgumentError("--region is required with --regions-config")
         for rc in config.regions:
             if rc.definition.name == args.region:
                 return build_region_series(table, rc.definition)
-        raise CliError(f"region {args.region!r} not in {args.regions_config}")
+        raise ArgumentError(f"region {args.region!r} not in {args.regions_config}")
     if args.region:
         return table.entity_series(args.region)
     if len(table.entities) == 1:
         return table.entity_series(table.entities[0])
-    raise CliError(
+    raise ArgumentError(
         f"input holds {len(table.entities)} entities; select one with --region"
     )
 
@@ -161,13 +158,9 @@ def cmd_segment(args) -> int:
 
 
 def cmd_diversion(args) -> int:
-    if args.run_length < 1:
-        raise CliError(f"--run-length must be >= 1, got {args.run_length}")
-    if not (math.isfinite(args.tau) and args.tau > 0):
-        raise CliError(f"--tau must be finite and > 0, got {args.tau}")
     series = _load_series(args)
     fit = best_fit(series, _window(args), args.weighting)
-    finding = detect_diversion(series, fit, m=args.run_length, tau=args.tau)
+    finding = detect_diversion(series, fit)
     doc = {"fit": _fit_summary(fit), "finding": None}
     if finding is not None:
         doc["finding"] = {
@@ -189,11 +182,8 @@ def cmd_diversion(args) -> int:
 
 
 def cmd_takeoff(args) -> int:
-    if not math.isfinite(args.predicted_year):
-        raise CliError(f"--predicted-year {args.predicted_year:g} is not finite")
-    _check_positive(args.halfwidth, "--halfwidth")
+    hyp = TakeoffHypothesis(args.predicted_year, args.halfwidth)  # a bad flag before the input
     series = _load_series(args)
-    hyp = TakeoffHypothesis(args.predicted_year, args.halfwidth)
     doc = dataclasses.asdict(takeoff_test(series, hyp))
     _write_output(_json_bytes(_sanitize(doc)), args.out)
     return 0
@@ -210,7 +200,7 @@ def _sanitize(obj):
 
 def cmd_report(args) -> int:
     if not args.regions_config:
-        raise CliError("report requires --regions-config")
+        raise ArgumentError("report requires --regions-config")
     config = _load_config(args)
     table = _load_table(args, config)
     rows, errors = run_analysis(table, config, weighting=args.weighting)
@@ -241,12 +231,12 @@ def _parse_params(pairs) -> dict:
     params = {}
     for pair in pairs or ():
         if "=" not in pair:
-            raise CliError(f"--param expects key=value, got {pair!r}")
+            raise ArgumentError(f"--param expects key=value, got {pair!r}")
         key, _, value = pair.partition("=")
         try:
             params[key.strip()] = float(value)
         except ValueError:
-            raise CliError(f"--param {key}: {value!r} is not a number") from None
+            raise ArgumentError(f"--param {key}: {value!r} is not a number") from None
     return params
 
 
@@ -256,18 +246,22 @@ def cmd_synth(args) -> int:
     elif args.years:
         parts = args.years.split(":")
         if len(parts) not in (2, 3):
-            raise CliError(f"--years must be START:END[:STEP], got {args.years!r}")
+            raise ArgumentError(f"--years must be START:END[:STEP], got {args.years!r}")
         try:
             start, end, step = (Decimal(p) for p in parts + ["1"] * (3 - len(parts)))
         except InvalidOperation:
-            raise CliError(f"bad --years {args.years!r}") from None
+            raise ArgumentError(f"bad --years {args.years!r}") from None
         if not (all(d.is_finite() and math.isfinite(float(d)) for d in (start, end, step))
                 and float(step) > 0):
-            raise CliError(f"--years needs finite START, END and STEP > 0, got {args.years!r}")
+            raise ArgumentError(f"--years needs finite START, END and STEP > 0, got {args.years!r}")
+        count = math.floor((end - start) / step) + 1
+        if count > MAX_SYNTH_YEARS:
+            raise ArgumentError(f"--years {args.years!r} gives {count} sample years, "
+                                f"more than {MAX_SYNTH_YEARS}")
         # Each year is START + i*STEP in decimal, so rounding does not build up.
-        years = [float(start + i * step) for i in range(math.floor((end - start) / step) + 1)]
+        years = [float(start + i * step) for i in range(count)]
     else:
-        raise CliError("synth requires --years or --maddison-grid")
+        raise ArgumentError("synth requires --years or --maddison-grid")
     spec = GeneratorSpec(
         kind=args.kind,
         parameters=_parse_params(args.param),
@@ -285,8 +279,6 @@ def cmd_verify(args) -> int:
     # Imported here: no other verb runs the acceptance battery.
     from .acceptance import check_world_reproduction, run_all_checks
 
-    if args.trials < 1:
-        raise CliError(f"--trials must be >= 1, got {args.trials}")
     # The --maddison table is read as --input (see build_parser).
     table = _load_table(args, None) if args.input else None
     results = run_all_checks(trials=args.trials)
@@ -324,12 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     analysis_command("fit", "fit one hyperbolic model and report diagnostics", cmd_fit)
     analysis_command("segment", "split a series into two hyperbolic regimes", cmd_segment)
 
-    p = analysis_command("diversion", "detect departure from a fitted trajectory",
-                         cmd_diversion)
-    p.add_argument("--run-length", type=int, default=RUN_LENGTH, metavar="M",
-                   help="consecutive offending points required")
-    p.add_argument("--tau", type=float, default=TAU,
-                   help="threshold in robust in-window residual scales")
+    analysis_command("diversion", "detect departure from a fitted trajectory", cmd_diversion)
 
     p = analysis_command("takeoff", "test the takeoff-from-stagnation signature", cmd_takeoff)
     p.add_argument("--predicted-year", type=float, required=True)
@@ -381,7 +368,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except (CliError, ParseError, GeneratorError, OSError) as exc:
+    except (ArgumentError, ParseError, GeneratorError, OSError) as exc:
         # OSError: an input that cannot be read or an output that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -11,6 +11,11 @@ def _finite(v) -> bool:
         return False
 
 
+class ArgumentError(ValueError):
+    """An argument out of its range.  No ``HypergrowthError``, so that neither
+    ``run_analysis`` nor the acceptance battery makes it one region's or one check's fault."""
+
+
 class HypergrowthError(Exception):
     """Base class for all package-specific errors."""
 

@@ -45,9 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FitError, NonHyperbolicError, SingularityInWindowError, TooFewPointsError, _finite,
-)
+from .errors import (ArgumentError, FitError, NonHyperbolicError, SingularityInWindowError,
+                     TooFewPointsError, _finite)
 from .model import HyperbolicModel, relative_deviation
 from .series import YearValueSeries
 
@@ -158,9 +157,9 @@ def _solve(t: np.ndarray, y: np.ndarray, w: np.ndarray | None, end_year: float):
 
 
 def _weights(values: np.ndarray, weighting: str) -> np.ndarray | None:
-    """Each reciprocal's least-squares weight, None if all are 1; ValueError if unknown."""
+    """Each reciprocal's least-squares weight, None if all are 1; ArgumentError if unknown."""
     if weighting not in WEIGHTINGS:
-        raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
+        raise ArgumentError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     return values**2 if weighting == "direct" else None
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ArgumentError
 from .fit import HyperbolicFit
 from .model import evaluate, reciprocal_line
 from .series import YearValueSeries
@@ -64,12 +65,12 @@ def build_plot_sheet(
     ``annotations`` are (label, year) pairs, drawn as vertical markers.
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise ArgumentError(f"mode must be one of {MODES}, got {mode!r}")
     if isinstance(fits, HyperbolicFit):
         fits = [fits]
     fits = list(fits)
     if not fits:
-        raise ValueError("at least one fit is required")
+        raise ArgumentError("at least one fit is required")
 
     years = series.years
     obs_recip = 1.0 / series.values

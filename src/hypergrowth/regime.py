@@ -16,12 +16,11 @@ only the best is fitted exactly (see ``fit``).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, NegativeProximityError, TooFewPointsError, _finite
+from .errors import FitError, NegativeProximityError, TooFewPointsError
 from .fit import (
     DEFAULT_WEIGHTING,
     FitWindow,
@@ -43,7 +42,7 @@ from .series import YearValueSeries
 
 # MAD -> sigma for a normal distribution.
 _MAD_TO_SIGMA = 1.4826
-# detect_diversion's defaults: the run length m and the threshold tau in robust scales.
+# detect_diversion's one rule: a run of RUN_LENGTH residuals beyond TAU robust scales.
 RUN_LENGTH = 2
 TAU = 3.0
 
@@ -98,49 +97,35 @@ def _robust_scale(deltas: np.ndarray, reciprocals: np.ndarray) -> float:
     return scale if scale > 0 else 1e-9 * float(_max(reciprocals))
 
 
-def detect_diversion(
-    series: YearValueSeries,
-    fit: HyperbolicFit,
-    m: int = RUN_LENGTH,
-    tau: float = TAU,
-) -> DiversionFinding | None:
-    """First post-window run of m same-sign residuals beyond tau * scale.
+def detect_diversion(series: YearValueSeries, fit: HyperbolicFit) -> DiversionFinding | None:
+    """First post-window run of RUN_LENGTH same-sign residuals beyond TAU * scale.
 
     Scanning forward from the window end, reports the first year opening a
-    run of at least ``m`` consecutive reciprocal residuals that share a sign
-    and each exceed tau times the robust (MAD-based) scale of the in-window
-    residuals.  When the in-window residuals vanish (exact data) the scale
-    falls back to 1e-9 times the largest in-window reciprocal.  Returns None
-    when no qualifying run exists.
+    run of at least ``RUN_LENGTH`` consecutive reciprocal residuals that share
+    a sign and each exceed ``TAU`` times the robust (MAD-based) scale of the
+    in-window residuals.  When the in-window residuals vanish (exact data) the
+    scale falls back to 1e-9 times the largest in-window reciprocal.  Returns
+    None when no qualifying run exists.
     """
-    try:
-        m_ok = operator.index(m) >= 1
-    except TypeError:  # a float, text or None is no run length
-        m_ok = False
-    if not m_ok:
-        raise ValueError(f"m must be an integer >= 1, got {m!r}")
-    if not (_finite(tau) and tau > 0):
-        raise ValueError(f"tau must be finite and > 0, got {tau}")
     first = int(series.years.searchsorted(fit.window.end_year, side="right"))
     if first == len(series):
         raise TooFewPointsError("series does not extend beyond the fit window")
 
-    # A float, so that each comparison below gives a bool, also for a numpy tau.
-    threshold = float(tau * _robust_scale(fit.deltas, fit.reciprocals))
+    threshold = TAU * _robust_scale(fit.deltas, fit.reciprocals)
     years = series.years[first:]
     recips = 1.0 / series.values[first:]
     fitted = fit.model.a - fit.model.k * years  # model.reciprocal_line's expression
     # One pass over the residuals.  A flag is +1 or -1 where the residual
     # exceeds the threshold, else 0, and ``run`` is the length of the run of
-    # equal flags ending at j.  The first non-zero run to reach m ends at j,
-    # so the earliest qualifying run starts at j - m + 1.
+    # equal flags ending at j.  The first non-zero run to reach RUN_LENGTH
+    # ends at j, so the earliest qualifying run starts at j - RUN_LENGTH + 1.
     run = sign = 0
     for j, d in enumerate((recips - fitted).tolist()):
         flag = (d > threshold) - (d < -threshold)
         run = run + 1 if flag == sign else 1
         sign = flag
-        if flag and run == m:
-            i = j - m + 1
+        if flag and run == RUN_LENGTH:
+            i = j - RUN_LENGTH + 1
             direction = "slower" if flag > 0 else "faster"
             evidence = tuple(arr[i:j + 1].copy() for arr in (years, recips, fitted))
             for arr in evidence:

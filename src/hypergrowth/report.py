@@ -17,7 +17,8 @@ import json
 import re
 from dataclasses import asdict, dataclass, fields
 
-from .errors import FitError, HypergrowthError, ParseError, TooFewPointsError, _finite
+from .errors import (ArgumentError, FitError, HypergrowthError, ParseError, TooFewPointsError,
+                     _finite)
 from .fit import DEFAULT_WEIGHTING, FitWindow, best_fit
 from .ingest import AnalysisConfigFile, DatasetTable, _csv_bytes, build_region_series
 from .model import round_half_up
@@ -145,7 +146,7 @@ def render_report(rows, fmt: str = "json") -> bytes:
         }
         return _json_bytes(doc)
     if fmt not in _HEADERS:
-        raise ValueError(f"unknown report format {fmt!r}")
+        raise ArgumentError(f"unknown report format {fmt!r}")
     table = [_HEADERS[fmt]]
     for r in rows:
         start, end = round_half_up(r.range_start), round_half_up(r.range_end)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, TooFewPointsError, _finite
+from .errors import ArgumentError, FitError, TooFewPointsError, _finite
 from .fit import _TIE_RTOL, _centred_line, _CumulativeSums, _max, _min, _solve, _sum
 from .model import evaluate
 from .series import YearValueSeries
@@ -53,9 +53,9 @@ class TakeoffHypothesis:
 
     def __post_init__(self):
         if not _finite(self.predicted_year):
-            raise ValueError(f"predicted_year must be finite, got {self.predicted_year}")
+            raise ArgumentError(f"predicted_year must be finite, got {self.predicted_year}")
         if not (_finite(self.search_halfwidth) and self.search_halfwidth > 0):
-            raise ValueError(
+            raise ArgumentError(
                 f"search_halfwidth must be finite and > 0, got {self.search_halfwidth}"
             )
 

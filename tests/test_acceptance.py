@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from hypergrowth import parse_long_csv, parse_wide_table
+from hypergrowth import ArgumentError, parse_long_csv, parse_wide_table
 from hypergrowth.acceptance import (
     check_automatic_window,
     check_diversion_detection,
@@ -67,7 +67,7 @@ def test_diversion_detection():
 @pytest.mark.parametrize("check", [check_parameter_recovery_noisy, check_diversion_detection,
                                    run_all_checks])
 def test_trials_must_be_positive(check, trials):
-    with pytest.raises(ValueError, match="trials"):
+    with pytest.raises(ArgumentError, match=f"^trials must be >= 1, got {trials!r}$"):
         check(trials=trials)
 
 

@@ -5,7 +5,7 @@ import types
 import hypergrowth
 
 PUBLIC = [
-    "AnalysisConfigFile", "AnalysisReportRow", "DatasetTable", "DiversionFinding",
+    "AnalysisConfigFile", "AnalysisReportRow", "ArgumentError", "DatasetTable", "DiversionFinding",
     "EvaluationDomainError", "FitError", "FitWindow", "GeneratorError", "GeneratorSpec",
     "HyperbolicFit", "HyperbolicModel", "HypergrowthError", "NegativeProximityError",
     "NonHyperbolicError", "ParseError", "PlotSheet", "RegimeSegmentation", "RegionConfig",

@@ -20,14 +20,13 @@ from hypergrowth import (
     TakeoffHypothesis,
     YearValueSeries,
     build_plot_sheet,
-    detect_diversion,
     parse_long_csv,
     parse_region_config,
     plot_sheet_csv,
     segment_two_hyperbolic,
     takeoff_scan,
 )
-from hypergrowth import cli, fit, regime, report, takeoff
+from hypergrowth import cli, fit, report, takeoff
 from hypergrowth.cli import main
 
 
@@ -152,6 +151,14 @@ class TestDiversion:
         doc = json.loads(out)
         assert doc["finding"]["direction"] == "slower"
         assert doc["finding"]["proximity_years"] is not None
+
+    # The detector has one rule (regime.RUN_LENGTH and regime.TAU), no flags.
+    def test_help_lists_no_tuning_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["diversion", "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and "--window" in out
+        assert "--run-length" not in out and "--tau" not in out
 
 
 class TestTakeoff:
@@ -435,6 +442,26 @@ class TestSynth:
         table = parse_long_csv(out.encode())
         assert sorted(table.rows["constant"]) == expected
 
+    # 10**10 years once built 10**10 Decimals and ended in a MemoryError; the
+    # count is now checked before any year is built.
+    def test_years_over_the_bound_rejected(self, capsys):
+        code, out, err = run(capsys, "synth", "--kind", "hyperbolic", "--param", "a=1",
+                             "--param", "k=1e-12", "--years", "0:1e7:1e-3")
+        assert (code, out) == (2, "")
+        assert err == ("error: --years '0:1e7:1e-3' gives 10000000001 sample years, "
+                       "more than 100000\n")
+
+    def test_years_at_the_bound_still_work(self, capsys):
+        assert cli.MAX_SYNTH_YEARS == 100_000
+        code, out, err = run(capsys, "synth", "--kind", "constant", "--param", "level=1",
+                             "--years", "0:99999")
+        assert code == 0, err
+        assert out.count("\n") == 1 + 100_000 and out.endswith("\nconstant,99999,1.0\n")
+        code, _, err = run(capsys, "synth", "--kind", "constant", "--param", "level=1",
+                           "--years", "0:100000")
+        assert (code, err) == (2, "error: --years '0:100000' gives 100001 sample years, "
+                                  "more than 100000\n")
+
     def test_infeasible_generator_is_usage_error(self, capsys):
         # Sampling past the singularity at year 1000.
         code, _, _ = run(capsys, "synth", "--kind", "hyperbolic",
@@ -560,26 +587,31 @@ class TestVerify:
         assert code == 1
 
 
-def test_cli_import_leaves_acceptance_unloaded():
-    # Only ``verify`` runs the acceptance battery, so no other verb loads it.
+def python(*argv) -> subprocess.CompletedProcess:
+    """``python *argv`` in a new process that imports this package."""
     src = str(Path(hypergrowth.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_leaves_acceptance_unloaded():
+    # Only ``verify`` runs the acceptance battery, so no other verb loads it.
     probe = "import sys, hypergrowth.cli; print('hypergrowth.acceptance' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "False\n"
+    assert python("-c", probe).stdout == "False\n"
+
+
+# ``python -m hypergrowth.cli`` exits with main's code.
+def test_module_entry_point_exits_with_mains_code():
+    done = python("-m", "hypergrowth.cli", "verify", "--trials", "0")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: trials must be >= 1, got 0\n"
 
 
 def test_defaults_read_one_owner():
-    # Identity, not equality, for the floats: a second literal 50.0 or 3.0
-    # written elsewhere would be another float object.
+    # Identity, not equality, for the floats: a second literal 50.0 written
+    # elsewhere would be another float object.
     parser = cli.build_parser()
-    diversion = parser.parse_args(["diversion", "--input", "x"])
-    assert diversion.run_length == regime.RUN_LENGTH and diversion.tau is regime.TAU
-    params = inspect.signature(detect_diversion).parameters
-    assert params["m"].default == regime.RUN_LENGTH and params["tau"].default is regime.TAU
-
     halfwidth = takeoff.SEARCH_HALFWIDTH
     args = parser.parse_args(["takeoff", "--input", "x", "--predicted-year", "1750"])
     assert args.halfwidth is halfwidth
@@ -626,10 +658,7 @@ class TestMalformedInput:
 
     # A message, where given, is the whole error line; paths are formatted in.
     @pytest.mark.parametrize("argv, message", [
-        (("diversion", "--input", "{csv}", "--run-length", "0"), None),
-        (("diversion", "--input", "{csv}", "--tau", "-1"), None),
-        (("diversion", "--input", "{csv}", "--tau", "nan"), None),
-        (("verify", "--trials", "0"), None),
+        (("verify", "--trials", "0"), "trials must be >= 1, got 0"),
         (("verify", "--trials", "-3"), None),
         (("synth", "--kind", "hyperbolic", "--param", "a=1", "--param", "k=0.001",
           "--years", "0:900:50", "--noise", "0.01", "--seed", "-1"), None),
@@ -640,10 +669,12 @@ class TestMalformedInput:
         (("fit", "--input", "{csv}", "--regions-config", "{latin1}", "--region", "demo"), None),
         (("fit", "--input", "{csv}", "--window=-inf:600"), None),
         (("fit", "--input", "{csv}", "--window", "0:inf"), None),
-        (("takeoff", "--input", "{csv}", "--predicted-year", "500", "--halfwidth", "-5"), None),
+        (("takeoff", "--input", "{csv}", "--predicted-year", "500", "--halfwidth", "-5"),
+         "search_halfwidth must be finite and > 0, got -5.0"),
         (("takeoff", "--input", "{csv}", "--predicted-year", "500", "--halfwidth", "nan"), None),
         (("takeoff", "--input", "{csv}", "--predicted-year", "500", "--halfwidth", "inf"), None),
-        (("takeoff", "--input", "{csv}", "--predicted-year", "nan"), None),
+        (("takeoff", "--input", "{csv}", "--predicted-year", "nan"),
+         "predicted_year must be finite, got nan"),
         (("fit", "--input", "{overflow}", "--unit-scale", "10"), None),
         (("fit", "--input", "{overflow_wide}", "--format", "wide", "--unit-scale", "10"), None),
         (("report", "--input", "{big_field}", "--regions-config", "{config}"), None),
@@ -674,7 +705,7 @@ class TestMalformedInput:
          "synth requires --years or --maddison-grid"),
         (("synth", "--kind", "hyperbolic", "--param", "a=1", "--param", "k=0.001",
           "--years", "0:1000:100"), "sample years reach the singularity at 1000"),
-    ], ids=["run-length-0", "tau-negative", "tau-nan", "trials-0", "trials-negative",
+    ], ids=["trials-0", "trials-negative",
             "seed-negative", "input-dir", "maddison-dir", "input-not-utf8",
             "maddison-not-utf8", "config-not-utf8", "window-start-inf", "window-end-inf",
             "halfwidth-negative", "halfwidth-nan", "halfwidth-inf", "predicted-year-nan",

@@ -164,6 +164,11 @@ class TestSeriesInvariants:
         with pytest.raises(SeriesError):
             YearValueSeries([], [])
 
+    def test_never_equals_a_non_series(self):
+        s = YearValueSeries([1900.0], [1.0])
+        assert s.__eq__([(1900.0, 1.0)]) is NotImplemented
+        assert s != [(1900.0, 1.0)] and not s == 1.0
+
     def test_caller_arrays_stay_writable(self):
         years, values = np.array([1900.0, 1910.0]), np.array([1.0, 2.0])
         s = YearValueSeries(years, values)

@@ -7,6 +7,8 @@ altered, or a table of published constants.  With the defect, the check must
 report FAIL with the detail given here.  The two checks that take a trial
 count run at 20 trials.  Without a defect, every check passes in
 ``test_acceptance.py``, and at 20 trials in ``test_cli.py::TestVerify``.
+``BRANCHES`` plants a defect on each further FAIL branch of a check, the
+data-dependent world reproduction included.
 """
 
 from dataclasses import replace
@@ -14,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hypergrowth import acceptance
+from hypergrowth import ArgumentError, DatasetTable, GeneratorSpec, acceptance, generate
 from hypergrowth.acceptance import CheckResult, run_all_checks
 from hypergrowth.fit import FitWindow
 from hypergrowth.model import HyperbolicModel
@@ -117,7 +119,57 @@ DEFECTS = [
 ]
 
 
-@pytest.mark.parametrize("check, args, plant, detail", DEFECTS)
+def _first_regime_unmodeled(seg):
+    first = replace(seg.segments[0], kind="unmodeled", fit=None)
+    return replace(seg, segments=(first, *seg.segments[1:]))
+
+
+def _scaled(record, field, factor):
+    """A copy of the dataclass ``record`` with its ``field`` scaled by ``factor``."""
+    return replace(record, **{field: getattr(record, field) * factor})
+
+
+def _world_reference(field, factor):
+    """Plant World's published ``field`` scaled by ``factor``."""
+    return _constant("REFERENCE_ROWS", lambda rows: (_scaled(rows[0], field, factor),) + rows[1:])
+
+
+# The reference world curve in billions, slower after 1955, and an AD 1
+# value 77% above it: without a defect the world reproduction passes.
+_WORLD_CURVE = generate(GeneratorSpec(
+    "hyperbolic-then-slower",
+    {"a": 1.684e-2, "k": 8.539e-6, "break_year": 1955.0, "slow_factor": 0.4},
+    tuple(float(y) for y in range(1000, 2009, 2)), label="World"))
+WORLD_TABLE = DatasetTable({"World": {1.0: 105.0, **dict(_WORLD_CURVE.points())}})
+
+BRANCHES = [
+    pytest.param(
+        "check_two_regime_exact", (), _result("segment_two_hyperbolic", _first_regime_unmodeled),
+        "1 hyperbolic segments, expected 2", id="first regime unmodeled"),
+    pytest.param(
+        "check_two_regime_exact", (),
+        _result("spliced_models", lambda models: (models[0], _scaled(models[1], "a", 1 + 1e-8))),
+        "second regime a rel err 1.00e-08", id="second regime's true a off by 1e-8"),
+    pytest.param(
+        "check_automatic_window", (),
+        _result("best_fit", lambda fit: replace(fit, model=_scaled(fit.model, "k", 1.06))),
+        "hyperbolic-then-slower annual: k off by 6.2%; hyperbolic-then-slower sparse: k off "
+        "by 8.7%; hyperbolic annual: k off by 6.3%; hyperbolic sparse: k off by 9.4%",
+        id="automatic window's k 6% high"),
+    pytest.param(
+        "check_world_reproduction", (WORLD_TABLE,), _world_reference("a", 1.06),
+        "a 1.6840e-02 not within 5% of 1.7850e-02", id="World's published a 6% high"),
+    pytest.param(
+        "check_world_reproduction", (WORLD_TABLE,), _world_reference("k", 1.06),
+        "k 8.5390e-06 not within 5% of 9.0513e-06", id="World's published k 6% high"),
+]
+
+
+def test_world_table_passes_without_a_defect():
+    assert acceptance.check_world_reproduction(WORLD_TABLE).passed
+
+
+@pytest.mark.parametrize("check, args, plant, detail", DEFECTS + BRANCHES)
 def test_planted_defect_fails_the_check(monkeypatch, check, args, plant, detail):
     plant(monkeypatch)
     result = getattr(acceptance, check)(*args)
@@ -168,9 +220,9 @@ def test_two_regime_noisy_without_a_k_ratio_fails_under_its_name(monkeypatch):
 
 
 # A HypergrowthError turns its check to FAIL (see test_cli.py::TestVerify);
-# any other exception stops the battery.
+# any other exception, a bad trial count's ArgumentError included, stops the battery.
 def test_any_other_exception_of_a_check_propagates(monkeypatch):
-    with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+    with pytest.raises(ArgumentError, match="trials must be >= 1, got 0"):
         run_all_checks(0)
 
     def broken():

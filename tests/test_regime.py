@@ -1,5 +1,8 @@
 """Diversion detection and two-regime segmentation."""
 
+import inspect
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -19,6 +22,7 @@ from hypergrowth import (
     reciprocal_line,
     segment_two_hyperbolic,
 )
+from hypergrowth import regime
 from hypergrowth.acceptance import _noisy_series
 from hypergrowth.regime import _MAD_TO_SIGMA, _robust_scale
 from hypergrowth.synth import spliced_models
@@ -96,31 +100,10 @@ class TestDetectDiversion:
         assert finding.direction == "slower"
         assert finding.year == 910.0
 
-    # tau = -1 made any two same-sign residuals a diversion (a "faster" one
-    # at 630 on this pure hyperbolic series); nan silently found nothing; the
-    # text "3" raised a raw TypeError from math.isfinite, and an int too large
-    # for a float a raw OverflowError.
-    @pytest.mark.parametrize("tau", [-1.0, 0.0, float("nan"), float("inf"), "3",
-                                     pytest.param(10**400, id="10**400")])
-    def test_tau_must_be_finite_and_positive(self, tau):
-        years = tuple(float(y) for y in range(0, 900, 30))
-        s = generate(GeneratorSpec("hyperbolic", {"a": 1.0, "k": 1e-3}, years,
-                                   noise=0.01, seed=3))
-        fit = fit_hyperbolic(s, FitWindow(0.0, 600.0))
-        assert detect_diversion(s, fit) is None
-        with pytest.raises(ValueError, match="tau"):
-            detect_diversion(s, fit, tau=tau)
-
-    # A float, text or None run length raised a raw TypeError.
-    @pytest.mark.parametrize("m", [0, -1, 2.0, "2", None])
-    def test_m_must_be_a_positive_integer(self, m):
-        years = tuple(float(y) for y in range(0, 900, 30))
-        s = generate(GeneratorSpec("hyperbolic", {"a": 1.0, "k": 1e-3}, years,
-                                   noise=0.01, seed=3))
-        fit = fit_hyperbolic(s, FitWindow(0.0, 600.0))
-        assert detect_diversion(s, fit, m=np.int64(2)) is None
-        with pytest.raises(ValueError, match="m must be an integer >= 1"):
-            detect_diversion(s, fit, m=m)
+    # One rule, no knobs: the run length and the threshold are regime constants.
+    def test_takes_no_tuning_arguments(self):
+        assert list(inspect.signature(detect_diversion).parameters) == ["series", "fit"]
+        assert (regime.RUN_LENGTH, regime.TAU) == (2, 3.0)
 
     def test_requires_points_beyond_window(self):
         s = generate(
@@ -227,6 +210,14 @@ def test_robust_scale_is_numpy_mad_bit_for_bit(residuals):
         assert scale == 1e-9 * 3.0
 
 
+def detect_at(series, fit, m, tau):
+    """``detect_diversion`` with its run length set to ``m`` and its threshold to ``tau``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regime, "RUN_LENGTH", m)
+        mp.setattr(regime, "TAU", tau)
+        return detect_diversion(series, fit)
+
+
 def former_scan_reference(series, fit, m, tau):
     """The former scan, kept as the reference: np.median for the scale, a
     validated tail sub-series, and three numpy calls per candidate run.
@@ -300,7 +291,7 @@ class TestDetectDiversionReference:
             for m in (1, 2, 3, 5):
                 for tau in (0.5, 3.0, 10.0):
                     expected, fell_back, deltas = former_scan_reference(s, fit, m, tau)
-                    finding = detect_diversion(s, fit, m=m, tau=tau)
+                    finding = detect_at(s, fit, m, tau)
                     fallbacks += fell_back
                     zero_tails += bool((deltas == 0).any())
                     if expected is None:
@@ -348,7 +339,7 @@ def reference_detect_diversion(series, fit, m=2, tau=3.0):
 def scan_outcome(detect, series, fit, m, tau):
     """(year, direction, proximity, evidence bytes), None, or (exception type, message)."""
     try:
-        found = detect(series, fit, m=m, tau=tau)
+        found = detect(series, fit, m, tau)
     except Exception as exc:  # the reference and the scan must raise alike
         return type(exc), str(exc)
     if found is None:
@@ -423,28 +414,17 @@ class TestRunScan:
     @example(FLIPPED)
     @example(PAST)
     def test_matches_flag_loop(self, draw):
-        assert scan_outcome(detect_diversion, *draw) == scan_outcome(
-            reference_detect_diversion, *draw)
+        assert scan_outcome(detect_at, *draw) == scan_outcome(reference_detect_diversion, *draw)
 
     def test_named_draws_reach_their_paths(self):
         fit = EXACT[1]
         assert _robust_scale(fit.deltas, fit.reciprocals) == 1e-9 * float(fit.reciprocals.max())
         assert detect_diversion(*EXACT[:2]).year == 21.0
         s, fit = FLIPPED[:2]
-        assert detect_diversion(s, fit, m=3).year == 24.0  # the run 21-22 is broken at 23
-        assert detect_diversion(s, fit, m=2).year == 21.0
+        assert detect_at(s, fit, 3, 3.0).year == 24.0  # the run 21-22 is broken at 23
+        assert detect_diversion(s, fit).year == 21.0
         with pytest.raises(NegativeProximityError, match="after the singularity"):
             detect_diversion(*PAST[:2])
-
-    def test_numpy_scalar_run_length_and_tau(self):
-        # A flag subtracts two bools: with a numpy threshold they would be numpy
-        # bools, which cannot be subtracted.
-        s, fit = FLIPPED[:2]
-        want = scan_outcome(detect_diversion, s, fit, 3, 3.0)
-        assert want[:2] == (24.0, "slower")
-        for m, tau in ((np.int64(3), np.float64(3.0)), (3, np.float32(3.0))):
-            assert scan_outcome(detect_diversion, s, fit, m, tau) == want
-            assert scan_outcome(reference_detect_diversion, s, fit, m, tau) == want
 
     @pytest.mark.parametrize("bump, direction", [(0.9, "slower"), (1.1, "faster")])
     def test_residual_at_threshold_not_flagged(self, bump, direction):
@@ -457,13 +437,13 @@ class TestRunScan:
         scale = _robust_scale(fit.deltas, fit.reciprocals)
         tau = d / scale
         assert tau * scale == d  # the residual equals the threshold exactly
-        below = np.nextafter(tau, 0.0)
+        below = math.nextafter(tau, 0.0)
         assert below * scale < d
-        for detect in (detect_diversion, reference_detect_diversion):
-            assert detect(s, fit, m=1, tau=tau) is None
-        finding = detect_diversion(s, fit, m=1, tau=below)
+        for detect in (detect_at, reference_detect_diversion):
+            assert detect(s, fit, 1, tau) is None
+        finding = detect_at(s, fit, 1, below)
         assert (finding.year, finding.direction) == (20.0, direction)
-        assert scan_outcome(detect_diversion, s, fit, 1, below) == scan_outcome(
+        assert scan_outcome(detect_at, s, fit, 1, below) == scan_outcome(
             reference_detect_diversion, s, fit, 1, below)
 
 

@@ -13,7 +13,9 @@ import pytest
 from hypergrowth import (
     AnalysisConfigFile,
     AnalysisReportRow,
+    ArgumentError,
     FitError,
+    HypergrowthError,
     GeneratorSpec,
     ParseError,
     RegionConfig,
@@ -77,6 +79,13 @@ def config():
 
 
 class TestRunAnalysis:
+    # A bad weighting is the caller's, not each region's: it stops the run
+    # instead of becoming one error entry per region.
+    def test_unknown_weighting_raises_instead_of_an_entry_per_region(self):
+        assert not issubclass(ArgumentError, HypergrowthError)
+        with pytest.raises(ArgumentError, match="^weighting must be one of "):
+            run_analysis(synthetic_table(), config(), weighting="relative")
+
     def test_rows_and_errors(self):
         rows, errors = run_analysis(synthetic_table(), config())
         # world-like: 1 row; africa-like: 2 regime rows; tiny: error.
@@ -195,7 +204,7 @@ class TestRenderReport:
         assert text.endswith("\nAfrica,1.244e-1,5.030e-5,1,1820,2473,,\n")
 
     def test_unknown_format(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError, match="^unknown report format 'yaml'$"):
             render_report(ROWS, "yaml")
 
     def test_markdown_escapes_a_pipe_in_a_cell(self):

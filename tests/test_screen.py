@@ -17,6 +17,7 @@ import pytest
 import hypergrowth.fit
 import hypergrowth.regime
 from hypergrowth import (
+    ArgumentError,
     FitError,
     FitWindow,
     GeneratorSpec,
@@ -277,10 +278,9 @@ class TestEdges:
 
     def test_unknown_weighting_rejected(self):
         s = noisy_series(1)
-        with pytest.raises(ValueError):
-            scan_windows(s, "relative")
-        with pytest.raises(ValueError):
-            segment_two_hyperbolic(s, "relative")
+        for search in (scan_windows, segment_two_hyperbolic):
+            with pytest.raises(ArgumentError, match="^weighting must be one of "):
+                search(s, "relative")
 
     def test_failed_exact_fit_is_dropped(self, monkeypatch):
         # The top candidate passes the screen, but its exact fit fails a

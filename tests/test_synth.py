@@ -216,6 +216,11 @@ class TestInvalidSpecs:
         with pytest.raises(GeneratorError, match="sample_years must be a sequence of numbers"):
             GeneratorSpec("constant", {"level": 1.0}, sample_years)
 
+    # np.asarray raises ValueError on a ragged sequence, which is no sequence of numbers.
+    def test_ragged_sample_years_rejected(self):
+        with pytest.raises(GeneratorError, match="^sample_years must be a sequence of numbers$"):
+            GeneratorSpec("constant", {"level": 1.0}, [1.0, [2.0, 3.0]])
+
     def test_numeric_sample_years_allowed(self):
         for sample_years in ((1, 2), (Fraction(1), 2), np.array([1.0, 2.0]), (True, 2)):
             assert GeneratorSpec("constant", {"level": 1.0}, sample_years).sample_years == (1.0, 2.0)

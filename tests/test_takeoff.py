@@ -8,6 +8,7 @@ import pytest
 
 import hypergrowth.takeoff
 from hypergrowth import (
+    ArgumentError,
     FitError,
     FitWindow,
     GeneratorSpec,
@@ -124,7 +125,7 @@ class TestHypothesis:
         pytest.param(1750.0, 10**400, "search_halfwidth", id="1750.0-10**400-search_halfwidth"),
     ])
     def test_invalid_field_rejected(self, predicted_year, halfwidth, field):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ArgumentError, match=field):
             TakeoffHypothesis(predicted_year, halfwidth)
 
 
@@ -335,7 +336,7 @@ class TestOnePassFeasibility:
 
     def test_text_years_convert_and_bad_years_raise(self):
         assert takeoff_scan(self.SERIES, ["1050"]) == takeoff_scan(self.SERIES, [1050.0])
-        with pytest.raises(ValueError, match="predicted_year"):
+        with pytest.raises(ArgumentError, match="^predicted_year must be finite, got nan$"):
             takeoff_scan(self.SERIES, [1050.0, math.nan])
 
 
