@@ -16,8 +16,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import length_hint
+from itertools import chain, repeat
+from operator import itemgetter, length_hint
 
 import numpy as np
 
@@ -104,7 +104,7 @@ def _decode(data: bytes) -> str:
 
 
 def _slow_row(row, line_num: int, rows: dict, unit_scale: float, what: str = "value"):
-    """Apply every row rule, in order, to a row the fast loop did not store.
+    """Apply every row rule, in order, to a row that ``_store``'s loop did not store.
 
     ``row`` is a long-CSV row, or a wide table's (entity, year header, cell).
     The rules: three fields, unless all are blank (skip); a blank value
@@ -161,16 +161,6 @@ def _rows(text: str, delimiter: str = ","):
     return reader, lambda: reader.line_num
 
 
-@contextlib.contextmanager
-def _csv_errors(line):
-    """Turn the csv module's own errors (a field over its size limit, say)
-    into a ParseError naming ``line()``, the line of the last row read."""
-    try:
-        yield
-    except csv.Error as exc:
-        raise ParseError(f"line {line()}: {exc}") from None
-
-
 def _first_line(text: str) -> str:
     """``text.splitlines()[0]`` (or ``""``) without splitting the whole text.
 
@@ -179,6 +169,72 @@ def _first_line(text: str) -> str:
     """
     head = text.partition("\n")[0]
     return head.splitlines()[0] if head else ""
+
+
+@contextlib.contextmanager
+def _table_rows(data: bytes, unit_scale: float, delimiter: str | None):
+    """The header row of the table in ``data``, a reader of its other rows and
+    their line function; both table parsers start here.
+
+    ``delimiter=None`` reads a tab if the first line holds one and no fewer
+    tabs than commas, else a comma.  An error of the csv module (a field over
+    its size limit, say) becomes a ParseError naming the line of the last row
+    read.
+    """
+    _check_positive(unit_scale, "unit_scale")
+    text = _decode(data)
+    if delimiter is None:
+        first_line = _first_line(text)
+        delimiter = "\t" if "\t" in first_line and first_line.count("\t") >= first_line.count(",") else ","
+    reader, line = _rows(text, delimiter)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("line 1: empty file")
+        yield header, reader, line
+    except csv.Error as exc:
+        raise ParseError(f"line {line()}: {exc}") from None
+
+
+def _store(reader, line, unit_scale: float, what: str = "value") -> DatasetTable:
+    """The table of the ``(entity, year, value)`` rows of ``reader``, the one
+    loop that stores cells; ``line()`` is the line of the last row read, and
+    ``what`` names the value in ``_slow_row``'s messages.
+
+    A clean row costs one ``try``, one lookup of its year text, one range
+    check of its value and one dict operation to store the cell.  A year text
+    is parsed and range-checked only the first time it is read, and only a
+    finite year is kept, so equal year texts share one float.  The entity is
+    looked up only where a run of one entity's rows begins.  Every other row
+    goes to ``_slow_row``, which applies the rules in order.
+    """
+    rows: dict[str, dict[float, float]] = {}
+    years: dict[str, float] = {}  # year text, as read -> its float; finite only
+    inf = math.inf
+    last = cells = None
+    for row in reader:
+        # float() skips ASCII and Unicode spaces but not \x1c-\x1f, which
+        # str.strip() removes: such a field takes the slow path, which strips.
+        try:
+            entity, year_s, value_s = row
+            year = years.get(year_s)
+            if year is None:
+                year = float(year_s)
+                if not -inf < year < inf:
+                    raise ValueError
+                years[year_s] = year
+            value = float(value_s) * unit_scale
+        except ValueError:
+            pass
+        else:
+            if 0.0 < value < inf:
+                if entity != last:  # a new run of one entity's rows
+                    last = entity
+                    cells = rows.setdefault(entity.strip(), {})
+                if cells.setdefault(year, value) is value:
+                    continue
+        _slow_row(row, line(), rows, unit_scale, what)
+    return DatasetTable(rows)
 
 
 def parse_long_csv(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
@@ -195,51 +251,12 @@ def parse_long_csv(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
 
     Rows are read by ``_rows``: quote-free text is split by ``str.split`` in
     C, and other text, quoted fields included, by ``csv.reader``; the table is
-    the same either way.  A clean row then costs one ``try``, one lookup of its
-    year text, one range check of its value and one dict operation to store
-    the cell.  A year text is parsed and range-checked only the first time it
-    is read, and only a finite year is kept, so equal year texts share one
-    float.  The entity is looked up only where a run of one entity's rows
-    begins.  Every other row goes to ``_slow_row``, which applies the rules in
-    order.
+    the same either way.  ``_store`` applies the rules.
     """
-    _check_positive(unit_scale, "unit_scale")
-    text = _decode(data)
-    reader, line = _rows(text)
-    with _csv_errors(line):
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("line 1: empty file") from None
+    with _table_rows(data, unit_scale, ",") as (header, reader, line):
         if [h.strip().lower() for h in header] != ["entity", "year", "value"]:
             raise ParseError(f"line 1: expected header entity,year,value, got {header}")
-        rows: dict[str, dict[float, float]] = {}
-        years: dict[str, float] = {}  # year text, as read -> its float; finite only
-        inf = math.inf
-        last = cells = None
-        for row in reader:
-            # float() skips ASCII and Unicode spaces but not \x1c-\x1f, which
-            # str.strip() removes: such a field takes the slow path, which strips.
-            try:
-                entity, year_s, value_s = row
-                year = years.get(year_s)
-                if year is None:
-                    year = float(year_s)
-                    if not -inf < year < inf:
-                        raise ValueError
-                    years[year_s] = year
-                value = float(value_s) * unit_scale
-            except ValueError:
-                pass
-            else:
-                if 0.0 < value < inf:
-                    if entity != last:  # a new run of one entity's rows
-                        last = entity
-                        cells = rows.setdefault(entity.strip(), {})
-                    if cells.setdefault(year, value) is value:
-                        continue
-            _slow_row(row, line(), rows, unit_scale)
-    return DatasetTable(rows)
+        return _store(reader, line, unit_scale)
 
 
 def parse_wide_table(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
@@ -249,40 +266,19 @@ def parse_wide_table(data: bytes, unit_scale: float = 1.0) -> DatasetTable:
     Blank cells mean missing; the other cells follow the long format's
     rules (see ``parse_long_csv``).  Rows may be shorter or longer than the
     header; cells past the last year column are ignored.
+
+    Each row becomes ``(entity, year header, cell)`` rows, empty cells left
+    out, which ``_store`` reads as a long CSV's; a message says "cell" where
+    the long one says "value", and names the wide table's line.
     """
-    _check_positive(unit_scale, "unit_scale")
-    text = _decode(data)
-    first_line = _first_line(text)
-    delimiter = "\t" if first_line.count("\t") >= first_line.count(",") and "\t" in first_line else ","
-    reader, line = _rows(text, delimiter)
-    with _csv_errors(line):
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("line 1: empty file") from None
+    with _table_rows(data, unit_scale, None) as (header, reader, line):
         if len(header) < 2:
             raise ParseError("line 1: wide table needs an entity column plus year columns")
-        heads = header[1:]
-        years = [_parse_number(h.strip(), "year header", "line 1") for h in heads]
-        rows: dict[str, dict[float, float]] = {}
-        inf, nan = math.inf, math.nan
-        for row in reader:
-            cells = None
-            for year, head, cell in zip(years, heads, row[1:]):
-                cell = cell.strip()
-                if not cell:
-                    continue
-                try:
-                    value = float(cell) * unit_scale
-                except ValueError:
-                    value = nan
-                if 0.0 < value < inf:
-                    if cells is None:
-                        cells = rows.setdefault(row[0].strip(), {})
-                    if cells.setdefault(year, value) is value:
-                        continue
-                _slow_row((row[0], head, cell), line(), rows, unit_scale, "cell")
-    return DatasetTable(rows)
+        heads = [h.strip() for h in header[1:]]
+        for head in heads:
+            _parse_number(head, "year header", "line 1")
+        cells = chain.from_iterable(zip(repeat(row[0]), heads, row[1:]) for row in reader if row)
+        return _store(filter(itemgetter(2), cells), line, unit_scale, "cell")
 
 
 def _csv_bytes(rows) -> bytes:

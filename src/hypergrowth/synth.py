@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeneratorError, _finite
+from .errors import GeneratorError, SeriesError, _finite
 from .model import HyperbolicModel, evaluate
 from .series import YearValueSeries
 
@@ -38,9 +38,6 @@ _REQUIRED = {
     "spliced-two-hyperbolic": ("a", "k", "break_year", "k_ratio"),
     "hyperbolic-then-slower": ("a", "k", "break_year", "slow_factor"),
 }
-# Parameters a kind reads when given; any other parameter is an error.
-_OPTIONAL = {"exponential": ("ref_year",)}
-_ALLOWED = {kind: frozenset(_REQUIRED[kind] + _OPTIONAL.get(kind, ())) for kind in KINDS}
 _INF = float("inf")
 
 
@@ -63,7 +60,7 @@ def _real_array(v) -> np.ndarray | None:
 class GeneratorSpec:
     """Recipe for one synthetic series.
 
-    ``parameters`` are kind-specific (see _REQUIRED and _OPTIONAL) and are
+    ``parameters`` are kind-specific (see _REQUIRED) and are
     kept as a new dict of floats, as ``sample_years`` is kept as a tuple of
     floats; ``noise`` is the sigma of the per-point multiplicative log-normal
     factor; ``seed`` feeds a dedicated PCG64 stream so runs are reproducible.
@@ -95,7 +92,7 @@ class GeneratorSpec:
         missing = [p for p in _REQUIRED[self.kind] if p not in self.parameters]
         if missing:
             raise GeneratorError(f"{self.kind} requires parameters {missing}")
-        unknown = set(self.parameters) - _ALLOWED[self.kind]
+        unknown = set(self.parameters).difference(_REQUIRED[self.kind])
         if unknown:
             raise GeneratorError(f"{self.kind} takes no parameters {sorted(unknown)}")
         # A new dict of floats: the exact series depends on hashable values
@@ -106,12 +103,6 @@ class GeneratorSpec:
             if not (_finite(v) and v > 0):
                 raise GeneratorError(f"parameter {name} must be finite and positive, got {v!r}")
             parameters[name] = float(v)
-        for name in _OPTIONAL.get(self.kind, ()):
-            if name in self.parameters:
-                v = self.parameters[name]
-                if not _finite(v):
-                    raise GeneratorError(f"parameter {name} must be finite, got {v!r}")
-                parameters[name] = float(v)
         if not (_finite(self.noise) and self.noise >= 0):
             raise GeneratorError("noise sigma must be finite and >= 0")
         try:
@@ -136,8 +127,7 @@ def _exact_values(spec: GeneratorSpec, years: np.ndarray) -> np.ndarray:
     if spec.kind == "constant":
         return np.full_like(years, p["level"])
     if spec.kind == "exponential":
-        ref = p.get("ref_year", years[0])
-        return p["level"] * np.exp(p["rate"] * (years - ref))
+        return p["level"] * np.exp(p["rate"] * (years - years[0]))
     if spec.kind == "stagnation-then-takeoff":
         b, r = p["break_year"], p["rate"]
         return np.where(years <= b, p["level"], p["level"] * np.exp(r * (years - b)))
@@ -148,7 +138,10 @@ def _exact_values(spec: GeneratorSpec, years: np.ndarray) -> np.ndarray:
 
 
 def _spliced_values(p: dict, years: np.ndarray) -> np.ndarray:
-    m1, m2 = spliced_models(p)
+    try:
+        m1, m2 = spliced_models(p)
+    except SeriesError as exc:  # k_ratio takes the second regime's a or k out of range
+        raise GeneratorError(f"second regime: {exc}") from None
     i = years.searchsorted(p["break_year"], side="right")  # years[:i] <= break_year
     if i and years[i - 1] >= m1.singularity_year:
         raise GeneratorError("first-regime sample years reach its singularity")
@@ -188,29 +181,38 @@ def spliced_models(p: dict) -> tuple[HyperbolicModel, HyperbolicModel]:
 
 
 # Exact series of the specs generated last, keyed by kind, parameters and the
-# years' bytes (which keep -0.0 apart from 0.0; a ref_year of -0.0 shares 0.0's
-# entry, and both give the same bytes).  Monte-Carlo trials sample one spec on
-# one grid many times with only the seed changed.  Errors are not stored.
+# years' bytes (which keep -0.0 apart from 0.0).  Monte-Carlo trials sample one
+# spec on one grid many times with only the seed changed.  Errors are not stored.
 _EXACT: dict = {}
 _EXACT_SIZE = 8
 
 
 def generate(spec: GeneratorSpec) -> YearValueSeries:
-    """Sample the exact model on spec.sample_years, then apply noise."""
+    """Sample the exact model on spec.sample_years, then apply noise.
+
+    Values that overflow to inf or underflow to 0 raise GeneratorError, which
+    names the noise when the exact values are in range.
+    """
     years = np.asarray(spec.sample_years, dtype=float)
     key = (spec.kind, tuple(spec.parameters.items()), years.tobytes())
     values = _EXACT.get(key)
-    if values is None:
-        values = _exact_values(spec, years)
-        values.setflags(write=False)
-        if len(_EXACT) >= _EXACT_SIZE:
-            _EXACT.clear()
-        _EXACT[key] = values
-    if spec.noise > 0:
-        rng = np.random.default_rng(spec.seed)
-        values = values * np.exp(rng.normal(0.0, spec.noise, size=len(years)))
-    label = spec.label or spec.kind
-    return YearValueSeries(years, values, label)
+    with np.errstate(all="ignore"):  # values out of range are rejected below
+        if values is None:
+            values = _exact_values(spec, years)
+            if not np.logical_and.reduce((values > 0) & (values < _INF)):
+                raise GeneratorError(f"{spec.kind} values leave the range of positive floats")
+            values.setflags(write=False)
+            if len(_EXACT) >= _EXACT_SIZE:
+                _EXACT.clear()
+            _EXACT[key] = values
+        if spec.noise > 0:
+            rng = np.random.default_rng(spec.seed)
+            values = values * np.exp(rng.normal(0.0, spec.noise, size=len(years)))
+    try:
+        return YearValueSeries(years, values, spec.label or spec.kind)
+    except SeriesError:  # the years and exact values are valid, so the noise is at fault
+        raise GeneratorError(f"{spec.kind} values with noise {spec.noise:g} leave the range"
+                             " of positive floats") from None
 
 
 def maddison_year_grid() -> list[float]:

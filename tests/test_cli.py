@@ -705,6 +705,15 @@ class TestMalformedInput:
          "synth requires --years or --maddison-grid"),
         (("synth", "--kind", "hyperbolic", "--param", "a=1", "--param", "k=0.001",
           "--years", "0:1000:100"), "sample years reach the singularity at 1000"),
+        (("synth", "--kind", "exponential", "--param", "level=1", "--param", "rate=0.01",
+          "--param", "ref_year=3", "--years", "0:9"), "exponential takes no parameters ['ref_year']"),
+        (("synth", "--kind", "exponential", "--param", "level=1", "--param", "rate=10",
+          "--years", "0:1000"), "exponential values leave the range of positive floats"),
+        (("synth", "--kind", "hyperbolic", "--param", "a=1", "--param", "k=1e-3",
+          "--years", "0:50", "--noise", "800"),
+         "hyperbolic values with noise 800 leave the range of positive floats"),
+        (("synth", "--kind", "constant", "--param", "level=1e308", "--years", "0:10",
+          "--noise", "1"), "constant values with noise 1 leave the range of positive floats"),
     ], ids=["trials-0", "trials-negative",
             "seed-negative", "input-dir", "maddison-dir", "input-not-utf8",
             "maddison-not-utf8", "config-not-utf8", "window-start-inf", "window-end-inf",
@@ -714,7 +723,9 @@ class TestMalformedInput:
             "config-duplicate-region", "synth-label-padded", "config-without-region",
             "region-not-in-config", "entity-not-selected", "param-without-equals",
             "param-not-a-number", "years-four-parts", "years-not-a-number", "years-step-zero",
-            "years-step-negative", "synth-without-years", "synth-years-reach-singularity"])
+            "years-step-negative", "synth-without-years", "synth-years-reach-singularity",
+            "synth-ref-year-retired", "synth-exact-overflow", "synth-noise-overflow",
+            "synth-level-times-noise-overflow"])
     def test_usage_error(self, hyperbolic_csv, tmp_path, capsys, argv, message):
         latin1 = tmp_path / "latin1.txt"
         latin1.write_bytes("entity,year,value\nM\u00fcnchen,1900,1\n".encode("latin-1"))

@@ -615,6 +615,57 @@ class TestLongCsvReference:
             assert any(v == "inf" for _, cells in old for _, v in cells)
 
 
+def long_transcription(wide):
+    """A comma-separated wide table as a long CSV with one row per cell, blank
+    cells too; and the wide table's line of each long line."""
+    lines = wide.split("\n")
+    heads = lines[0].split(",")[1:]
+    out, wide_line = ["entity,year,value"], {}
+    for n, text in enumerate(lines[1:], start=2):
+        entity, *cells = text.split(",")
+        for head, cell in zip(heads, cells):
+            out.append(f"{entity},{head},{cell}")
+            wide_line[len(out)] = n
+    return ("\n".join(out) + "\n").encode(), wide_line
+
+
+class TestWideRowsReadAsLong:
+    """One loop applies the row rules to both layouts: each wide table gives
+    the table, or the message, of its long transcription.  A message says
+    "cell" where the long one says "value", and names its own line."""
+
+    @pytest.mark.parametrize("rows, unit_scale, message", [
+        ("C,abc,1", 1.0, "line 4: cell 'abc' is not a number"),
+        ("C,1,nan", 1.0, "line 4: cell 'nan' is not finite"),
+        ("C,-inf,1", 1.0, "line 4: cell '-inf' is not finite"),
+        ("C,0,1", 1.0, "line 4: value 0 for (C, 1900) is not positive"),
+        ("C,1,-1.5", 1e-3, "line 4: value -0.0015 for (C, 1950) is not positive"),
+        ("C,-0,1", 1.0, "line 4: value -0 for (C, 1900) is not positive"),
+        ("C,1,1e308", 10.0, "line 4: value for (C, 1950) is not finite after unit_scale 10"),
+        ("C,1e308,2", 1.0, None),
+        ("C,,4\nB,,5", 1.0, "line 5: duplicate cell for (B, 1950)"),
+        ("B,,\nA,,4", 1.0, None),
+        ("C, ,\t\nD,\u2003,\x1c", 1.0, None),
+        ("C,\x1c5,6\x1f", 1e-3, None),
+        ("C\x1c,5,\x1c-1", 1.0, "line 4: value -1 for (C, 1950) is not positive"),
+    ], ids=["text", "nan", "-inf", "zero", "negative", "negative-zero", "overflow-after-scale",
+            "largest", "duplicate", "blank", "whitespace-only", "separator-padded",
+            "separator-padded-negative"])
+    def test_wide_table_reads_as_its_long_transcription(self, rows, unit_scale, message):
+        wide = f"entity,1900,1950\nA,1,\nB,2,3\n{rows}"
+        long, wide_line = long_transcription(wide)
+        as_wide = TestLongCsvReference.outcome(
+            lambda d, u: parse_wide_table(d, u).rows, wide.encode(), unit_scale)
+        as_long = TestLongCsvReference.outcome(
+            lambda d, u: parse_long_csv(d, u).rows, long, unit_scale)
+        if message is None:
+            assert as_wide == as_long and not isinstance(as_wide, str)
+            return
+        assert as_wide == message
+        line, text = re.fullmatch(r"line (\d+): (.*)", as_long).groups()
+        assert f"line {wide_line[int(line)]}: {text}" == re.sub(r"^(line \d+: )cell ", r"\1value ", message)
+
+
 class TestHotLoop:
     """A clean table is parsed without calling any per-cell helper."""
 

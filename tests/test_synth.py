@@ -148,9 +148,15 @@ class TestInvalidSpecs:
                      "hyperbolic takes no parameters ['b', 'break_year', 'zeta']", id="hyperbolic"),
         pytest.param("hyperbolic", {"a": 1.0, "k": 1e-3, "ref_year": 0.0},
                      "hyperbolic takes no parameters ['ref_year']", id="ref-year-unread"),
-        pytest.param("exponential",
-                     {"level": 1.0, "rate": 0.01, "ref_year": 0.0, "beta": 1.0, "alpha": 1.0},
+        pytest.param("exponential", {"level": 1.0, "rate": 0.01, "beta": 1.0, "alpha": 1.0},
                      "exponential takes no parameters ['alpha', 'beta']", id="exponential"),
+        # exponential starts at its first sample year, so a ref_year of any value is unknown.
+        pytest.param("exponential", {"level": 1.0, "rate": 0.01, "ref_year": 0.0},
+                     "exponential takes no parameters ['ref_year']", id="ref-year-retired"),
+        pytest.param("exponential", {"level": 1.0, "rate": 0.01, "ref_year": float("nan")},
+                     "exponential takes no parameters ['ref_year']", id="ref-year-nan"),
+        pytest.param("exponential", {"level": 1.0, "rate": 0.01, "ref_year": "x"},
+                     "exponential takes no parameters ['ref_year']", id="ref-year-text"),
     ])
     def test_unknown_parameters_listed_sorted(self, kind, parameters, message):
         with pytest.raises(GeneratorError) as exc:
@@ -195,10 +201,6 @@ class TestInvalidSpecs:
         pytest.param("constant", {"level": 1.0}, 1900.0, 0.0, id="sample-years-scalar"),
         pytest.param("constant", {"level": "1"}, (0.0, 1.0), 0.0, id="parameter-text"),
         pytest.param("constant", {"level": 1.0}, (0.0, 1.0), "x", id="noise-text"),
-        pytest.param("exponential", {"level": 1.0, "rate": 0.01, "ref_year": float("nan")},
-                     (0.0, 1.0), 0.0, id="ref-year-nan"),
-        pytest.param("exponential", {"level": 1.0, "rate": 0.01, "ref_year": "x"},
-                     (0.0, 1.0), 0.0, id="ref-year-text"),
     ])
     def test_malformed_field_rejected(self, kind, parameters, sample_years, noise):
         with pytest.raises(GeneratorError):
@@ -225,11 +227,6 @@ class TestInvalidSpecs:
         for sample_years in ((1, 2), (Fraction(1), 2), np.array([1.0, 2.0]), (True, 2)):
             assert GeneratorSpec("constant", {"level": 1.0}, sample_years).sample_years == (1.0, 2.0)
 
-    def test_exponential_reference_year_allowed(self):
-        spec = GeneratorSpec("exponential", {"level": 2.0, "rate": 0.01, "ref_year": 1.0},
-                             years(0, 1))
-        assert generate(spec).values[1] == pytest.approx(2.0)
-
 
 class TestModelErrors:
     """Errors raised while sampling the exact model; none is cached."""
@@ -251,15 +248,42 @@ class TestModelErrors:
         pytest.param("hyperbolic-then-slower",
                      {"a": 1.0, "k": 1e-3, "break_year": 1000.0, "slow_factor": 0.5},
                      years(0, 950), "break_year must precede the singularity", id="break-year"),
+        # Values out of the float range; filterwarnings = error also fails a
+        # numpy warning on the way.
+        pytest.param("exponential", {"level": 1.0, "rate": 10.0}, years(0, 1000),
+                     "exponential values leave the range of positive floats", id="exp-overflow"),
+        pytest.param("hyperbolic", {"a": 1e-308, "k": 1e-308}, years(0, 0.5),
+                     "hyperbolic values leave the range of positive floats", id="reciprocal-overflow"),
+        pytest.param("spliced-two-hyperbolic",
+                     {"a": 1.0, "k": 10.0, "break_year": 1.0, "k_ratio": 1e308}, years(-20, -5),
+                     "second regime: parameter a must be finite and positive, got inf",
+                     id="k-ratio-overflow"),
     ])
     @pytest.mark.parametrize("noise", [0.0, 0.01])
     def test_raised_on_every_call(self, kind, parameters, sample_years, message, noise):
         spec = GeneratorSpec(kind, parameters, sample_years, noise=noise, seed=3)
+        synth._EXACT.clear()
         for _ in range(2):
             with pytest.raises(GeneratorError) as exc:
                 generate(spec)
             assert type(exc.value) is GeneratorError
             assert str(exc.value) == message
+        assert synth._EXACT == {}
+
+    # The exact values are in range and the noise takes them out; as above, a
+    # numpy warning fails the test.
+    @pytest.mark.parametrize("level, noise, message", [
+        pytest.param(1e308, 1.0, "constant values with noise 1 leave the range of positive floats",
+                     id="overflow"),
+        pytest.param(1e-300, 50.0, "constant values with noise 50 leave the range of positive floats",
+                     id="underflow"),
+    ])
+    def test_noise_out_of_the_float_range_is_named(self, level, noise, message):
+        spec = GeneratorSpec("constant", {"level": level}, years(*range(11)), noise=noise, seed=1)
+        with pytest.raises(GeneratorError) as exc:
+            generate(spec)
+        assert str(exc.value) == message
+        assert generate(GeneratorSpec("constant", {"level": level}, spec.sample_years)).values[0] == level
 
     # Years up to the break precede it, and the break precedes the
     # singularity, so no year before the break can reach the singularity.
@@ -276,7 +300,7 @@ class TestModelErrors:
 _CACHE_SPECS = {
     "hyperbolic": {"a": 1.0, "k": 1e-3},
     "constant": {"level": 3.0},
-    "exponential": {"level": 2.0, "rate": 0.01, "ref_year": 100.0},
+    "exponential": {"level": 2.0, "rate": 0.01},
     "stagnation-then-takeoff": {"level": 2.0, "break_year": 500.0, "rate": 0.02},
     "spliced-two-hyperbolic": {"a": 1.0, "k": 1e-3, "break_year": 500.0, "k_ratio": 1.2},
     "hyperbolic-then-slower": {"a": 1.0, "k": 1e-3, "break_year": 800.0, "slow_factor": 0.4},
@@ -331,15 +355,6 @@ class TestExactCache:
             assert s.years.tobytes() == np.array(spec.sample_years).tobytes()
             assert s.values.tobytes() == _direct(spec)
         assert len(synth._EXACT) == 2
-
-    # The key's parameters compare as floats, so a ref_year of -0.0 finds
-    # 0.0's entry; its direct bytes are the same.
-    def test_signed_zero_reference_year_shares_bytes(self):
-        grid = (-5.0, -0.0, 3.0)
-        for ref in (0.0, -0.0):
-            spec = GeneratorSpec("exponential", {"level": 2.0, "rate": 2.0, "ref_year": ref}, grid)
-            assert generate(spec).values.tobytes() == _direct(spec)
-        assert len(synth._EXACT) == 1
 
     @pytest.mark.parametrize("convert", [
         pytest.param(int, id="int"),
