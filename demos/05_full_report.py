@@ -9,6 +9,7 @@ on the command line as `hypergrowth report`.
 
 from hypergrowth import (
     AnalysisConfigFile,
+    FitWindow,
     GeneratorSpec,
     RegionConfig,
     RegionDefinition,
@@ -43,7 +44,7 @@ config = AnalysisConfigFile(
     unit_scale=1.0,
     regions=(
         RegionConfig(RegionDefinition("World-like", ("World-like",)),
-                     window=(1000.0, 1955.0)),
+                     window=FitWindow(1000.0, 1955.0)),
         RegionConfig(RegionDefinition("Africa-like", ("Africa-like",)),
                      two_regime=True),
     ),

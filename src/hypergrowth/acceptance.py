@@ -22,37 +22,28 @@ from .fit import DEFAULT_WEIGHTING, WEIGHTINGS, FitWindow, best_fit, fit_hyperbo
 from .ingest import DatasetTable, RegionDefinition, build_region_series
 from .model import HyperbolicModel, relative_deviation, round_half_up
 from .regime import detect_diversion, proximity, segment_two_hyperbolic
-from .report import _study
+from .report import AnalysisReportRow, _study
 from .series import YearValueSeries
 from .synth import GeneratorSpec, generate, maddison_year_grid, spliced_models
 from .takeoff import TakeoffHypothesis, takeoff_test
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
-    """One published reference result row."""
-
-    region: str
-    a: float
-    k: float
-    range_start: float
-    range_end: float
-    singularity: int
-    diversion_year: float | None = None
-    proximity: int | None = None
-
-
-REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
-    ReferenceRow("World", 1.684e-2, 8.539e-6, 1000, 1955, 1972, 1955, 17),
-    ReferenceRow("Western Europe", 9.859e-2, 5.112e-5, 1500, 1900, 1929, 1900, 29),
-    ReferenceRow("Western Europe (4)", 3.821e-1, 1.986e-4, 1, 1875, 1923, 1875, 48),
-    ReferenceRow("Eastern Europe", 7.749e-1, 4.048e-4, 1000, 1890, 1915, 1890, 25),
-    ReferenceRow("Former USSR", 6.547e-1, 3.452e-4, 1, 1870, 1897, 1870, 27),
-    ReferenceRow("Asia", 2.303e-2, 1.129e-5, 1000, 1950, 2040, 1950, 90),
-    ReferenceRow("Africa (first regime)", 1.244e-1, 5.030e-5, 1, 1820, 2473),
-    ReferenceRow("Africa (second regime)", 4.192e-1, 2.126e-4, 1820, 1950, 1972, 1950, 22),
-    ReferenceRow("Latin America (first regime)", 4.421e-1, 2.093e-4, 1, 1500, 2113),
-    ReferenceRow("Latin America (second regime)", 1.570e0, 8.224e-4, 1600, 1870, 1910, 1870, 40),
+# The published table as report rows.  A row's diversion year is its
+# range_end; a row without a diversion has no proximity.  The table gives no
+# takeoff verdict, so every takeoff cell is empty.
+REFERENCE_ROWS: tuple[AnalysisReportRow, ...] = (
+    AnalysisReportRow("World", 1.684e-2, 8.539e-6, 1000, 1955, 1972, 17, ""),
+    AnalysisReportRow("Western Europe", 9.859e-2, 5.112e-5, 1500, 1900, 1929, 29, ""),
+    AnalysisReportRow("Western Europe (4)", 3.821e-1, 1.986e-4, 1, 1875, 1923, 48, ""),
+    AnalysisReportRow("Eastern Europe", 7.749e-1, 4.048e-4, 1000, 1890, 1915, 25, ""),
+    AnalysisReportRow("Former USSR", 6.547e-1, 3.452e-4, 1, 1870, 1897, 27, ""),
+    AnalysisReportRow("Asia", 2.303e-2, 1.129e-5, 1000, 1950, 2040, 90, ""),
+    AnalysisReportRow("Africa (first regime)", 1.244e-1, 5.030e-5, 1, 1820, 2473, None, ""),
+    AnalysisReportRow("Africa (second regime)", 4.192e-1, 2.126e-4, 1820, 1950, 1972, 22, ""),
+    AnalysisReportRow("Latin America (first regime)", 4.421e-1, 2.093e-4, 1, 1500, 2113, None,
+                      ""),
+    AnalysisReportRow("Latin America (second regime)", 1.570e0, 8.224e-4, 1600, 1870, 1910, 40,
+                      ""),
 )
 
 # Published second-to-first-regime k ratios; both k's come from REFERENCE_ROWS.
@@ -90,11 +81,11 @@ def check_proximity_reproduction() -> CheckResult:
     failures = []
     checked = 0
     for row in REFERENCE_ROWS:
-        if row.diversion_year is None:
+        if row.proximity is None:
             continue
         checked += 1
-        direct = row.singularity - round_half_up(row.diversion_year)
-        via_model = proximity(HyperbolicModel(row.a, row.k), row.diversion_year)
+        direct = row.singularity - round_half_up(row.range_end)
+        via_model = proximity(HyperbolicModel(row.a, row.k), row.range_end)
         if abs(direct - row.proximity) > 1 or abs(via_model - row.proximity) > 1:
             failures.append(f"{row.region}: {direct}/{via_model} != {row.proximity}")
     return _verdict("proximity reproduction (8 diversions, +-1 year)", failures,
@@ -338,13 +329,13 @@ def check_world_reproduction(table: DatasetTable) -> CheckResult:
     cannot be built or studied fails the check, naming the error.
     """
     name = "world-series reproduction (data-dependent)"
+    ref = REFERENCE_ROWS[0]
     try:
         series = build_region_series(table, RegionDefinition("World", ("World",)))
-        (fit,), _, finding, _ = _study(series, FitWindow(1000.0, 1955.0), False,
+        (fit,), _, finding, _ = _study(series, FitWindow(ref.range_start, ref.range_end), False,
                                        DEFAULT_WEIGHTING)
     except HypergrowthError as exc:
         return CheckResult(name, False, f"World series not studied: {type(exc).__name__}: {exc}")
-    ref = REFERENCE_ROWS[0]
     problems = []
     if abs(fit.model.a - ref.a) / ref.a > 0.05:
         problems.append(f"a {fit.model.a:.4e} not within 5% of {ref.a:.4e}")

@@ -117,7 +117,7 @@ def _fit_summary(fit) -> dict:
 
 
 def _window(args) -> FitWindow | None:
-    return FitWindow(*parse_window(args.window, "--window")) if args.window else None
+    return parse_window(args.window, "--window") if args.window else None
 
 
 def cmd_fit(args) -> int:
@@ -185,17 +185,8 @@ def cmd_takeoff(args) -> int:
     hyp = TakeoffHypothesis(args.predicted_year, args.halfwidth)  # a bad flag before the input
     series = _load_series(args)
     doc = dataclasses.asdict(takeoff_test(series, hyp))
-    _write_output(_json_bytes(_sanitize(doc)), args.out)
+    _write_output(_json_bytes(doc), args.out)
     return 0
-
-
-def _sanitize(obj):
-    # JSON has no inf/nan; report them as strings.
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, float) and (obj != obj or obj in (float("inf"), float("-inf"))):
-        return str(obj)
-    return obj
 
 
 def cmd_report(args) -> int:

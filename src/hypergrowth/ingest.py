@@ -22,8 +22,9 @@ from operator import itemgetter, length_hint
 import numpy as np
 
 from .errors import ParseError, RegionError, SeriesError, _finite
+from .fit import FitWindow
 from .series import YearValueSeries
-from .takeoff import SEARCH_HALFWIDTH
+from .takeoff import SEARCH_HALFWIDTH, TakeoffHypothesis
 
 
 @dataclass(frozen=True)
@@ -353,10 +354,9 @@ class RegionConfig:
     """One region's analysis settings from a config file."""
 
     definition: RegionDefinition
-    window: tuple[float, float] | None = None
+    window: FitWindow | None = None
     two_regime: bool = False
-    takeoff_year: float | None = None
-    takeoff_halfwidth: float = SEARCH_HALFWIDTH
+    takeoff: TakeoffHypothesis | None = None
 
 
 @dataclass(frozen=True)
@@ -381,8 +381,9 @@ def _config_bool(parser, section: str, key: str, fallback: bool) -> bool:
                          "is not a boolean") from None
 
 
-def parse_window(text: str, where: str) -> tuple[float, float]:
-    """Finite ``START:END`` years with START < END; ParseError naming ``where`` otherwise."""
+def parse_window(text: str, where: str) -> FitWindow:
+    """The window of finite ``START:END`` years with START < END; ParseError naming
+    ``where`` otherwise."""
     parts = text.split(":")
     if len(parts) != 2:
         raise ParseError(f"{where}: window must be START:END, got {text!r}")
@@ -390,7 +391,7 @@ def parse_window(text: str, where: str) -> tuple[float, float]:
     end = _parse_number(parts[1].strip(), "window end", where)
     if not start < end:
         raise ParseError(f"{where}: window start must precede its end, got {text!r}")
-    return start, end
+    return FitWindow(start, end)
 
 
 def parse_region_config(text: str) -> AnalysisConfigFile:
@@ -399,8 +400,10 @@ def parse_region_config(text: str) -> AnalysisConfigFile:
     INI layout: an optional ``[global]`` section with ``unit_scale``; one
     section per region with ``members`` (comma-separated), and optional
     ``require_complete``, ``window`` (``START:END``), ``two_regime``,
-    ``takeoff_year`` and ``takeoff_halfwidth`` keys.  A malformed or
-    out-of-range value raises ParseError naming its section.
+    ``takeoff_year`` and ``takeoff_halfwidth`` keys; a ``takeoff_year`` makes
+    the region's ``TakeoffHypothesis``.  A malformed or out-of-range value
+    raises ParseError naming its section, a ``takeoff_halfwidth`` without a
+    ``takeoff_year`` included.
     """
     parser = configparser.ConfigParser(interpolation=None)  # values are literal: no %-syntax
     try:
@@ -432,13 +435,8 @@ def parse_region_config(text: str) -> AnalysisConfigFile:
             window = parse_window(parser.get(section, "window"), where)
         halfwidth = _config_number(parser, section, "takeoff_halfwidth", SEARCH_HALFWIDTH)
         _check_positive(halfwidth, f"{where}: takeoff_halfwidth")
-        regions.append(
-            RegionConfig(
-                definition=definition,
-                window=window,
-                two_regime=_config_bool(parser, section, "two_regime", False),
-                takeoff_year=_config_number(parser, section, "takeoff_year"),
-                takeoff_halfwidth=halfwidth,
-            )
-        )
+        two_regime = _config_bool(parser, section, "two_regime", False)
+        takeoff_year = _config_number(parser, section, "takeoff_year")
+        takeoff = None if takeoff_year is None else TakeoffHypothesis(takeoff_year, halfwidth)
+        regions.append(RegionConfig(definition, window, two_regime, takeoff))
     return AnalysisConfigFile(unit_scale=unit_scale, regions=tuple(regions))

@@ -97,11 +97,8 @@ def run_analysis(
     for cfg in config.regions:
         try:
             series = build_region_series(table, cfg.definition)
-            window = None if cfg.window is None else FitWindow(*cfg.window)
-            hypothesis = (None if cfg.takeoff_year is None
-                          else TakeoffHypothesis(cfg.takeoff_year, cfg.takeoff_halfwidth))
-            fits, _, finding, result = _study(series, window, cfg.two_regime, weighting,
-                                              hypothesis)
+            fits, _, finding, result = _study(series, cfg.window, cfg.two_regime, weighting,
+                                              cfg.takeoff)
         except HypergrowthError as exc:
             errors.append(RegionErrorEntry(cfg.definition.name, str(exc)))
             continue
@@ -117,9 +114,23 @@ def run_analysis(
     return rows, errors
 
 
+def _finite_json(obj):
+    """``obj`` with each non-finite float, in any dict or list, as the text
+    ``inf``, ``-inf`` or ``nan``: JSON has no such numbers."""
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    if isinstance(obj, float) and not _finite(obj):
+        return str(obj)
+    return obj
+
+
 def _json_bytes(obj) -> bytes:
-    """The JSON document of every JSON output: sorted keys, 2-space indent, final newline."""
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """The JSON document of every JSON output: sorted keys, 2-space indent, final
+    newline, and each non-finite float written as text."""
+    return (json.dumps(_finite_json(obj), indent=2, sort_keys=True, allow_nan=False)
+            + "\n").encode("utf-8")
 
 
 _MD_LINE_BREAK = re.compile(r"\r\n?|\n")

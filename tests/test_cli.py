@@ -15,8 +15,6 @@ import pytest
 
 import hypergrowth
 from hypergrowth import (
-    RegionConfig,
-    RegionDefinition,
     TakeoffHypothesis,
     YearValueSeries,
     build_plot_sheet,
@@ -99,6 +97,21 @@ class TestFit:
         code, _, err = run(capsys, "fit", "--input", str(hyperbolic_csv), "--region", "nowhere")
         assert code == 1
         assert err == "error: unknown entity 'nowhere'\n"
+
+    # Values near the float range's lower end overflow the fit's diagnostics
+    # to inf and nan; the document stays JSON, with those numbers as text.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_diagnostics_are_written_as_text(self, tmp_path, capsys):
+        path = tmp_path / "tiny.csv"
+        path.write_text("entity,year,value\n"
+                        + "".join(f"E,{1000 + 10 * i},{i + 1}e-300\n" for i in range(9)))
+        code, out, _ = run(capsys, "fit", "--input", str(path))
+
+        def bare(token):
+            raise AssertionError(f"bare {token} in the document")
+        doc = json.loads(out, parse_constant=bare)
+        assert code == 0
+        assert (doc["rmse_reciprocal"], doc["r2_reciprocal"]) == ("inf", "nan")
 
     def test_non_hyperbolic_data_is_analysis_error(self, tmp_path, capsys):
         path = tmp_path / "falling.csv"
@@ -615,8 +628,8 @@ def test_defaults_read_one_owner():
     halfwidth = takeoff.SEARCH_HALFWIDTH
     args = parser.parse_args(["takeoff", "--input", "x", "--predicted-year", "1750"])
     assert args.halfwidth is halfwidth
-    assert RegionConfig(RegionDefinition("R", ("A",))).takeoff_halfwidth is halfwidth
-    assert parse_region_config("[R]\nmembers = A\n").regions[0].takeoff_halfwidth is halfwidth
+    config = parse_region_config("[R]\nmembers = A\ntakeoff_year = 1750\n")
+    assert config.regions[0].takeoff.search_halfwidth is halfwidth
     assert TakeoffHypothesis(1750.0).search_halfwidth is halfwidth
     series = YearValueSeries(np.array([1700.0, 1800.0]), np.array([1.0, 2.0]))
     assert takeoff_scan(series, [1750.0])[0].hypothesis.search_halfwidth is halfwidth

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypergrowth import (
+    FitWindow,
     ParseError,
     RegionDefinition,
     RegionError,
+    TakeoffHypothesis,
     YearValueSeries,
     build_region_series,
     ingest,
@@ -816,9 +818,8 @@ require_complete = false
         assert cfg.unit_scale == pytest.approx(1e-3)
         we4, africa = cfg.regions
         assert we4.definition.members == ("Denmark", "France", "Netherlands", "Sweden")
-        assert we4.window == (1.0, 1875.0)
-        assert we4.takeoff_year == 1750.0
-        assert we4.takeoff_halfwidth == 70.0
+        assert we4.window == FitWindow(1.0, 1875.0)
+        assert we4.takeoff == TakeoffHypothesis(1750.0, 70.0)
         assert we4.definition.require_complete is True
         assert africa.two_regime is True
         assert africa.definition.require_complete is False

@@ -15,12 +15,14 @@ from hypergrowth import (
     AnalysisReportRow,
     ArgumentError,
     FitError,
+    FitWindow,
     HypergrowthError,
     GeneratorSpec,
     ParseError,
     RegionConfig,
     RegionDefinition,
     RegionErrorEntry,
+    TakeoffHypothesis,
     build_region_series,
     format_sci,
     generate,
@@ -30,7 +32,8 @@ from hypergrowth import (
     run_analysis,
     series_to_long_csv,
 )
-from hypergrowth.report import _study
+from hypergrowth.acceptance import REFERENCE_ROWS
+from hypergrowth.report import _json_bytes, _study
 
 
 def synthetic_table():
@@ -65,9 +68,8 @@ def config():
         regions=(
             RegionConfig(
                 RegionDefinition("world-like", ("world-like",)),
-                window=(1000.0, 1955.0),
-                takeoff_year=1750.0,
-                takeoff_halfwidth=70.0,
+                window=FitWindow(1000.0, 1955.0),
+                takeoff=TakeoffHypothesis(1750.0, 70.0),
             ),
             RegionConfig(
                 RegionDefinition("africa-like", ("africa-like",)),
@@ -111,8 +113,8 @@ class TestRunAnalysis:
             unit_scale=1.0,
             regions=(
                 RegionConfig(RegionDefinition("R", ("R",)),
-                             window=(0.0, 900.0), takeoff_year=450.0,
-                             takeoff_halfwidth=100.0),
+                             window=FitWindow(0.0, 900.0),
+                             takeoff=TakeoffHypothesis(450.0, 100.0)),
             ),
         )
         rows, errors = run_analysis(table, cfg)
@@ -129,10 +131,9 @@ class TestRunAnalysis:
         years = tuple(float(y) for y in range(0, 901, 50))
         s = generate(GeneratorSpec("hyperbolic", {"a": 1.0, "k": 0.001}, years, label="R"))
         table = parse_long_csv(series_to_long_csv(s))
-        region = RegionConfig(RegionDefinition("R", ("R",)), window=(0.0, 900.0))
+        region = RegionConfig(RegionDefinition("R", ("R",)), window=FitWindow(0.0, 900.0))
         untested, _ = run_analysis(table, AnalysisConfigFile(1.0, (region,)))
-        region = dataclasses.replace(region, takeoff_year=takeoff_year,
-                                     takeoff_halfwidth=halfwidth)
+        region = dataclasses.replace(region, takeoff=TakeoffHypothesis(takeoff_year, halfwidth))
         rows, errors = run_analysis(table, AnalysisConfigFile(1.0, (region,)))
         assert errors == []
         assert rows == untested
@@ -234,6 +235,15 @@ class TestRenderReport:
     def test_analysed_rows_parse_back(self):
         rows, _ = run_analysis(synthetic_table(), config())
         assert parse_report_json(render_report(rows, "json")) == rows
+
+    # The published table is held as report rows, so it is a report document.
+    def test_published_rows_parse_back(self):
+        assert parse_report_json(render_report(REFERENCE_ROWS, "json")) == list(REFERENCE_ROWS)
+
+
+def test_json_writes_each_non_finite_float_as_text():
+    doc = {"x": [float("-inf"), {"y": float("nan")}], "z": (float("inf"), 1.5)}
+    assert json.loads(_json_bytes(doc)) == {"x": ["-inf", {"y": "nan"}], "z": ["inf", 1.5]}
 
 
 def _report_doc(**changes):
