@@ -10,6 +10,7 @@ from hypergrowth import (
     FitWindow,
     GeneratorSpec,
     fit_hyperbolic,
+    fit_record,
     generate,
     maddison_year_grid,
     relative_deviation,
@@ -29,7 +30,7 @@ fit = fit_hyperbolic(series, FitWindow(grid[0], grid[-1]))
 print(f"fitted a = {fit.model.a:.4e}   (true {A:.4e})")
 print(f"fitted k = {fit.model.k:.4e}   (true {K:.4e})")
 print(f"singularity year = {round_half_up(fit.model.singularity_year)}")
-print(f"reciprocal-space R^2 = {fit.r2_reciprocal:.6f}")
+print(f"reciprocal-space R^2 = {fit_record(fit)['r2_reciprocal']:.6f}")
 
 # Even two thousand years before the window ends, the fitted curve stays
 # within tens of percent of the data -- the signature of a single regime.

@@ -53,6 +53,7 @@ from .regime import (
 from .report import (
     AnalysisReportRow,
     RegionErrorEntry,
+    fit_record,
     format_sci,
     parse_report_json,
     render_report,

@@ -27,10 +27,10 @@ from .ingest import (
     parse_window,
     series_to_long_csv,
 )
-from .model import relative_deviation, round_half_up
+from .model import relative_deviation
 from .plots import build_plot_sheet, plot_sheet_csv, plot_sheet_svg
 from .regime import detect_diversion, segment_two_hyperbolic
-from .report import _json_bytes, _study, render_report, run_analysis
+from .report import _json_bytes, _study, fit_record, render_report, run_analysis
 from .series import YearValueSeries
 from .synth import KINDS, GeneratorSpec, generate, maddison_year_grid
 from .takeoff import SEARCH_HALFWIDTH, TakeoffHypothesis, takeoff_test
@@ -101,21 +101,6 @@ def _load_series(args) -> YearValueSeries:
     )
 
 
-def _fit_summary(fit) -> dict:
-    return {
-        "a": fit.model.a,
-        "k": fit.model.k,
-        "singularity": fit.model.singularity_year,
-        "singularity_year": round_half_up(fit.model.singularity_year),
-        "window": [fit.window.start_year, fit.window.end_year],
-        "n_points": fit.n_points,
-        "rmse_reciprocal": fit.rmse_reciprocal,
-        "r2_reciprocal": fit.r2_reciprocal,
-        "max_abs_relative_deviation": fit.max_abs_relative_deviation,
-        "weighting": fit.weighting,
-    }
-
-
 def _window(args) -> FitWindow | None:
     return parse_window(args.window, "--window") if args.window else None
 
@@ -128,7 +113,7 @@ def cmd_fit(args) -> int:
     n = int((series.years < fit.model.singularity_year).sum())
     devs = relative_deviation(series.years[:n], series.values[:n], fit.model).tolist()
     devs += [None] * (len(series) - n)
-    doc = _fit_summary(fit)
+    doc = fit_record(fit)
     doc["deviations_percent"] = [[y, d] for y, d in zip(series.years.tolist(), devs)]
     _write_output(_json_bytes(doc), args.out)
     return 0
@@ -148,7 +133,7 @@ def cmd_segment(args) -> int:
             {
                 "window": [s.window.start_year, s.window.end_year],
                 "kind": s.kind,
-                **({"fit": _fit_summary(s.fit)} if s.fit else {}),
+                **({"fit": fit_record(s.fit)} if s.fit else {}),
             }
             for s in seg.segments
         ],
@@ -161,7 +146,7 @@ def cmd_diversion(args) -> int:
     series = _load_series(args)
     fit = best_fit(series, _window(args), args.weighting)
     finding = detect_diversion(series, fit)
-    doc = {"fit": _fit_summary(fit), "finding": None}
+    doc = {"fit": fit_record(fit), "finding": None}
     if finding is not None:
         doc["finding"] = {
             "year": finding.year,

@@ -13,10 +13,10 @@ approximates relative-error fitting of the original values: the reciprocal
 difference -(dS)/(S1*S2) blows up at small S, so uniform weighting
 over-weights the early, small-value points.
 
-A fit keeps its window's arrays (years, values, reciprocals and residuals);
-its summary diagnostics (reciprocal RMSE, R^2 and the largest relative
-deviation) are computed from them when read, so a fit whose diagnostics
-nobody reads does not pay for them.
+A fit keeps its window's arrays (years, values, reciprocals and residuals)
+and nothing computed from them: ``report.fit_record`` computes the summary
+diagnostics (reciprocal RMSE, R^2 and the largest relative deviation), so a
+fit whose diagnostics nobody reads does not pay for them.
 
 The searches over many candidate lines (``scan_windows`` here, the
 two-regime split in ``regime`` and the takeoff break in ``takeoff``) screen,
@@ -40,14 +40,13 @@ fit: a list of one ``HyperbolicFit``, or an empty list when no window fits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ArgumentError, FitError, NonHyperbolicError, SingularityInWindowError,
                      TooFewPointsError, _finite)
-from .model import HyperbolicModel, relative_deviation
+from .model import HyperbolicModel
 from .series import YearValueSeries
 
 WEIGHTINGS = ("uniform", "direct")
@@ -76,13 +75,12 @@ class FitWindow:
 
 @dataclass(frozen=True, eq=False)
 class HyperbolicFit:
-    """A fitted model plus in-window diagnostics, as read-only per-point arrays.
+    """A fitted model and its window's points, as read-only per-point arrays.
 
     ``years`` and ``values`` are views of the series' own years and values
     over the window; ``reciprocals`` and ``deltas`` (observed minus fitted
-    reciprocal) are the fit's own arrays.  The summary diagnostics
-    (``rmse_reciprocal``, ``r2_reciprocal``, ``max_abs_relative_deviation``)
-    are computed from these arrays each time they are read, not by the fit.
+    reciprocal) are the fit's own arrays.  The fit is a plain result record:
+    ``report.fit_record`` builds its reported fields, diagnostics included.
     A fit equals only itself and hashes by identity, as its arrays have no
     single truth value.
     """
@@ -94,32 +92,6 @@ class HyperbolicFit:
     reciprocals: np.ndarray
     deltas: np.ndarray
     weighting: str
-
-    @property
-    def n_points(self) -> int:
-        return len(self.years)
-
-    @property
-    def rmse_reciprocal(self) -> float:
-        """Root mean square of the plain reciprocal residuals."""
-        return math.sqrt(float(_sum(self.deltas**2)) / len(self.years))
-
-    @property
-    def r2_reciprocal(self) -> float:
-        """R^2 of the reciprocal line, weighted as the fit was."""
-        y = self.reciprocals
-        w = _weights(self.values, self.weighting)
-        ybar = _centred_line(self.years, y, w)[2]
-        sq_tot, sq_res = (y - ybar) ** 2, self.deltas**2
-        if w is not None:
-            sq_tot, sq_res = w * sq_tot, w * sq_res
-        ss_tot, ss_res = float(_sum(sq_tot)), float(_sum(sq_res))
-        return 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-
-    @property
-    def max_abs_relative_deviation(self) -> float:
-        """Largest |observed - fitted| in percent of the fitted value."""
-        return float(_max(np.abs(relative_deviation(self.years, self.values, self.model))))
 
 
 def _centred_line(t: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):

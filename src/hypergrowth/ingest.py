@@ -365,6 +365,12 @@ class AnalysisConfigFile:
     regions: tuple[RegionConfig, ...]
 
 
+# The keys each section of a region config takes.
+_GLOBAL_KEYS = ("unit_scale",)
+_REGION_KEYS = ("members", "require_complete", "window", "two_regime", "takeoff_year",
+                "takeoff_halfwidth")
+
+
 def _config_number(parser, section: str, key: str, fallback=None):
     """The finite number under ``key``, or ``fallback`` when the key is absent."""
     if not parser.has_option(section, key):
@@ -401,9 +407,10 @@ def parse_region_config(text: str) -> AnalysisConfigFile:
     section per region with ``members`` (comma-separated), and optional
     ``require_complete``, ``window`` (``START:END``), ``two_regime``,
     ``takeoff_year`` and ``takeoff_halfwidth`` keys; a ``takeoff_year`` makes
-    the region's ``TakeoffHypothesis``.  A malformed or out-of-range value
-    raises ParseError naming its section, a ``takeoff_halfwidth`` without a
-    ``takeoff_year`` included.
+    the region's ``TakeoffHypothesis``.  Any other key, or a malformed or
+    out-of-range value, raises ParseError naming its section, a
+    ``takeoff_halfwidth`` without a ``takeoff_year`` included.  A
+    ``[DEFAULT]`` key counts as written in every section.
     """
     parser = configparser.ConfigParser(interpolation=None)  # values are literal: no %-syntax
     try:
@@ -414,7 +421,13 @@ def parse_region_config(text: str) -> AnalysisConfigFile:
     regions = []
     for section in parser.sections():
         where = f"section [{section}]"
-        if section.lower() == "global":
+        is_global = section.lower() == "global"
+        known = _GLOBAL_KEYS if is_global else _REGION_KEYS
+        # options() holds the [DEFAULT] keys too, after the section's own.
+        unknown = [key for key in parser.options(section) if key not in known]
+        if unknown:
+            raise ParseError(f"{where}: unknown key {unknown[0]!r}")
+        if is_global:
             unit_scale = _config_number(parser, section, "unit_scale", 1.0)
             _check_positive(unit_scale, f"{where}: unit_scale")
             continue

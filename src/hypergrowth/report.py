@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, fields
 
 from .errors import (ArgumentError, FitError, HypergrowthError, ParseError, TooFewPointsError,
                      _finite)
-from .fit import DEFAULT_WEIGHTING, FitWindow, best_fit
+from .fit import (DEFAULT_WEIGHTING, FitWindow, HyperbolicFit, _centred_line, _max, _sum,
+                  _weights, best_fit)
 from .ingest import AnalysisConfigFile, DatasetTable, _csv_bytes, build_region_series
-from .model import round_half_up
+from .model import relative_deviation, round_half_up
 from .regime import detect_diversion, segment_two_hyperbolic
 from .series import YearValueSeries
 from .takeoff import TakeoffHypothesis, takeoff_test
@@ -112,6 +114,31 @@ def run_analysis(
                 fit.window.end_year, round_half_up(fit.model.singularity_year),
                 prox if latest else None, cell if latest else ""))
     return rows, errors
+
+
+def fit_record(fit: HyperbolicFit) -> dict:
+    """The reported fields of ``fit``: its model, window and weighting, the RMSE of its plain
+    reciprocal residuals, the R^2 of its reciprocal line, weighted as the fit was, and its
+    largest |observed - fitted| in percent of the fitted value."""
+    t, y, model = fit.years, fit.reciprocals, fit.model
+    w = _weights(fit.values, fit.weighting)
+    sq_tot, sq_res = (y - _centred_line(t, y, w)[2]) ** 2, fit.deltas**2
+    rmse = math.sqrt(float(_sum(sq_res)) / len(t))
+    if w is not None:
+        sq_tot, sq_res = w * sq_tot, w * sq_res
+    ss_tot, ss_res = float(_sum(sq_tot)), float(_sum(sq_res))
+    return {
+        "a": model.a,
+        "k": model.k,
+        "singularity": model.singularity_year,
+        "singularity_year": round_half_up(model.singularity_year),
+        "window": [fit.window.start_year, fit.window.end_year],
+        "n_points": len(t),
+        "rmse_reciprocal": rmse,
+        "r2_reciprocal": 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot,
+        "max_abs_relative_deviation": float(_max(abs(relative_deviation(t, fit.values, model)))),
+        "weighting": fit.weighting,
+    }
 
 
 def _finite_json(obj):

@@ -15,6 +15,13 @@ from .errors import SeriesError
 
 _INF = float("inf")
 _all, _any = np.logical_and.reduce, np.logical_or.reduce
+# The range of every value.  A fit squares each reciprocal y = 1/v and, under
+# "direct", weighs by w = v^2, multiplying w by t^2 and by squared centred
+# reciprocals; each must stay a normal float, within [2.2e-308, 1.8e308].  In
+# this range y^2 and w lie within [1e-100, 1e100] and their products below
+# 1e200, which leaves a factor of 1e108 for t^2 and the sums over a series'
+# points: years up to 1e50 and up to 1e8 points.
+VALUE_MIN, VALUE_MAX = 1e-50, 1e50
 
 
 @dataclass(frozen=True)
@@ -26,7 +33,7 @@ class YearValueSeries:
     years : array-like of float
         Strictly increasing calendar years, no duplicates.
     values : array-like of float
-        Strictly positive values, same length as ``years``.
+        Positive values within [VALUE_MIN, VALUE_MAX], same length as ``years``.
     label : str
         Free-text identifier (region name, generator tag, ...).
     """
@@ -52,12 +59,14 @@ class YearValueSeries:
         # comparison, so only a faulty series reaches the checks that name
         # its first fault.  The ufunc reductions skip ndarray.all's wrapper.
         if not (_all(years[1:] > years[:-1]) and -_INF < years[0] and years[-1] < _INF
-                and _all((values > 0) & (values < _INF))):
+                and _all((values >= VALUE_MIN) & (values <= VALUE_MAX))):
             if not (_all(np.isfinite(years)) and _all(np.isfinite(values))):
                 raise SeriesError("years and values must be finite")
             if _any(years[1:] <= years[:-1]):
                 raise SeriesError("years must be strictly increasing (no duplicates)")
-            raise SeriesError("all values must be strictly positive")
+            if _any(values <= 0):
+                raise SeriesError("all values must be strictly positive")
+            raise SeriesError(f"all values must lie within [{VALUE_MIN:g}, {VALUE_MAX:g}]")
         years.setflags(write=False)
         values.setflags(write=False)
 

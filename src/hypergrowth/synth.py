@@ -17,16 +17,7 @@ import numpy as np
 
 from .errors import GeneratorError, SeriesError, _finite
 from .model import HyperbolicModel, evaluate
-from .series import YearValueSeries
-
-KINDS = (
-    "hyperbolic",
-    "constant",
-    "exponential",
-    "stagnation-then-takeoff",
-    "spliced-two-hyperbolic",
-    "hyperbolic-then-slower",
-)
+from .series import VALUE_MAX, VALUE_MIN, YearValueSeries
 
 # Parameters required by each kind.  All must be positive reals except where
 # noted in the generator functions.
@@ -38,7 +29,9 @@ _REQUIRED = {
     "spliced-two-hyperbolic": ("a", "k", "break_year", "k_ratio"),
     "hyperbolic-then-slower": ("a", "k", "break_year", "slow_factor"),
 }
+KINDS = tuple(_REQUIRED)
 _INF = float("inf")
+_OUT_OF_RANGE = f"leave the value range [{VALUE_MIN:g}, {VALUE_MAX:g}]"
 
 
 def _real_array(v) -> np.ndarray | None:
@@ -190,8 +183,8 @@ _EXACT_SIZE = 8
 def generate(spec: GeneratorSpec) -> YearValueSeries:
     """Sample the exact model on spec.sample_years, then apply noise.
 
-    Values that overflow to inf or underflow to 0 raise GeneratorError, which
-    names the noise when the exact values are in range.
+    Values outside the series' value range raise GeneratorError, which names
+    the noise when the exact values are in range.
     """
     years = np.asarray(spec.sample_years, dtype=float)
     key = (spec.kind, tuple(spec.parameters.items()), years.tobytes())
@@ -199,8 +192,8 @@ def generate(spec: GeneratorSpec) -> YearValueSeries:
     with np.errstate(all="ignore"):  # values out of range are rejected below
         if values is None:
             values = _exact_values(spec, years)
-            if not np.logical_and.reduce((values > 0) & (values < _INF)):
-                raise GeneratorError(f"{spec.kind} values leave the range of positive floats")
+            if not np.logical_and.reduce((values >= VALUE_MIN) & (values <= VALUE_MAX)):
+                raise GeneratorError(f"{spec.kind} values {_OUT_OF_RANGE}")
             values.setflags(write=False)
             if len(_EXACT) >= _EXACT_SIZE:
                 _EXACT.clear()
@@ -211,8 +204,8 @@ def generate(spec: GeneratorSpec) -> YearValueSeries:
     try:
         return YearValueSeries(years, values, spec.label or spec.kind)
     except SeriesError:  # the years and exact values are valid, so the noise is at fault
-        raise GeneratorError(f"{spec.kind} values with noise {spec.noise:g} leave the range"
-                             " of positive floats") from None
+        raise GeneratorError(
+            f"{spec.kind} values with noise {spec.noise:g} {_OUT_OF_RANGE}") from None
 
 
 def maddison_year_grid() -> list[float]:

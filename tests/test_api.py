@@ -12,7 +12,7 @@ PUBLIC = [
     "RegionDefinition", "RegionError", "RegionErrorEntry", "Segment", "SeriesError",
     "SingularityInWindowError", "TakeoffHypothesis", "TakeoffTestResult", "TooFewPointsError",
     "YearValueSeries", "build_plot_sheet", "build_region_series", "detect_diversion",
-    "evaluate", "fit_hyperbolic", "format_sci", "generate", "maddison_year_grid",
+    "evaluate", "fit_hyperbolic", "fit_record", "format_sci", "generate", "maddison_year_grid",
     "parse_long_csv", "parse_region_config", "parse_report_json", "parse_wide_table",
     "plot_sheet_csv", "plot_sheet_svg", "proximity", "reciprocal_delta", "reciprocal_line",
     "relative_deviation", "render_report", "round_half_up", "run_analysis", "scan_windows",

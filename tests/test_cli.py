@@ -98,20 +98,18 @@ class TestFit:
         assert code == 1
         assert err == "error: unknown entity 'nowhere'\n"
 
-    # Values near the float range's lower end overflow the fit's diagnostics
-    # to inf and nan; the document stays JSON, with those numbers as text.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_diagnostics_are_written_as_text(self, tmp_path, capsys):
-        path = tmp_path / "tiny.csv"
+    # Values past either end of the series' value range are one error before
+    # any fit; filterwarnings = error fails a numpy warning on the way.
+    @pytest.mark.parametrize("exponent", [-300, 300], ids=["tiny", "huge"])
+    @pytest.mark.parametrize("window", [(), ("--window", "1000:1060")], ids=["auto", "window"])
+    def test_values_outside_the_value_range_are_one_error(self, tmp_path, capsys, exponent,
+                                                          window):
+        path = tmp_path / "extreme.csv"
         path.write_text("entity,year,value\n"
-                        + "".join(f"E,{1000 + 10 * i},{i + 1}e-300\n" for i in range(9)))
-        code, out, _ = run(capsys, "fit", "--input", str(path))
-
-        def bare(token):
-            raise AssertionError(f"bare {token} in the document")
-        doc = json.loads(out, parse_constant=bare)
-        assert code == 0
-        assert (doc["rmse_reciprocal"], doc["r2_reciprocal"]) == ("inf", "nan")
+                        + "".join(f"E,{1000 + 10 * i},{i + 1}e{exponent}\n" for i in range(9)))
+        code, out, err = run(capsys, "fit", "--input", str(path), *window)
+        assert (code, out) == (1, "")
+        assert err == "error: all values must lie within [1e-50, 1e+50]\n"
 
     def test_non_hyperbolic_data_is_analysis_error(self, tmp_path, capsys):
         path = tmp_path / "falling.csv"
@@ -292,15 +290,19 @@ class TestReport:
         assert run(capsys, *argv) == plain
         assert plain[0] == 0
 
-    # These three escaped as a configparser ValueError (a traceback) or exited
-    # 1 through RegionDefinition's RegionError.
+    # The first three escaped as a configparser ValueError (a traceback) or
+    # exited 1 through RegionDefinition's RegionError; the misspelt key was
+    # ignored, and the report ran without it.
     @pytest.mark.parametrize("text, message", [
         ("[R]\nmembers = A\nrequire_complete = maybe\n",
          "error: section [R]: require_complete 'maybe' is not a boolean"),
         ("[R]\nmembers = A\ntwo_regime = maybe\n",
          "error: section [R]: two_regime 'maybe' is not a boolean"),
         ("[R]\nmembers = ,\n", "error: region 'R' has no members"),
-    ], ids=["require-complete-not-boolean", "two-regime-not-boolean", "no-members"])
+        ("[africa-like]\nmembers = africa-like\ntwo_regim = true\n",
+         "error: section [africa-like]: unknown key 'two_regim'"),
+    ], ids=["require-complete-not-boolean", "two-regime-not-boolean", "no-members",
+            "unknown-key"])
     def test_config_fault_is_usage_error(self, spliced_csv, tmp_path, capsys, text, message):
         cfg = tmp_path / "regions.ini"
         cfg.write_text(text)
@@ -721,12 +723,13 @@ class TestMalformedInput:
         (("synth", "--kind", "exponential", "--param", "level=1", "--param", "rate=0.01",
           "--param", "ref_year=3", "--years", "0:9"), "exponential takes no parameters ['ref_year']"),
         (("synth", "--kind", "exponential", "--param", "level=1", "--param", "rate=10",
-          "--years", "0:1000"), "exponential values leave the range of positive floats"),
+          "--years", "0:1000"), "exponential values leave the value range [1e-50, 1e+50]"),
         (("synth", "--kind", "hyperbolic", "--param", "a=1", "--param", "k=1e-3",
           "--years", "0:50", "--noise", "800"),
-         "hyperbolic values with noise 800 leave the range of positive floats"),
-        (("synth", "--kind", "constant", "--param", "level=1e308", "--years", "0:10",
-          "--noise", "1"), "constant values with noise 1 leave the range of positive floats"),
+         "hyperbolic values with noise 800 leave the value range [1e-50, 1e+50]"),
+        (("synth", "--kind", "constant", "--param", "level=1e50", "--years", "0:10",
+          "--noise", "1"),
+         "constant values with noise 1 leave the value range [1e-50, 1e+50]"),
     ], ids=["trials-0", "trials-negative",
             "seed-negative", "input-dir", "maddison-dir", "input-not-utf8",
             "maddison-not-utf8", "config-not-utf8", "window-start-inf", "window-end-inf",

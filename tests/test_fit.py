@@ -15,6 +15,7 @@ from hypergrowth import (
     TooFewPointsError,
     YearValueSeries,
     fit_hyperbolic,
+    fit_record,
     generate,
     reciprocal_line,
     relative_deviation,
@@ -64,7 +65,8 @@ class TestUniformWeightsSkipped:
                 continue
             compared += 1
             a, k, rmse, r2, deltas = reference_uniform_fit(s, window)
-            assert (fit.model.a, fit.model.k, fit.rmse_reciprocal, fit.r2_reciprocal) == (
+            rec = fit_record(fit)
+            assert (fit.model.a, fit.model.k, rec["rmse_reciprocal"], rec["r2_reciprocal"]) == (
                 a, k, rmse, r2), seed
             assert fit.deltas.tobytes() == deltas.tobytes()
         assert compared >= 100
@@ -143,8 +145,9 @@ class TestWindowSlice:
             assert want is not None, seed
             compared += 1
             a, k, rmse, r2, max_dev, t, y, deltas = want
-            assert (fit.model.a, fit.model.k, fit.rmse_reciprocal, fit.r2_reciprocal,
-                    fit.max_abs_relative_deviation) == (a, k, rmse, r2, max_dev), seed
+            rec = fit_record(fit)
+            assert (fit.model.a, fit.model.k, rec["rmse_reciprocal"], rec["r2_reciprocal"],
+                    rec["max_abs_relative_deviation"]) == (a, k, rmse, r2, max_dev), seed
             for got, arr in ((fit.years, t), (fit.reciprocals, y), (fit.deltas, deltas)):
                 assert got.dtype == arr.dtype and got.tobytes() == arr.tobytes(), seed
                 assert not got.flags.writeable
@@ -241,9 +244,8 @@ class TestFitHyperbolic:
 
     def test_point_arrays_are_read_only(self):
         fit = fit_hyperbolic(hyperbolic_series(), FitWindow(0.0, 900.0))
-        assert fit.n_points == 10
         for arr in (fit.years, fit.reciprocals, fit.deltas):
-            assert len(arr) == fit.n_points
+            assert len(arr) == 10
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
@@ -289,8 +291,8 @@ class TestGoodness:
     def test_exact_data(self):
         s = hyperbolic_series()
         fit = fit_hyperbolic(s, FitWindow(0.0, 900.0))
-        assert fit.rmse_reciprocal == pytest.approx(0.0, abs=1e-14)
-        assert fit.r2_reciprocal == pytest.approx(1.0)
+        assert fit_record(fit)["rmse_reciprocal"] == pytest.approx(0.0, abs=1e-14)
+        assert fit_record(fit)["r2_reciprocal"] == pytest.approx(1.0)
         devs = relative_deviation(s.years, s.values, fit.model)
         np.testing.assert_allclose(devs, 0.0, atol=1e-9)
 
@@ -322,7 +324,7 @@ class TestScanWindows:
         assert top.model.a == pytest.approx(1.0, rel=1e-6)
         assert top.model.k == pytest.approx(0.001, rel=1e-6)
         full = fit_hyperbolic(s, FitWindow(0.0, 900.0))
-        assert full.rmse_reciprocal == pytest.approx(0.0, abs=1e-12)
+        assert fit_record(full)["rmse_reciprocal"] == pytest.approx(0.0, abs=1e-12)
         assert top.window == full.window
         assert (top.model.a, top.model.k) == (full.model.a, full.model.k)
 
@@ -337,8 +339,9 @@ class TestScanWindows:
         (top,) = scan_windows(s)
         full = fit_hyperbolic(s, FitWindow(1000.0, 1950.0))
         within_first = fit_hyperbolic(s, FitWindow(1000.0, 1800.0))
-        assert within_first.rmse_reciprocal < full.rmse_reciprocal
-        assert top.rmse_reciprocal < full.rmse_reciprocal
+        rmse = {f: fit_record(f)["rmse_reciprocal"] for f in (top, full, within_first)}
+        assert rmse[within_first] < rmse[full]
+        assert rmse[top] < rmse[full]
 
     def test_three_points_single_candidate(self):
         s = hyperbolic_series(years=(0.0, 100.0, 200.0))

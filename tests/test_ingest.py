@@ -833,7 +833,22 @@ require_complete = false
         # configparser's strict mode rejects a repeated section.
         ("[A]\nmembers = x\n[A]\nmembers = y\n",
          "^bad region config: While reading from '<string>' \\[line +3\\]: section 'A' already exists$"),
-    ], ids=["no-section", "duplicate-region"])
+        # Each section takes its own keys only.  configparser lower-cases keys
+        # and copies [DEFAULT]'s into every section, where each must be known.
+        ("[global]\nunit_scle = 0.001\n[R]\nmembers = A\ntwo_regim = true\nwindw = 1:5\n",
+         r"^section \[global\]: unknown key 'unit_scle'$"),
+        ("[R]\nmembers = A\ntwo_regim = true\nwindw = 1:5\n",
+         r"^section \[R\]: unknown key 'two_regim'$"),
+        ("[R]\nMembers = A\nWindw = 1:5\n", r"^section \[R\]: unknown key 'windw'$"),
+        ("[Global]\nmembers = A\n", r"^section \[Global\]: unknown key 'members'$"),
+        ("[R]\nmembers = A\nunit_scale = 0.001\n", r"^section \[R\]: unknown key 'unit_scale'$"),
+        ("[DEFAULT]\nunit_scale = 0.001\n[R]\nmembers = A\n",
+         r"^section \[R\]: unknown key 'unit_scale'$"),
+        ("[DEFAULT]\nrequire_complete = false\n[global]\nunit_scale = 1\n[R]\nmembers = A\n",
+         r"^section \[global\]: unknown key 'require_complete'$"),
+    ], ids=["no-section", "duplicate-region", "misspelt-global", "misspelt-region", "case-folded",
+            "region-key-in-global", "global-key-in-region", "default-global-key",
+            "default-region-key"])
     def test_malformed_config_message(self, text, match):
         with pytest.raises(ParseError, match=match):
             parse_region_config(text)
@@ -856,6 +871,11 @@ require_complete = false
     def test_bad_region_value_is_parse_error(self, text, match):
         with pytest.raises(ParseError, match=match):
             parse_region_config(text)
+
+    def test_default_key_reaches_every_region(self):
+        cfg = parse_region_config("[DEFAULT]\nrequire_complete = false\n"
+                                  "[A]\nmembers = a\n[B]\nmembers = b\n")
+        assert [r.definition.require_complete for r in cfg.regions] == [False, False]
 
     def test_bad_window_rejected(self):
         with pytest.raises(ParseError, match="window"):

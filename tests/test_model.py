@@ -198,11 +198,17 @@ class TestSeriesInvariants:
         ([1900.0, 1910.0], [math.nan, 2.0], "years and values must be finite"),
         ([1900.0, 1910.0], [1.0, 0.0], "all values must be strictly positive"),
         ([1900.0, 1910.0], [-1.0, 2.0], "all values must be strictly positive"),
+        ([1900.0, 1910.0], [1e-300, 0.0], "all values must be strictly positive"),
+        ([1900.0, 1910.0], [1.0, 1.01e50], "all values must lie within [1e-50, 1e+50]"),
+        ([1900.0, 1910.0], [9.9e-51, 1.0], "all values must lie within [1e-50, 1e+50]"),
     ])
     def test_first_of_two_faults_names_the_error(self, years, values, message):
         with pytest.raises(SeriesError) as exc:
             YearValueSeries(years, values)
         assert str(exc.value) == message
+
+    def test_value_range_holds_its_ends(self):
+        assert YearValueSeries([1900.0, 1910.0], [1e-50, 1e50]).values.tolist() == [1e-50, 1e50]
 
 
 class TestSubSeries:

@@ -248,12 +248,16 @@ class TestModelErrors:
         pytest.param("hyperbolic-then-slower",
                      {"a": 1.0, "k": 1e-3, "break_year": 1000.0, "slow_factor": 0.5},
                      years(0, 950), "break_year must precede the singularity", id="break-year"),
-        # Values out of the float range; filterwarnings = error also fails a
-        # numpy warning on the way.
+        # Values out of the series' value range, here past the float range;
+        # filterwarnings = error also fails a numpy warning on the way.
         pytest.param("exponential", {"level": 1.0, "rate": 10.0}, years(0, 1000),
-                     "exponential values leave the range of positive floats", id="exp-overflow"),
+                     "exponential values leave the value range [1e-50, 1e+50]",
+                     id="exp-overflow"),
         pytest.param("hyperbolic", {"a": 1e-308, "k": 1e-308}, years(0, 0.5),
-                     "hyperbolic values leave the range of positive floats", id="reciprocal-overflow"),
+                     "hyperbolic values leave the value range [1e-50, 1e+50]",
+                     id="reciprocal-overflow"),
+        pytest.param("constant", {"level": 1e60}, years(0, 1),
+                     "constant values leave the value range [1e-50, 1e+50]", id="level-past-range"),
         pytest.param("spliced-two-hyperbolic",
                      {"a": 1.0, "k": 10.0, "break_year": 1.0, "k_ratio": 1e308}, years(-20, -5),
                      "second regime: parameter a must be finite and positive, got inf",
@@ -270,12 +274,14 @@ class TestModelErrors:
             assert str(exc.value) == message
         assert synth._EXACT == {}
 
-    # The exact values are in range and the noise takes them out; as above, a
-    # numpy warning fails the test.
+    # The exact values are at the ends of the value range and the noise takes
+    # them out; as above, a numpy warning fails the test.
     @pytest.mark.parametrize("level, noise, message", [
-        pytest.param(1e308, 1.0, "constant values with noise 1 leave the range of positive floats",
+        pytest.param(1e50, 1.0,
+                     "constant values with noise 1 leave the value range [1e-50, 1e+50]",
                      id="overflow"),
-        pytest.param(1e-300, 50.0, "constant values with noise 50 leave the range of positive floats",
+        pytest.param(1e-50, 50.0,
+                     "constant values with noise 50 leave the value range [1e-50, 1e+50]",
                      id="underflow"),
     ])
     def test_noise_out_of_the_float_range_is_named(self, level, noise, message):
